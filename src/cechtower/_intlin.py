@@ -11,7 +11,7 @@ invariant-factor presentations by ``present_quotient``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from cechtower._kernels import smith_with_transforms
 from cechtower.errors import VerificationError
@@ -46,13 +46,18 @@ def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Mat:
 
 
 def mat_vec(A: Sequence[Sequence[int]], x: Sequence[int]) -> Vec:
-    out = []
-    for row in A:
-        s = 0
-        for a, b in zip(row, x):
-            if a and b:
-                s += a * b
-        out.append(s)
+    """A x, summing over the nonzero entries of x only."""
+    nz = [(j, b) for j, b in enumerate(x) if b]
+    return [sum(row[j] * b for j, b in nz) for row in A]
+
+
+def lin_comb(vectors: Sequence[Sequence[int]], coeffs: Sequence[int], n: int) -> Vec:
+    """sum_j coeffs[j] * vectors[j] in Z^n."""
+    out = [0] * n
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for i in range(n):
+                out[i] += c * vec[i]
     return out
 
 
@@ -70,38 +75,44 @@ def is_zero_matrix(A: Sequence[Sequence[int]]) -> bool:
     return all(all(x == 0 for x in row) for row in A)
 
 
+# Transforms each kind of caller reads; the kernel skips the others.
+LATTICE = ("U", "Uinv")  # basis from Uinv, coordinates from U
+NULLSPACE = ("V",)
+SOLVE = ("U", "V")
+
+
 @dataclass(frozen=True)
 class SnfResult:
-    """U*A*V == D with tracked inverses; diag is the diagonal of D."""
+    """U*A*V == D; diag is the diagonal of D.  Transforms that were not
+    asked for are empty lists."""
 
     U: Mat
     Uinv: Mat
     D: Mat
     V: Mat
-    Vinv: Mat
     m: int
     n: int
     diag: tuple[int, ...]
     rank: int
 
 
-def snf(A: Sequence[Sequence[int]], m: Optional[int] = None, n: Optional[int] = None) -> SnfResult:
-    if m is None:
-        m = len(A)
-    if n is None:
-        n = len(A[0]) if m else 0
-    U, Uinv, D, V, Vinv = smith_with_transforms([list(row) for row in A] if m else [])
+def snf(A: Sequence[Sequence[int]], m: int, n: int,
+        transforms: Collection[str]) -> SnfResult:
+    """SNF of the m x n matrix A, computing only ``transforms`` (of U, Uinv, V)."""
+    U, Uinv, D, V, _ = smith_with_transforms(A if m else [], transforms)
     if not m:
         D = []
-        V = identity_matrix(n)
-        Vinv = identity_matrix(n)
+        V = identity_matrix(n) if "V" in transforms else []
     diag = tuple(D[i][i] for i in range(min(m, n)))
     rank = sum(1 for d in diag if d != 0)
-    return SnfResult(U, Uinv, D, V, Vinv, m, n, diag, rank)
+    return SnfResult(U, Uinv, D, V, m, n, diag, rank)
 
 
 def solve_linear(res: SnfResult, y: Sequence[int]) -> Optional[Vec]:
-    """One solution of A x = y over Z (zero homogeneous part), or None."""
+    """One solution of A x = y over Z (zero homogeneous part), or None.
+
+    Needs U and V in ``res``.
+    """
     u = mat_vec(res.U, y)
     z = [0] * res.n
     for i in range(res.m):
@@ -136,37 +147,44 @@ class Lattice:
     """A sublattice of Z^n, reduced to a canonical basis via SNF.
 
     The basis is the deterministic function of the generator list produced
-    by the SNF transforms, so equal generator lists give equal bases.
+    by the SNF transforms, so equal generator lists give equal bases.  With
+    U * G * V == D for the generator matrix G, the basis vectors are
+    b_i = d_i * Uinv e_i, so U b_i == d_i e_i: coordinates come from U and
+    the diagonal, and no second SNF is needed.
     """
 
     def __init__(self, n: int, gens: Sequence[Sequence[int]]):
         self.n = n
-        gens = [list(g) for g in gens]
         if gens:
-            res = snf(columns_to_matrix(gens, n), n, len(gens))
-            basis = []
-            for i in range(res.rank):
-                d = res.diag[i]
-                basis.append([d * res.Uinv[t][i] for t in range(n)])
-            self.basis = basis
+            res = snf(columns_to_matrix(gens, n), n, len(gens), LATTICE)
+            self._diag = res.diag[:res.rank]
+            self._U = res.U
+            self.basis = [[d * row[i] for row in res.Uinv]
+                          for i, d in enumerate(self._diag)]
         else:
+            self._diag = ()
+            self._U = []
             self.basis = []
-        self._solver: Optional[SnfResult] = None
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def _solve_res(self) -> SnfResult:
-        if self._solver is None:
-            self._solver = snf(columns_to_matrix(self.basis, self.n), self.n, len(self.basis))
-        return self._solver
-
     def coords_of(self, v: Sequence[int]) -> Optional[Vec]:
-        """Coefficients of v in the basis, or None when v is outside."""
-        if not self.basis:
-            return [] if all(x == 0 for x in v) else None
-        return solve_linear(self._solve_res(), v)
+        """Coefficients of v in the basis, or None when v is outside.
+
+        v = sum c_i b_i exactly when u = U v has u_i == c_i * d_i below the
+        rank and u_i == 0 from the rank on.
+        """
+        u = mat_vec(self._U, v) if self.basis else v  # no basis: only 0 is inside
+        coords = []
+        for ui, d in zip(u, self._diag):
+            if ui % d:
+                return None
+            coords.append(ui // d)
+        if any(u[self.rank:]):
+            return None
+        return coords
 
     def __contains__(self, v: Sequence[int]) -> bool:
         return self.coords_of(v) is not None
@@ -181,53 +199,24 @@ class Lattice:
         return None
 
 
+def augmented_snf(matrix: Sequence[Sequence[int]], target_orders: Sequence[int],
+                  n: int, transforms: Collection[str]) -> SnfResult:
+    """SNF of [M | -R], R the relation generators o_i e_i of the target.
+
+    A solution w of [M | -R] w == y gives M w[:n] == y modulo the target
+    relations; the kernel projects onto {x in Z^n : M x in lattice(R)}.
+    """
+    rel = [i for i, o in enumerate(target_orders) if o]
+    W = [list(row) + [-target_orders[i] if i == j else 0 for j in rel]
+         for i, row in enumerate(matrix)]
+    return snf(W, len(target_orders), n + len(rel), transforms)
+
+
 def kernel_lattice_gens(matrix: Sequence[Sequence[int]], target_orders: Sequence[int],
                         n: int) -> list[Vec]:
     """Generators of {x in Z^n : M x lies in the relation lattice of target}."""
-    m = len(target_orders)
-    rel = relation_columns(target_orders)
-    width = n + len(rel)
-    W = [[0] * width for _ in range(m)]
-    for i in range(m):
-        row = matrix[i] if matrix else []
-        for j in range(n):
-            W[i][j] = row[j]
-    for j, col in enumerate(rel):
-        for i in range(m):
-            W[i][n + j] = -col[i]
-    res = snf(W, m, width)
+    res = augmented_snf(matrix, target_orders, n, NULLSPACE)
     return [col[:n] for col in kernel_columns(res)]
-
-
-def solve_mod(matrix: Sequence[Sequence[int]], target_orders: Sequence[int],
-              y: Sequence[int], n: int,
-              snf_cache: Optional[SnfResult] = None) -> Optional[Vec]:
-    """One x with M x == y modulo the target relations, or None.
-
-    The caller may pass a cached SNF of the augmented matrix [M | -R]
-    (as produced by :func:`augmented_snf`) to amortize repeated solves.
-    """
-    res = snf_cache if snf_cache is not None else augmented_snf(matrix, target_orders, n)
-    w = solve_linear(res, y)
-    if w is None:
-        return None
-    return w[:n]
-
-
-def augmented_snf(matrix: Sequence[Sequence[int]], target_orders: Sequence[int],
-                  n: int) -> SnfResult:
-    m = len(target_orders)
-    rel = relation_columns(target_orders)
-    width = n + len(rel)
-    W = [[0] * width for _ in range(m)]
-    for i in range(m):
-        row = matrix[i] if matrix else []
-        for j in range(n):
-            W[i][j] = row[j]
-    for j, col in enumerate(rel):
-        for i in range(m):
-            W[i][n + j] = -col[i]
-    return snf(W, m, width)
 
 
 def lattice_preimage_gens(map_cols: Sequence[Sequence[int]], m: int,
@@ -238,45 +227,18 @@ def lattice_preimage_gens(map_cols: Sequence[Sequence[int]], m: int,
     of the kernel of the block matrix [cols | -W].
     """
     g = len(map_cols)
-    w = [list(v) for v in w_gens]
-    width = g + len(w)
-    W = [[0] * width for _ in range(m)]
-    for j, col in enumerate(map_cols):
-        for i in range(m):
-            W[i][j] = col[i]
-    for j, col in enumerate(w):
-        for i in range(m):
-            W[i][g + j] = -col[i]
-    res = snf(W, m, width)
+    cols = [*map_cols, *([-x for x in w] for w in w_gens)]
+    res = snf(columns_to_matrix(cols, m), m, len(cols), NULLSPACE)
     return [col[:g] for col in kernel_columns(res)]
 
 
 def lattice_intersection_gens(n: int, gens_a: Sequence[Sequence[int]],
                               gens_b: Sequence[Sequence[int]]) -> list[Vec]:
     """Generators of the intersection of two lattices in Z^n."""
-    a = [list(g) for g in gens_a]
-    b = [list(g) for g in gens_b]
-    if not a or not b:
+    if not gens_a or not gens_b:
         return []
-    W = [[0] * (len(a) + len(b)) for _ in range(n)]
-    for j, col in enumerate(a):
-        for i in range(n):
-            W[i][j] = col[i]
-    for j, col in enumerate(b):
-        for i in range(n):
-            W[i][len(a) + j] = -col[i]
-    res = snf(W, n, len(a) + len(b))
-    out = []
-    for col in kernel_columns(res):
-        coeffs = col[: len(a)]
-        vec = [0] * n
-        for j, c in enumerate(coeffs):
-            if c:
-                gj = a[j]
-                for i in range(n):
-                    vec[i] += c * gj[i]
-        out.append(vec)
-    return out
+    return [lin_comb(gens_a, y, n)
+            for y in lattice_preimage_gens(gens_a, n, gens_b)]
 
 
 @dataclass
@@ -296,10 +258,8 @@ class Presentation:
     project: Callable[[Sequence[int]], Vec] = field(repr=False)
 
 
-def present_quotient(n: int, s_gens: Sequence[Sequence[int]],
-                     t_gens: Sequence[Sequence[int]]) -> Presentation:
-    """Present the quotient of lattice(s_gens) by lattice(t_gens)."""
-    S = Lattice(n, s_gens)
+def present_quotient(S: Lattice, t_gens: Sequence[Sequence[int]]) -> Presentation:
+    """Present S modulo lattice(t_gens), which must lie inside S."""
     B = S.basis
     s = len(B)
     cols = []
@@ -308,39 +268,19 @@ def present_quotient(n: int, s_gens: Sequence[Sequence[int]],
         if c is None:
             raise VerificationError("denominator lattice is not contained in the numerator")
         cols.append(c)
-    res = snf(columns_to_matrix(cols, s), s, len(cols))
+    res = snf(columns_to_matrix(cols, s), s, len(cols), LATTICE)
     kept_torsion = [i for i in range(res.rank) if res.diag[i] > 1]
     free_idx = list(range(res.rank, s))
-    torsion = tuple(res.diag[i] for i in kept_torsion)
     kept = kept_torsion + free_idx
     orders = [res.diag[i] for i in kept_torsion] + [0] * len(free_idx)
-
-    lift_cols = []
-    for i in kept:
-        z = [res.Uinv[t][i] for t in range(s)]
-        amb = [0] * n
-        for t, zt in enumerate(z):
-            if zt:
-                bt = B[t]
-                for j in range(n):
-                    amb[j] += zt * bt[j]
-        lift_cols.append(amb)
-
-    U = res.U
+    lift_cols = [lin_comb(B, [row[i] for row in res.Uinv], S.n) for i in kept]
+    rows = [res.U[i] for i in kept]
 
     def project(v: Sequence[int]) -> Vec:
         c = S.coords_of(v)
         if c is None:
             raise VerificationError("vector outside the presented subgroup")
-        out = []
-        for pos, i in enumerate(kept):
-            y = 0
-            Ui = U[i]
-            for t in range(s):
-                if Ui[t] and c[t]:
-                    y += Ui[t] * c[t]
-            o = orders[pos]
-            out.append(y % o if o else y)
-        return out
+        return [y % o if o else y for y, o in zip(mat_vec(rows, c), orders)]
 
-    return Presentation(n, torsion, len(free_idx), lift_cols, project)
+    return Presentation(S.n, tuple(orders[:len(kept_torsion)]), len(free_idx),
+                        lift_cols, project)

@@ -251,7 +251,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    res = _intlin.snf(matrix, m, n)
+    res = _intlin.snf(matrix, m, n, _intlin.SOLVE)
     to_t = lambda rows: tuple(tuple(r) for r in rows)
     return to_t(res.U), to_t(res.D), to_t(res.V)
 
@@ -284,17 +284,17 @@ def hom_invariants(h: Homomorphism) -> HomInvariants:
     rel_b = relation_columns(h.target.orders)
 
     ker_gens = kernel_lattice_gens(h.matrix, h.target.orders, na)
-    ker_p = present_quotient(na, ker_gens, rel_a)
+    ker_p = present_quotient(Lattice(na, ker_gens), rel_a)
     kernel = _presentation_group(ker_p)
     ker_inc = _inclusion_from_lifts(kernel, h.source, ker_p.lift_cols)
 
     im_gens = h.columns() + rel_b
-    im_p = present_quotient(nb, im_gens, rel_b)
+    im_p = present_quotient(Lattice(nb, im_gens), rel_b)
     image = _presentation_group(im_p)
     im_inc = _inclusion_from_lifts(image, h.target, im_p.lift_cols)
 
     full = [[1 if i == j else 0 for i in range(nb)] for j in range(nb)]
-    cok_p = present_quotient(nb, full, im_gens)
+    cok_p = present_quotient(Lattice(nb, full), im_gens)
     cokernel = _presentation_group(cok_p)
     proj_cols = [cok_p.project([1 if i == j else 0 for i in range(nb)])
                  for j in range(nb)]
@@ -305,7 +305,8 @@ def hom_invariants(h: Homomorphism) -> HomInvariants:
 
 @lru_cache(maxsize=None)
 def _hom_solver(h: Homomorphism) -> _intlin.SnfResult:
-    return _intlin.augmented_snf(h.matrix, h.target.orders, h.source.ngens)
+    return _intlin.augmented_snf(h.matrix, h.target.orders, h.source.ngens,
+                                 _intlin.SOLVE)
 
 
 def solve_in_group(h: Homomorphism, y: GroupElement) -> Optional[GroupElement]:
@@ -316,11 +317,10 @@ def solve_in_group(h: Homomorphism, y: GroupElement) -> Optional[GroupElement]:
     """
     if y.group != h.target:
         raise ValidationError("right-hand side does not belong to the target")
-    x = _intlin.solve_mod(h.matrix, h.target.orders, list(y.coords),
-                          h.source.ngens, snf_cache=_hom_solver(h))
-    if x is None:
+    w = _intlin.solve_linear(_hom_solver(h), y.coords)
+    if w is None:
         return None
-    return GroupElement(h.source, tuple(x))
+    return GroupElement(h.source, tuple(w[:h.source.ngens]))
 
 
 @dataclass(frozen=True)
@@ -370,7 +370,7 @@ def direct_sum_with_maps(summands: Sequence[FgAbGroup]):
         total += g.ngens
     orders = [o for g in summands for o in g.orders]
     full = [[1 if i == j else 0 for i in range(total)] for j in range(total)]
-    pres = present_quotient(total, full, relation_columns(orders))
+    pres = present_quotient(Lattice(total, full), relation_columns(orders))
     L = _presentation_group(pres)
 
     embeddings = []

@@ -31,7 +31,9 @@ from cechtower.abelian import (
 )
 from cechtower.errors import BudgetExceededError, ValidationError
 
-BAR_GENERATOR_BUDGET = 1 << 16
+# Cap on the cells of a site and on the bar complex's generators in its top
+# degree, checked before either is enumerated.
+GENERATOR_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def build_complex_from_facets(vertex_count: int,
     Every vertex 0..vertex_count-1 becomes a 0-simplex whether or not a
     facet mentions it.
     """
-    levels: dict[int, set] = {0: {(v,) for v in range(vertex_count)}}
+    facets = [tuple(f) for f in facets]
     for fi, f in enumerate(facets):
         if len(f) == 0:
             raise ValidationError(f"facet {fi} is empty")
@@ -111,8 +113,14 @@ def build_complex_from_facets(vertex_count: int,
             if not 0 <= v < vertex_count:
                 raise ValidationError(f"facet {fi}: vertex {v} out of range")
         if len(set(f)) != len(f):
-            dup = next(v for v in f if list(f).count(v) > 1)
+            dup = next(v for v in f if f.count(v) > 1)
             raise ValidationError(f"facet {fi}: repeated vertex {dup}")
+    cells = vertex_count + sum((1 << len(f)) - 1 for f in facets)
+    if cells > GENERATOR_BUDGET:
+        raise BudgetExceededError(
+            f"complex may have up to {cells} cells, budget is {GENERATOR_BUDGET}")
+    levels: dict[int, set] = {0: {(v,) for v in range(vertex_count)}}
+    for f in facets:
         s = tuple(sorted(f))
         for size in range(1, len(s) + 1):
             for face in itertools.combinations(s, size):
@@ -362,7 +370,7 @@ def cohomology(complex_: CochainComplex, p: int) -> Cohomology:
         img_gens = in_diff.columns() + rel
     else:
         img_gens = rel
-    pres = _intlin.present_quotient(n, ker_gens, img_gens)
+    pres = _intlin.present_quotient(_intlin.Lattice(n, ker_gens), img_gens)
     group = FgAbGroup(pres.free_rank, pres.torsion)
     reps = tuple(Cochain(complex_, p, tuple(col)) for col in pres.lift_cols)
     result = Cohomology(p, group, reps, pres)
@@ -446,7 +454,7 @@ def trivial_action(group, module: FgAbGroup) -> GroupAction:
 
 
 def bar_complex(group, action: GroupAction, max_degree: int,
-                budget: int = BAR_GENERATOR_BUDGET) -> CochainComplex:
+                budget: int = GENERATOR_BUDGET) -> CochainComplex:
     """Unnormalized inhomogeneous bar complex of a finite group.
 
     C^p = Maps(H^p, M) with the action twisting the leading face:

@@ -50,20 +50,27 @@ class FilteredComplex:
         object.__setattr__(self, "embeddings", tuple(embeddings))
         object.__setattr__(self, "projections", tuple(projections))
         object.__setattr__(self, "total", cech_complex(self.site, total))
-        object.__setattr__(self, "_v_cache", {})
+        object.__setattr__(self, "_memo", {})
 
     @property
     def depth(self) -> int:
         return len(self.summands)
 
+    def _memoized(self, key: tuple, compute):
+        """compute(), once per key on this instance; results are shared, so
+        callers must not mutate them."""
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = compute()
+        return hit
+
     def _v_gens(self, p: int, n: int) -> list[list[int]]:
         """Generators of the V_p sublattice of C^n (1-based filtration index;
         p <= 1 is everything, p > depth only the relations)."""
-        p = max(p, 1)
-        key = (min(p, self.depth + 1), n)
-        hit = self._v_cache.get(key)
-        if hit is not None:
-            return hit
+        p = min(max(p, 1), self.depth + 1)
+        return self._memoized(("Vgens", p, n), lambda: self._compute_v(p, n))
+
+    def _compute_v(self, p: int, n: int) -> list[list[int]]:
         amb = self.total.group(n)
         gens = _intlin.relation_columns(amb.orders)
         if p == 1:
@@ -73,40 +80,40 @@ class FilteredComplex:
             for i in range(p - 1, self.depth):
                 ind = cech_induced(self.site, self.embeddings[i], n)
                 gens = ind.columns() + gens
-        self._v_cache[key] = gens
         return gens
+
+    def _v_lattice(self, p: int, n: int) -> _intlin.Lattice:
+        p = min(max(p, 1), self.depth + 1)
+        return self._memoized(("V", p, n), lambda: _intlin.Lattice(
+            self.total.group(n).ngens, self._v_gens(p, n)))
 
     def _z_gens(self, r: Optional[int], p: int, q: int) -> list[list[int]]:
         """Lattice of {x in V_p ∩ C^{p+q} : dx in V_{p+r}} (r=None: dx = 0)."""
+        return self._memoized(("Z", r, p, q), lambda: self._compute_z(r, p, q))
+
+    def _compute_z(self, r: Optional[int], p: int, q: int) -> list[list[int]]:
         n = p + q
         amb = self.total.group(n)
-        vp = _intlin.Lattice(amb.ngens, self._v_gens(p, n))
+        vp = self._v_lattice(p, n)
         d = self.total.differential(n)
         image_cols = [_intlin.mat_vec(d.matrix, b) for b in vp.basis]
         target_p = self.depth + 1 if r is None else p + r
         w = self._v_gens(target_p, n + 1)
         coeffs = _intlin.lattice_preimage_gens(image_cols, d.target.ngens, w)
-        gens = []
-        for cvec in coeffs:
-            v = [0] * amb.ngens
-            for j, cj in enumerate(cvec):
-                if cj:
-                    bj = vp.basis[j]
-                    for i in range(amb.ngens):
-                        v[i] += cj * bj[i]
-            gens.append(v)
+        gens = [_intlin.lin_comb(vp.basis, c, amb.ngens) for c in coeffs]
         return gens + _intlin.relation_columns(amb.orders)
 
     def _b_gens(self, r: Optional[int], p: int, q: int) -> list[list[int]]:
         """Lattice of d(V_{p-r}) ∩ V_p in degree p+q (r=None: all of V_1)."""
+        return self._memoized(("B", r, p, q), lambda: self._compute_b(r, p, q))
+
+    def _compute_b(self, r: Optional[int], p: int, q: int) -> list[list[int]]:
         n = p + q
         amb = self.total.group(n)
         rel = _intlin.relation_columns(amb.orders)
         if n - 1 < 0:
             return rel
-        lower = 1 if r is None else p - r
-        prev = _intlin.Lattice(self.total.group(n - 1).ngens,
-                               self._v_gens(lower, n - 1))
+        prev = self._v_lattice(1 if r is None else p - r, n - 1)
         d = self.total.differential(n - 1)
         image = [_intlin.mat_vec(d.matrix, b) for b in prev.basis] + rel
         inter = _intlin.lattice_intersection_gens(
@@ -126,13 +133,13 @@ class SpectralTerms:
     e_group: FgAbGroup
 
 
-def _group_of(n: int, gens, rel) -> FgAbGroup:
-    pres = _intlin.present_quotient(n, gens, rel)
+def _group_of(lattice: _intlin.Lattice, rel) -> FgAbGroup:
+    pres = _intlin.present_quotient(lattice, rel)
     return FgAbGroup(pres.free_rank, pres.torsion)
 
 
 def filtered_terms(f: FilteredComplex, r: Optional[int], p: int, q: int) -> SpectralTerms:
-    """Z, B, E from the defining membership conditions."""
+    """Z, B, E from the defining membership conditions (memoized on f)."""
     if r is not None and r < 1:
         raise ValidationError("page index must be >= 1")
     if p < 1:
@@ -140,22 +147,21 @@ def filtered_terms(f: FilteredComplex, r: Optional[int], p: int, q: int) -> Spec
     n = p + q
     if n < 0:
         raise ValidationError(f"degree p+q = {n} is out of range")
-    amb = f.total.group(n)
+    return f._memoized(("terms", r, p, q), lambda: _compute_terms(f, r, p, q))
+
+
+def _compute_terms(f: FilteredComplex, r: Optional[int], p: int, q: int) -> SpectralTerms:
+    amb = f.total.group(p + q)
     rel = _intlin.relation_columns(amb.orders)
-
-    z_gens = f._z_gens(r, p, q)
     prev_r = None if r is None else r - 1
-    b_prev = f._b_gens(prev_r, p, q)
-    z_shift = f._z_gens(prev_r, p + 1, q - 1)
-
-    z_lat = _intlin.Lattice(amb.ngens, z_gens)
+    z_lat = _intlin.Lattice(amb.ngens, f._z_gens(r, p, q))
     b_lat = _intlin.Lattice(amb.ngens, f._b_gens(r, p, q))
     if not z_lat.contains_lattice(b_lat):
         raise VerificationError("boundary term escaped the cycle term")
 
-    z_group = _group_of(amb.ngens, z_gens, rel)
-    b_group = _group_of(amb.ngens, b_lat.basis + rel, rel)
-    e_group = _group_of(amb.ngens, z_gens, b_prev + z_shift)
+    z_group = _group_of(z_lat, rel)
+    b_group = _group_of(b_lat, rel)
+    e_group = _group_of(z_lat, f._b_gens(prev_r, p, q) + f._z_gens(prev_r, p + 1, q - 1))
     return SpectralTerms(r, p, q, z_group, b_group, e_group)
 
 

@@ -1,8 +1,18 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import cechtower
 from cechtower.abelian import Homomorphism, cyclic_group, free_group
 from cechtower.cochain import build_complex_from_facets, suspension
 from cechtower.exactseq import validate_ses
+
+# CLI tests start `python -m cechtower.cli` in a subprocess; let it import
+# the package from the same place as this test run.
+_PACKAGE_ROOT = str(Path(cechtower.__file__).resolve().parent.parent)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_PACKAGE_ROOT] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
 
 # The six-vertex triangulation of the projective plane: 15 edges, 10
 # triangles, Euler characteristic 1.

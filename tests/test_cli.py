@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -17,12 +18,17 @@ BOCKSTEIN_DOC = {"A": Z2_DOC, "B": {"free_rank": 0, "torsion": [4]},
                  "C": Z2_DOC, "iota": [[2]], "pi": [[1]]}
 
 
-def run_cli(args, payload):
+def run_cli(args, payload, **kwargs):
     proc = subprocess.run(
         [sys.executable, "-m", "cechtower.cli", *args],
         input=json.dumps(payload).encode(),
-        capture_output=True)
+        capture_output=True, **kwargs)
     return proc
+
+
+def _cap_address_space():
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 def tower_payload(srp2):
@@ -164,6 +170,17 @@ class TestOtherCommands:
                    "transition": transition}
         proc = run_cli(["gerbe-lift", "--verify", "--budget", "10"], payload)
         assert proc.returncode == 4
+
+    def test_oversized_complex_refused_before_enumeration(self):
+        # One 40-vertex facet has 2^40 - 1 faces; enumerating them would not
+        # finish, so exit code 4 shows the size was checked first.  The
+        # memory cap and the timeout turn a regression into a failure.
+        payload = {"complex": {"vertex_count": 40, "facets": [list(range(40))]},
+                   "group": Z2_DOC, "degree": "all"}
+        proc = run_cli(["cohomology"], payload, timeout=60,
+                       preexec_fn=_cap_address_space)
+        assert proc.returncode == 4
+        assert b"budget exceeded" in proc.stderr
 
 
 class TestDeterminism:
