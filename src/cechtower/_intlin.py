@@ -79,6 +79,7 @@ def is_zero_matrix(A: Sequence[Sequence[int]]) -> bool:
 LATTICE = ("U", "Uinv")  # basis from Uinv, coordinates from U
 NULLSPACE = ("V",)
 SOLVE = ("U", "V")
+COBOUNDARY = ("V", "Vinv")  # kernel from V, V-coordinates of cochains from Vinv
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,7 @@ class SnfResult:
     Uinv: Mat
     D: Mat
     V: Mat
+    Vinv: Mat
     m: int
     n: int
     diag: tuple[int, ...]
@@ -98,14 +100,15 @@ class SnfResult:
 
 def snf(A: Sequence[Sequence[int]], m: int, n: int,
         transforms: Collection[str]) -> SnfResult:
-    """SNF of the m x n matrix A, computing only ``transforms`` (of U, Uinv, V)."""
-    U, Uinv, D, V, _ = smith_with_transforms(A if m else [], transforms)
+    """SNF of the m x n matrix A, computing only ``transforms``."""
+    U, Uinv, D, V, Vinv = smith_with_transforms(A if m else [], transforms)
     if not m:
         D = []
         V = identity_matrix(n) if "V" in transforms else []
+        Vinv = identity_matrix(n) if "Vinv" in transforms else []
     diag = tuple(D[i][i] for i in range(min(m, n)))
     rank = sum(1 for d in diag if d != 0)
-    return SnfResult(U, Uinv, D, V, m, n, diag, rank)
+    return SnfResult(U, Uinv, D, V, Vinv, m, n, diag, rank)
 
 
 def solve_linear(res: SnfResult, y: Sequence[int]) -> Optional[Vec]:

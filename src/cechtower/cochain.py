@@ -18,6 +18,7 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from cechtower import _intlin
@@ -25,15 +26,21 @@ from cechtower.abelian import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
+    free_group,
     hom_validate,
     trivial_group,
     zero_hom,
 )
-from cechtower.errors import BudgetExceededError, ValidationError
+from cechtower.errors import BudgetExceededError, ValidationError, VerificationError
 
 # Cap on the cells of a site and on the bar complex's generators in its top
 # degree, checked before either is enumerated.
 GENERATOR_BUDGET = 1 << 16
+# Cap on the entries of one dense Cech coboundary, checked before any row of
+# the complex is allocated.
+COBOUNDARY_ENTRY_BUDGET = 1 << 22
+
+_INTEGERS = free_group(1)
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,9 @@ class SimplicialComplex:
                             f"complex is not downward closed: face {face} of {s} missing")
         index = tuple({s: i for i, s in enumerate(level)} for level in self.simplices)
         object.__setattr__(self, "_index", index)
+        # Degree -> _IntegralDegree, filled by _integral_degree.
+        object.__setattr__(self, "_integral", {})
+        object.__setattr__(self, "_integral_lock", threading.Lock())
 
     @property
     def dim(self) -> int:
@@ -81,6 +91,10 @@ class SimplicialComplex:
 
     def cell_index(self, p: int, s: tuple[int, ...]) -> int:
         return self._index[p][s]
+
+    def cell_indices(self, p: int) -> Mapping[tuple[int, ...], int]:
+        """Cell -> position among the degree-p cells (empty outside 0..dim)."""
+        return self._index[p] if 0 <= p <= self.dim else {}
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(level) for p, level in enumerate(self.simplices))
@@ -176,6 +190,7 @@ class CochainComplex:
             raise ValidationError("cell table must cover every stored degree")
         object.__setattr__(self, "_cohomology_cache", {})
         object.__setattr__(self, "_cache_lock", threading.Lock())
+        object.__setattr__(self, "_cell_index", {})
 
     @property
     def max_degree(self) -> int:
@@ -200,6 +215,21 @@ class CochainComplex:
         if self.cells is None:
             raise ValidationError("complex carries no cell structure")
         return self.cells[p] if 0 <= p <= self.max_degree else ()
+
+    def cell_position(self, p: int, cell: tuple) -> int:
+        """Position of ``cell`` among the degree-p cells, by dict lookup: the
+        site's index for a Cech complex, one dict per degree otherwise."""
+        if self.base is not None:
+            index = self.base.cell_indices(p)
+        else:
+            index = self._cell_index.get(p)
+            if index is None:
+                index = {c: i for i, c in enumerate(self.cell_list(p))}
+                self._cell_index[p] = index
+        try:
+            return index[cell]
+        except KeyError:
+            raise ValidationError(f"{cell} is not a cell of degree {p}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +277,7 @@ class Cochain:
         if coeff is None:
             raise ValidationError("complex carries no cell structure")
         k = self.complex.ncells(self.degree)
-        cells = self.complex.cell_list(self.degree)
-        s = cells.index(tuple(cell))
+        s = self.complex.cell_position(self.degree, tuple(cell))
         return GroupElement(coeff, tuple(self.coords[g * k + s]
                                          for g in range(coeff.ngens)))
 
@@ -263,17 +292,14 @@ def cochain_from_values(complex_: CochainComplex, degree: int,
     coeff = complex_.coefficients
     if coeff is None:
         raise ValidationError("complex carries no cell structure")
-    cells = complex_.cell_list(degree)
-    k = len(cells)
+    k = complex_.ncells(degree)
     coords = [0] * (coeff.ngens * k)
     for cell, val in values.items():
         cell = tuple(cell)
-        if cell not in cells:
-            raise ValidationError(f"{cell} is not a cell of degree {degree}")
+        s = complex_.cell_position(degree, cell)
         if len(val) != coeff.ngens:
             raise ValidationError(
                 f"value on {cell} has {len(val)} coordinates, expected {coeff.ngens}")
-        s = cells.index(cell)
         for g, v in enumerate(val):
             coords[g * k + s] = v
     return Cochain(complex_, degree, tuple(coords))
@@ -286,11 +312,18 @@ def cech_complex(x: SimplicialComplex, coefficients: FgAbGroup) -> CochainComple
     Stored degrees run to dim+1 (the top group is trivial) so that the top
     nontrivial degree still has an outgoing differential.  Instances are
     memoized on (site, coefficients): class coordinates computed through
-    the same pair are directly comparable.
+    the same pair are directly comparable.  A coboundary with more than
+    ``COBOUNDARY_ENTRY_BUDGET`` entries is refused before any is built.
     """
     g = coefficients.ngens
     dim = x.dim
     cells = tuple(x.cells(p) for p in range(dim + 1)) + ((),)
+    for p in range(dim + 1):
+        rows, cols = g * len(cells[p + 1]), g * len(cells[p])
+        if rows * cols > COBOUNDARY_ENTRY_BUDGET:
+            raise BudgetExceededError(
+                f"coboundary {p} would have {rows} x {cols} entries, budget is "
+                f"{COBOUNDARY_ENTRY_BUDGET}")
     groups = tuple(power_group(coefficients, len(c)) for c in cells)
     diffs = []
     for p in range(dim + 1):
@@ -353,24 +386,20 @@ class Cohomology:
 def cohomology(complex_: CochainComplex, p: int) -> Cohomology:
     """Kernel/image quotient at degree p in invariant-factor form.
 
-    Results are cached on the complex instance (thread-safe memo).
+    A Cech complex is computed from its site's integral data, one cyclic
+    factor of the coefficients at a time (``_site_presentation``); other
+    complexes present ker/im as one lattice quotient.  Results are cached
+    on the complex instance (thread-safe memo).
     """
     with complex_._cache_lock:
         hit = complex_._cohomology_cache.get(p)
     if hit is not None:
         return hit
 
-    amb = complex_.group(p)
-    n = amb.ngens
-    out_diff = complex_.differential(p)
-    ker_gens = _intlin.kernel_lattice_gens(out_diff.matrix, out_diff.target.orders, n)
-    rel = _intlin.relation_columns(amb.orders)
-    if p - 1 >= 0:
-        in_diff = complex_.differential(p - 1)
-        img_gens = in_diff.columns() + rel
+    if complex_.base is not None:
+        pres = _site_presentation(complex_, p)
     else:
-        img_gens = rel
-    pres = _intlin.present_quotient(_intlin.Lattice(n, ker_gens), img_gens)
+        pres = _lattice_presentation(complex_, p)
     group = FgAbGroup(pres.free_rank, pres.torsion)
     reps = tuple(Cochain(complex_, p, tuple(col)) for col in pres.lift_cols)
     result = Cohomology(p, group, reps, pres)
@@ -378,6 +407,134 @@ def cohomology(complex_: CochainComplex, p: int) -> Cohomology:
     with complex_._cache_lock:
         complex_._cohomology_cache.setdefault(p, result)
         return complex_._cohomology_cache[p]
+
+
+def _lattice_presentation(complex_: CochainComplex, p: int,
+                          ker_gens: Optional[list] = None) -> _intlin.Presentation:
+    """ker d_p / (im d_{p-1} + relations) as one lattice quotient.
+
+    ``ker_gens`` may pass in kernel generators of d_p computed elsewhere.
+    """
+    amb = complex_.group(p)
+    n = amb.ngens
+    if ker_gens is None:
+        out_diff = complex_.differential(p)
+        ker_gens = _intlin.kernel_lattice_gens(out_diff.matrix,
+                                               out_diff.target.orders, n)
+    img_gens = _intlin.relation_columns(amb.orders)
+    if p - 1 >= 0:
+        img_gens = complex_.differential(p - 1).columns() + img_gens
+    return _intlin.present_quotient(_intlin.Lattice(n, ker_gens), img_gens)
+
+
+@dataclass(frozen=True)
+class _IntegralDegree:
+    """H^p(X; Z) and the SNF U d_p V = D of the integral coboundary.
+
+    Only what the universal coefficient step reads is kept: the nonzero
+    diagonal a_i, the first rank columns of V and rows of V^-1.
+    """
+
+    pres: _intlin.Presentation
+    diag: tuple[int, ...]
+    v_cols: list
+    vinv_rows: list
+
+
+def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
+    """Degree-p integral data of the site, memoized on it.
+
+    The one SNF of d_p gives both the kernel generators of the lattice path
+    (the V-columns past the rank, as ``kernel_lattice_gens`` would) and the
+    V, V^-1 and a_i of the Tor part.
+    """
+    with x._integral_lock:
+        hit = x._integral.get(p)
+    if hit is not None:
+        return hit
+    z = cech_complex(x, _INTEGERS)
+    d = z.differential(p)
+    res = _intlin.snf(d.matrix, d.target.ngens, d.source.ngens, _intlin.COBOUNDARY)
+    r = res.rank
+    entry = _IntegralDegree(
+        _lattice_presentation(z, p, _intlin.kernel_columns(res)),
+        res.diag[:r],
+        [[row[i] for row in res.V] for i in range(r)],
+        res.Vinv[:r])
+    with x._integral_lock:
+        return x._integral.setdefault(p, entry)
+
+
+def _cyclic_factor(h: _IntegralDegree, m: int, k: int):
+    """H^p(X; Z/m) (m == 0: Z) as cyclic summands, by universal coefficients.
+
+    Returns (orders, representatives in Z^k, coords) where ``coords`` maps
+    a cocycle of the factor to its coordinates in the summands.  For m > 0
+    the summands are H^p(Z) (x) Z/m, the integral representatives of
+    order gcd(t_j, m), then Tor(H^{p+1}(Z), Z/m), the cochains
+    (m/g_i) V e_i of order g_i = gcd(a_i, m); summands of order 1 are left
+    out.
+    """
+    pres = h.pres
+    h_orders = pres.torsion + (0,) * pres.free_rank
+    if m == 0:
+        return list(h_orders), pres.lift_cols, pres.project
+    tensor = [(j, gcd(t, m)) for j, t in enumerate(h_orders) if gcd(t, m) > 1]
+    steps = [m // gcd(a, m) for a in h.diag]  # m / g_i
+    tor = [i for i, step in enumerate(steps) if step < m]
+    orders = [o for _, o in tensor] + [m // steps[i] for i in tor]
+    reps = ([pres.lift_cols[j] for j, _ in tensor]
+            + [[steps[i] * v for v in h.v_cols[i]] for i in tor])
+
+    def coords(c: Sequence[int]) -> list[int]:
+        # With y = V^-1 c, c is a cocycle mod m exactly when a_i y_i = 0 mod m,
+        # that is when m/g_i divides y_i; c - sum_{i < rank} y_i V e_i is then
+        # an integral cocycle.
+        y = _intlin.mat_vec(h.vinv_rows, c)
+        if any(yi % step for yi, step in zip(y, steps)):
+            raise VerificationError("cochain is not a cocycle modulo its order")
+        integral = [ci - s for ci, s in zip(c, _intlin.lin_comb(h.v_cols, y, k))]
+        hc = pres.project(integral)
+        return ([hc[j] % o for j, o in tensor]
+                + [y[i] // steps[i] % (m // steps[i]) for i in tor])
+
+    return orders, reps, coords
+
+
+def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation:
+    """H^p(X; L) from the site's integral data, L = sum of cyclic factors.
+
+    Each generator-major block of C^p(X; L) is C^p(X; Z/o) for one
+    coefficient order o.  The factors' cyclic summands are brought into
+    invariant-factor form by one small ``present_quotient``.  Z
+    coefficients reuse the integral presentation as it is.
+    """
+    h = _integral_degree(complex_.base, p)
+    coeff = complex_.coefficients
+    if coeff == _INTEGERS:
+        return h.pres
+    k = complex_.ncells(p)
+    n = coeff.ngens * k
+    orders, reps, coord_fns = [], [], []
+    for b, o in enumerate(coeff.orders):
+        f_orders, f_reps, f_coords = _cyclic_factor(h, o, k)
+        orders += f_orders
+        reps += [[0] * (b * k) + list(r) + [0] * (n - (b + 1) * k) for r in f_reps]
+        coord_fns.append(f_coords)
+    total = len(orders)
+    summed = _intlin.present_quotient(
+        _intlin.Lattice(total, _intlin.identity_matrix(total)),
+        _intlin.relation_columns(orders))
+
+    def project(v: Sequence[int]) -> list[int]:
+        coords = []
+        for b, f in enumerate(coord_fns):
+            coords += f(v[b * k:(b + 1) * k])
+        return summed.project(coords)
+
+    return _intlin.Presentation(
+        n, summed.torsion, summed.free_rank,
+        [_intlin.lin_comb(reps, col, n) for col in summed.lift_cols], project)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import cechtower
 from cechtower.abelian import Homomorphism, cyclic_group, free_group
@@ -13,6 +14,13 @@ from cechtower.exactseq import validate_ses
 _PACKAGE_ROOT = str(Path(cechtower.__file__).resolve().parent.parent)
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_PACKAGE_ROOT] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+
+# One Hypothesis profile for the suite: no per-example deadline (cohomology
+# examples vary widely in cost and the timing of a loaded machine with
+# them), a seed derived from each test so a failure reproduces from the
+# commit alone, and no example database carried between runs.
+settings.register_profile("cechtower", deadline=None, derandomize=True, database=None)
+settings.load_profile("cechtower")
 
 # The six-vertex triangulation of the projective plane: 15 edges, 10
 # triangles, Euler characteristic 1.

@@ -65,7 +65,7 @@ class TestSmithNormalForm:
         u, d, v = smith_normal_form([[], []])
         assert len(u) == 2 and v == () and d == ((), ())
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
     def test_random_matrices(self, m, n, data):
         matrix = [[data.draw(st.integers(-50, 50)) for _ in range(n)]

@@ -182,6 +182,17 @@ class TestOtherCommands:
         assert proc.returncode == 4
         assert b"budget exceeded" in proc.stderr
 
+    def test_oversized_coboundary_refused_before_allocation(self):
+        # One 14-vertex facet has 16,397 cells, under GENERATOR_BUDGET, but
+        # its coboundary from degree 6 to 7 is 3003 x 3432.  Exit code 4
+        # within the memory cap shows no dense row was built first.
+        payload = {"complex": {"vertex_count": 14, "facets": [list(range(14))]},
+                   "group": Z2_DOC, "degree": "all"}
+        proc = run_cli(["cohomology"], payload, timeout=60,
+                       preexec_fn=_cap_address_space)
+        assert proc.returncode == 4
+        assert b"coboundary" in proc.stderr and b"budget" in proc.stderr
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, srp2):

@@ -117,6 +117,20 @@ class TestCoboundary:
         f = cochain_from_values(c, 1, {(0, 1): [1]})
         assert coboundary(f).is_zero
 
+    def test_unknown_cell_message(self, circle):
+        c = cech_complex(circle, Z)
+        with pytest.raises(ValidationError,
+                           match=r"^\(0, 1, 2\) is not a cell of degree 2$"):
+            cochain_from_values(c, 2, {(0, 1, 2): [1]})
+        with pytest.raises(ValidationError,
+                           match=r"^\(0, 3\) is not a cell of degree 1$"):
+            zero_cochain(c, 1).value_at((0, 3))
+        bar = bar_complex(cyclic_table(2), trivial_action(cyclic_table(2), Z2), 1)
+        assert zero_cochain(bar, 1).value_at((1,)).coords == (0,)
+        with pytest.raises(ValidationError,
+                           match=r"^\(2,\) is not a cell of degree 1$"):
+            zero_cochain(bar, 1).value_at((2,))
+
 
 FIXTURE_EXPECTATIONS = [
     ("circle", Z, ["Z", "Z", "0"]),

@@ -34,7 +34,7 @@ def test_pure_backend_selfcheck():
     assert [d[0][0], d[1][1]] == [2, 20]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(matrices())
 def test_tracked_transforms_match_the_full_call(mat):
     full = dict(zip(NAMES, _kernels.smith_with_transforms(mat)))
@@ -57,7 +57,7 @@ def lattices_and_vectors(draw):
     return n, gens, inside, outside
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(lattices_and_vectors())
 def test_coords_of_agrees_with_a_fresh_snf_of_the_basis(case):
     n, gens, inside, outside = case
