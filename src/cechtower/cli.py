@@ -32,7 +32,7 @@ from cechtower.errors import (
 )
 from cechtower.exactseq import connecting, long_exact_sequence
 from cechtower.liftgerbe import LIFT_SEARCH_BUDGET, brute_force_lift, lifting_obstruction
-from cechtower.spectral import check_degeneration, filtered_terms
+from cechtower.spectral import check_degeneration, filtered_terms, grid_points
 from cechtower.tower import compare_towers, tower_classes, verify_tower
 
 _RELIFT_SEED = 0x5EC710
@@ -174,16 +174,12 @@ def _cmd_spectral(payload: Any, options: Options) -> dict:
     if r_max < 1:
         raise SchemaError("options.max_degree", "page bound must be >= 1")
     grid = {}
-    pages: list = list(range(1, r_max + 1)) + [None]
-    for r in pages:
-        for p in range(1, f.depth + 1):
-            for n in range(0, f.site.dim + 2):
-                q = n - p
-                terms = filtered_terms(f, r, p, q)
-                key = f"{'inf' if r is None else r}/{p}/{q}"
-                grid[key] = {"Z": jsonio.group_to_doc(terms.z_group),
-                             "B": jsonio.group_to_doc(terms.b_group),
-                             "E": jsonio.group_to_doc(terms.e_group)}
+    for r, p, q in grid_points(f, r_max):
+        terms = filtered_terms(f, r, p, q)
+        key = f"{'inf' if r is None else r}/{p}/{q}"
+        grid[key] = {"Z": jsonio.group_to_doc(terms.z_group),
+                     "B": jsonio.group_to_doc(terms.b_group),
+                     "E": jsonio.group_to_doc(terms.e_group)}
     result = {"grid": grid}
     if options.verify:
         result["verify"] = {"degeneration_ok": check_degeneration(f, r_max).ok}

@@ -25,19 +25,28 @@ from cechtower.abelian import (
     direct_sum_with_maps,
 )
 from cechtower.cochain import (
+    COBOUNDARY_ENTRY_BUDGET,
+    GENERATOR_BUDGET,
     CochainComplex,
     SimplicialComplex,
     cech_complex,
     cech_induced,
     cohomology,
 )
-from cechtower.errors import ValidationError, VerificationError
+from cechtower.errors import BudgetExceededError, ValidationError, VerificationError
 from cechtower.exactseq import LesReport, long_exact_sequence, validate_ses
 
 
 @dataclass(frozen=True, eq=False)
 class FilteredComplex:
-    """Total complex of the direct sum with the summand-index filtration."""
+    """Total complex of the direct sum with the summand-index filtration.
+
+    Every term is one ``Lattice`` memoized under a key free of r: Z_r^{pq}
+    reads r only through its target index min(p+r, depth+1) and B_r^{pq}
+    only through its source index max(p-r, 1), so a page past
+    stabilization shares the limit page's lattices (r=None uses depth+1
+    and 1).  New lattices are generated from the bases of memoized ones.
+    """
 
     site: SimplicialComplex
     summands: tuple[FgAbGroup, ...]
@@ -45,6 +54,11 @@ class FilteredComplex:
     def __post_init__(self):
         if not self.summands:
             raise ValidationError("need at least one summand")
+        g = sum(s.ngens for s in self.summands)
+        if g * g > COBOUNDARY_ENTRY_BUDGET:
+            raise BudgetExceededError(
+                f"direct sum of {g} generators would need a {g} x {g} matrix, "
+                f"budget is {COBOUNDARY_ENTRY_BUDGET} entries")
         total, embeddings, projections = direct_sum_with_maps(self.summands)
         object.__setattr__(self, "total_group", total)
         object.__setattr__(self, "embeddings", tuple(embeddings))
@@ -64,61 +78,59 @@ class FilteredComplex:
             hit = self._memo[key] = compute()
         return hit
 
-    def _v_gens(self, p: int, n: int) -> list[list[int]]:
-        """Generators of the V_p sublattice of C^n (1-based filtration index;
-        p <= 1 is everything, p > depth only the relations)."""
-        p = min(max(p, 1), self.depth + 1)
-        return self._memoized(("Vgens", p, n), lambda: self._compute_v(p, n))
+    def _z_target(self, r: Optional[int], p: int) -> int:
+        return self.depth + 1 if r is None else min(p + r, self.depth + 1)
 
-    def _compute_v(self, p: int, n: int) -> list[list[int]]:
-        amb = self.total.group(n)
-        gens = _intlin.relation_columns(amb.orders)
-        if p == 1:
-            gens = [[1 if i == j else 0 for i in range(amb.ngens)]
-                    for j in range(amb.ngens)] + gens
-        elif p <= self.depth:
-            for i in range(p - 1, self.depth):
-                ind = cech_induced(self.site, self.embeddings[i], n)
-                gens = ind.columns() + gens
-        return gens
+    def _b_source(self, r: Optional[int], p: int) -> int:
+        return 1 if r is None else max(p - r, 1)
 
     def _v_lattice(self, p: int, n: int) -> _intlin.Lattice:
+        """The V_p sublattice of C^n (1-based filtration index; p <= 1 is
+        everything, p > depth only the relations)."""
         p = min(max(p, 1), self.depth + 1)
-        return self._memoized(("V", p, n), lambda: _intlin.Lattice(
-            self.total.group(n).ngens, self._v_gens(p, n)))
+        return self._memoized(("V", p, n), lambda: self._compute_v(p, n))
 
-    def _z_gens(self, r: Optional[int], p: int, q: int) -> list[list[int]]:
-        """Lattice of {x in V_p ∩ C^{p+q} : dx in V_{p+r}} (r=None: dx = 0)."""
-        return self._memoized(("Z", r, p, q), lambda: self._compute_z(r, p, q))
+    def _compute_v(self, p: int, n: int) -> _intlin.Lattice:
+        amb = self.total.group(n)
+        if p == 1:
+            return _intlin.Lattice(amb.ngens, _intlin.identity_matrix(amb.ngens))
+        gens = _intlin.relation_columns(amb.orders)
+        for i in range(p - 1, self.depth):
+            gens = cech_induced(self.site, self.embeddings[i], n).columns() + gens
+        return _intlin.Lattice(amb.ngens, gens)
 
-    def _compute_z(self, r: Optional[int], p: int, q: int) -> list[list[int]]:
+    def _z_lattice(self, r: Optional[int], p: int, q: int) -> _intlin.Lattice:
+        """{x in V_p ∩ C^{p+q} : dx in V_{p+r}} (r=None: dx = 0)."""
+        t = self._z_target(r, p)
+        return self._memoized(("Z", t, p, q), lambda: self._compute_z(t, p, q))
+
+    def _compute_z(self, t: int, p: int, q: int) -> _intlin.Lattice:
         n = p + q
         amb = self.total.group(n)
         vp = self._v_lattice(p, n)
         d = self.total.differential(n)
         image_cols = [_intlin.mat_vec(d.matrix, b) for b in vp.basis]
-        target_p = self.depth + 1 if r is None else p + r
-        w = self._v_gens(target_p, n + 1)
-        coeffs = _intlin.lattice_preimage_gens(image_cols, d.target.ngens, w)
-        gens = [_intlin.lin_comb(vp.basis, c, amb.ngens) for c in coeffs]
-        return gens + _intlin.relation_columns(amb.orders)
+        coeffs = _intlin.lattice_preimage_gens(
+            image_cols, d.target.ngens, self._v_lattice(t, n + 1).basis)
+        return _intlin.Lattice(
+            amb.ngens, [_intlin.lin_comb(vp.basis, c, amb.ngens) for c in coeffs])
 
-    def _b_gens(self, r: Optional[int], p: int, q: int) -> list[list[int]]:
-        """Lattice of d(V_{p-r}) ∩ V_p in degree p+q (r=None: all of V_1)."""
-        return self._memoized(("B", r, p, q), lambda: self._compute_b(r, p, q))
+    def _b_lattice(self, r: Optional[int], p: int, q: int) -> _intlin.Lattice:
+        """d(V_{p-r}) ∩ V_p in degree p+q (r=None: d of all of V_1)."""
+        s = self._b_source(r, p)
+        return self._memoized(("B", s, p, q), lambda: self._compute_b(s, p, q))
 
-    def _compute_b(self, r: Optional[int], p: int, q: int) -> list[list[int]]:
+    def _compute_b(self, s: int, p: int, q: int) -> _intlin.Lattice:
         n = p + q
         amb = self.total.group(n)
         rel = _intlin.relation_columns(amb.orders)
         if n - 1 < 0:
-            return rel
-        prev = self._v_lattice(1 if r is None else p - r, n - 1)
+            return _intlin.Lattice(amb.ngens, rel)
         d = self.total.differential(n - 1)
-        image = [_intlin.mat_vec(d.matrix, b) for b in prev.basis] + rel
-        inter = _intlin.lattice_intersection_gens(
-            amb.ngens, image, self._v_gens(p, n))
-        return inter + rel
+        image = [_intlin.mat_vec(d.matrix, b)
+                 for b in self._v_lattice(s, n - 1).basis] + rel
+        return _intlin.Lattice(amb.ngens, _intlin.lattice_intersection_gens(
+            amb.ngens, image, self._v_lattice(p, n).basis))
 
 
 @dataclass(frozen=True)
@@ -147,22 +159,23 @@ def filtered_terms(f: FilteredComplex, r: Optional[int], p: int, q: int) -> Spec
     n = p + q
     if n < 0:
         raise ValidationError(f"degree p+q = {n} is out of range")
-    return f._memoized(("terms", r, p, q), lambda: _compute_terms(f, r, p, q))
-
-
-def _compute_terms(f: FilteredComplex, r: Optional[int], p: int, q: int) -> SpectralTerms:
-    amb = f.total.group(p + q)
-    rel = _intlin.relation_columns(amb.orders)
+    # E_r's denominator is B_{r-1}^{pq} + Z_{r-1}^{p+1,q-1}, and the latter
+    # has the same target index as Z_r^{pq}.
     prev_r = None if r is None else r - 1
-    z_lat = _intlin.Lattice(amb.ngens, f._z_gens(r, p, q))
-    b_lat = _intlin.Lattice(amb.ngens, f._b_gens(r, p, q))
+    key = ("terms", p, q, f._z_target(r, p), f._b_source(r, p), f._b_source(prev_r, p))
+    groups = f._memoized(key, lambda: _compute_terms(f, r, prev_r, p, q))
+    return SpectralTerms(r, p, q, *groups)
+
+
+def _compute_terms(f: FilteredComplex, r: Optional[int], prev_r: Optional[int],
+                   p: int, q: int) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
+    rel = _intlin.relation_columns(f.total.group(p + q).orders)
+    z_lat = f._z_lattice(r, p, q)
+    b_lat = f._b_lattice(r, p, q)
     if not z_lat.contains_lattice(b_lat):
         raise VerificationError("boundary term escaped the cycle term")
-
-    z_group = _group_of(z_lat, rel)
-    b_group = _group_of(b_lat, rel)
-    e_group = _group_of(z_lat, f._b_gens(prev_r, p, q) + f._z_gens(prev_r, p + 1, q - 1))
-    return SpectralTerms(r, p, q, z_group, b_group, e_group)
+    e_rel = f._b_lattice(prev_r, p, q).basis + f._z_lattice(prev_r, p + 1, q - 1).basis
+    return _group_of(z_lat, rel), _group_of(b_lat, rel), _group_of(z_lat, e_rel)
 
 
 @dataclass(frozen=True)
@@ -187,19 +200,29 @@ class DegenerationReport:
         return all(e.ok for e in self.entries)
 
 
+def grid_points(f: FilteredComplex, r_max: int) -> list[tuple[Optional[int], int, int]]:
+    """(r, p, q) for pages 1..r_max and then the limit page, p over the
+    filtration and p+q over 0..dim+1.  A grid of more than
+    ``GENERATOR_BUDGET`` points is refused before any is listed."""
+    size = (r_max + 1) * f.depth * (f.site.dim + 2)
+    if size > GENERATOR_BUDGET:
+        raise BudgetExceededError(
+            f"spectral grid up to page {r_max} has {size} points, budget is "
+            f"{GENERATOR_BUDGET}")
+    pages: list[Optional[int]] = [*range(1, r_max + 1), None]
+    return [(r, p, n - p) for r in pages for p in range(1, f.depth + 1)
+            for n in range(f.site.dim + 2)]
+
+
 def check_degeneration(f: FilteredComplex, r_max: int) -> DegenerationReport:
     """Assert E_r^{pq} is the summand cohomology H^{p+q}(X, L_p) for every
     page r <= r_max and for the limit page."""
     entries = []
-    pages: list[Optional[int]] = list(range(1, r_max + 1)) + [None]
-    for r in pages:
-        for p in range(1, f.depth + 1):
-            summand = cech_complex(f.site, f.summands[p - 1])
-            for n in range(0, f.site.dim + 2):
-                q = n - p
-                expected = cohomology(summand, n).group
-                got = filtered_terms(f, r, p, q).e_group
-                entries.append(DegenerationEntry(r, p, q, expected, got))
+    complexes = [cech_complex(f.site, s) for s in f.summands]
+    for r, p, q in grid_points(f, r_max):
+        expected = cohomology(complexes[p - 1], p + q).group
+        got = filtered_terms(f, r, p, q).e_group
+        entries.append(DegenerationEntry(r, p, q, expected, got))
     return DegenerationReport(tuple(entries))
 
 

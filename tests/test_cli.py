@@ -1,3 +1,4 @@
+import hashlib
 import json
 import resource
 import subprocess
@@ -14,6 +15,8 @@ from .conftest import RP2_FACETS
 
 RP2_DOC = {"vertex_count": 6, "facets": [list(f) for f in RP2_FACETS]}
 Z2_DOC = {"free_rank": 0, "torsion": [2]}
+Z3_DOC = {"free_rank": 0, "torsion": [3]}
+Z_DOC = {"free_rank": 1, "torsion": []}
 BOCKSTEIN_DOC = {"A": Z2_DOC, "B": {"free_rank": 0, "torsion": [4]},
                  "C": Z2_DOC, "iota": [[2]], "pi": [[1]]}
 
@@ -192,6 +195,49 @@ class TestOtherCommands:
                        preexec_fn=_cap_address_space)
         assert proc.returncode == 4
         assert b"coboundary" in proc.stderr and b"budget" in proc.stderr
+
+
+class TestSpectralCommand:
+    # stdout of `spectral --verify --max-degree 4` on RP^2 with (Z/2, Z/3, Z)
+    # from an implementation that computed every page's terms separately, so
+    # pages sharing the limit page's lattices must not change a byte
+    STABLE_SHA256 = "590322c26c7b27752b96007ddb089dee25b82f45d44f6f97e4a81a4ce2a582ca"
+
+    def test_pages_past_stabilization_equal_the_limit(self):
+        payload = {"complex": RP2_DOC, "summands": [Z2_DOC, Z3_DOC, Z_DOC]}
+        proc = run_cli(["spectral", "--verify", "--max-degree", "4"], payload)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.STABLE_SHA256
+        out = json.loads(proc.stdout)
+        assert out["verify"]["degeneration_ok"]
+        depth = len(payload["summands"])
+        past = [key for key in out["grid"] if not key.startswith("inf/")
+                and int(key.split("/")[0]) >= depth]
+        assert len(past) == 2 * depth * 4  # pages 3, 4; p = 1..3; p+q = 0..3
+        for key in past:
+            limit = "inf/" + key.split("/", 1)[1]
+            assert out["grid"][key] == out["grid"][limit], key
+
+    def test_oversized_page_bound_refused_before_allocation(self):
+        # 10^9 pages would list 10^9 grid points before computing one.
+        payload = {"complex": RP2_DOC, "summands": [Z2_DOC]}
+        proc = run_cli(["spectral", "--max-degree", "1000000000"], payload,
+                       timeout=60, preexec_fn=_cap_address_space)
+        assert proc.returncode == 4
+        assert b"budget exceeded" in proc.stderr and b"grid" in proc.stderr
+
+    @pytest.mark.parametrize("command,payload", [
+        ("spectral", {"complex": RP2_DOC, "summands": [{"free_rank": 100000, "torsion": []}]}),
+        ("validate", {"kind": "filtered", "value": {
+            "complex": RP2_DOC, "summands": [{"free_rank": 100000, "torsion": []}]}}),
+    ])
+    def test_oversized_summands_refused_before_allocation(self, command, payload):
+        # The direct sum of 10^5 generators starts from a 10^5 x 10^5
+        # identity; exit code 4 within the memory cap shows it was not built.
+        proc = run_cli([command], payload, timeout=60,
+                       preexec_fn=_cap_address_space)
+        assert proc.returncode == 4
+        assert b"budget exceeded" in proc.stderr and b"direct sum" in proc.stderr
 
 
 class TestDeterminism:

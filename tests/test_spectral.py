@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cechtower import _intlin
 from cechtower.abelian import cyclic_group, direct_sum_with_maps, free_group
@@ -11,10 +13,15 @@ from cechtower.spectral import (
     les_direct_sum,
 )
 
+from .test_uct import sites
+
 Z = free_group(1)
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
+
+MEMO_EXAMPLES = 25
+MEMO_WORK = 48
 
 
 def lattices_equal(n, gens_a, gens_b) -> bool:
@@ -73,6 +80,44 @@ class TestFilteredTerms:
                         assert zo % bo == 0
 
 
+def boundary_closed_form_holds(f: FilteredComplex, r, p: int, n: int) -> bool:
+    # B_r^{pq} = d(C^{p+q-1}(X, V_p)) for every r >= 1 and the limit page
+    amb = f.total.group(n)
+    rel = _intlin.relation_columns(amb.orders)
+    definitional = f._b_lattice(r, p, n - p).basis
+    if n - 1 >= 0:
+        d = f.total.differential(n - 1)
+        vp = f._v_lattice(p, n - 1).basis
+        closed = [_intlin.mat_vec(d.matrix, g) for g in vp] + rel
+    else:
+        closed = rel
+    return lattices_equal(amb.ngens, definitional, closed)
+
+
+def cycle_recursion_holds(f: FilteredComplex, r, p: int, n: int) -> bool:
+    # Z_r^{pq} = Z_{r-1}^{p+1,q-1} + (cocycles concentrated in summand p)
+    amb = f.total.group(n)
+    rel = _intlin.relation_columns(amb.orders)
+    definitional = f._z_lattice(r, p, n - p).basis
+    prev_r = None if r is None else r - 1
+    recursion = (f._z_lattice(prev_r, p + 1, n - p - 1).basis
+                 + embedded_cocycle_gens(f, p - 1, n) + rel)
+    return lattices_equal(amb.ngens, definitional, recursion)
+
+
+def cycle_direct_determination_holds(f: FilteredComplex, r, p: int, n: int) -> bool:
+    # Z_r^{pq} = C^{p+q}(X, V_{p+r}) + Z^{p+q}(X, middle summands); the
+    # limit page has no V term and every summand from p on in the middle
+    top = f.depth + 1 if r is None else p + r
+    amb = f.total.group(n)
+    rel = _intlin.relation_columns(amb.orders)
+    definitional = f._z_lattice(r, p, n - p).basis
+    closed = list(f._v_lattice(top, n).basis) + rel
+    for i in range(p - 1, min(top - 1, f.depth)):
+        closed = closed + embedded_cocycle_gens(f, i, n)
+    return lattices_equal(amb.ngens, definitional, closed)
+
+
 class TestClosedForms:
     """The membership definitions must reproduce the closed-form
     determinations; these are lattice equalities, not just group
@@ -87,53 +132,64 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("name,summands", FIXTURES)
     def test_boundary_closed_form(self, name, summands, request):
-        # B_r^{pq} = d(C^{p+q-1}(X, V_p)) for every r >= 1
         x = request.getfixturevalue(name)
         f = FilteredComplex(x, summands)
         for r in (1, 2, 3):
             for p in range(1, f.depth + 1):
                 for n in range(0, x.dim + 2):
-                    amb = f.total.group(n)
-                    rel = _intlin.relation_columns(amb.orders)
-                    definitional = f._b_gens(r, p, n - p)
-                    if n - 1 >= 0:
-                        d = f.total.differential(n - 1)
-                        vp = f._v_gens(p, n - 1)
-                        closed = [_intlin.mat_vec(d.matrix, g) for g in vp] + rel
-                    else:
-                        closed = rel
-                    assert lattices_equal(amb.ngens, definitional, closed)
+                    assert boundary_closed_form_holds(f, r, p, n)
 
     @pytest.mark.parametrize("name,summands", FIXTURES)
     def test_cycle_recursion(self, name, summands, request):
-        # Z_r^{pq} = Z_{r-1}^{p+1,q-1} + (cocycles concentrated in summand p)
         x = request.getfixturevalue(name)
         f = FilteredComplex(x, summands)
         for r in (1, 2, 3):
             for p in range(1, f.depth + 1):
                 for n in range(0, x.dim + 2):
-                    amb = f.total.group(n)
-                    rel = _intlin.relation_columns(amb.orders)
-                    definitional = f._z_gens(r, p, n - p)
-                    recursion = (f._z_gens(r - 1, p + 1, n - p - 1)
-                                 + embedded_cocycle_gens(f, p - 1, n) + rel)
-                    assert lattices_equal(amb.ngens, definitional, recursion)
+                    assert cycle_recursion_holds(f, r, p, n)
 
     @pytest.mark.parametrize("name,summands", FIXTURES)
     def test_cycle_direct_determination(self, name, summands, request):
-        # Z_r^{pq} = C^{p+q}(X, V_{p+r}) + Z^{p+q}(X, middle summands)
         x = request.getfixturevalue(name)
         f = FilteredComplex(x, summands)
         for r in (1, 2):
             for p in range(1, f.depth + 1):
                 for n in range(0, x.dim + 2):
-                    amb = f.total.group(n)
-                    rel = _intlin.relation_columns(amb.orders)
-                    definitional = f._z_gens(r, p, n - p)
-                    closed = list(f._v_gens(p + r, n)) + rel
-                    for i in range(p - 1, min(p + r - 1, f.depth)):
-                        closed = closed + embedded_cocycle_gens(f, i, n)
-                    assert lattices_equal(amb.ngens, definitional, closed)
+                    assert cycle_direct_determination_holds(f, r, p, n)
+
+
+@st.composite
+def filtered_complexes(draw):
+    """A site from ``sites()`` with 1-3 summands from {Z, Z/2, Z/3, Z/4}.
+
+    Cells times summands stays within MEMO_WORK, since one example past
+    that costs seconds: the fresh instances recompute every term.
+    """
+    x = draw(sites())
+    depth = draw(st.sampled_from((1, 2, 3)))
+    assume(depth * sum(len(x.cells(p)) for p in range(x.dim + 1)) <= MEMO_WORK)
+    summands = draw(st.lists(st.sampled_from([Z, Z2, Z3, Z4]),
+                             min_size=depth, max_size=depth))
+    return FilteredComplex(x, tuple(summands))
+
+
+@settings(max_examples=MEMO_EXAMPLES)
+@given(filtered_complexes())
+def test_memo_against_fresh_instances(f):
+    # Terms are memoized under keys free of r, so pages past stabilization
+    # share the limit page's lattices.  Every page up to depth+2 and the
+    # limit page must still satisfy the closed forms, and each term must
+    # equal the one a fresh instance computes for that point alone.
+    x = f.site
+    for r in [*range(1, f.depth + 3), None]:
+        for p in range(1, f.depth + 1):
+            for n in range(x.dim + 2):
+                assert boundary_closed_form_holds(f, r, p, n)
+                assert cycle_recursion_holds(f, r, p, n)
+                assert cycle_direct_determination_holds(f, r, p, n)
+                fresh = FilteredComplex(x, f.summands)
+                assert filtered_terms(f, r, p, n - p) == filtered_terms(fresh, r, p, n - p)
+    assert check_degeneration(f, f.depth + 2).ok
 
 
 class TestDegeneration:
