@@ -214,3 +214,33 @@ def subgroup_elements(gens, add, zero):
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def brute_connecting(comp_a, comp_b, comp_c, iota: Homomorphism,
+                     pi: Homomorphism, c_coords, p: int) -> tuple[int, ...]:
+    """A connecting cocycle of the degree-p cocycle ``c_coords`` by search.
+
+    Each cell value is lifted through pi by ``exhaustive_solve`` (a
+    section unrelated to the package's canonical one), the lift is sent
+    through the dense coboundary of the middle complex, and each cell value
+    of the image is pulled back through iota by search.  Finite groups only.
+    """
+    k, k1 = len(comp_c.cell_list(p)), len(comp_c.cell_list(p + 1))
+    na, nb, nc = iota.source.ngens, pi.source.ngens, pi.target.ngens
+    lift = [0] * (nb * k)
+    for s in range(k):
+        value = GroupElement(pi.target, tuple(c_coords[g * k + s] for g in range(nc)))
+        pre = exhaustive_solve(pi, value)
+        for g in range(nb):
+            lift[g * k + s] = pre.coords[g]
+    image = _apply_sparse(_sparse_rows(comp_b.differential(p).matrix),
+                          comp_b.group(p + 1).orders, lift)
+    out = [0] * (na * k1)
+    for s in range(k1):
+        value = GroupElement(iota.target, tuple(image[g * k1 + s] for g in range(nb)))
+        back = exhaustive_solve(iota, value)
+        if back is None:
+            raise AssertionError("coboundary of the lift left the image of iota")
+        for g in range(na):
+            out[g * k1 + s] = back.coords[g]
+    return comp_a.group(p + 1).normalize(out)
