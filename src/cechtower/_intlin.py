@@ -24,10 +24,6 @@ def identity_matrix(n: int) -> Mat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(m: int, n: int) -> Mat:
-    return [[0] * n for _ in range(m)]
-
-
 def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Mat:
     m = len(A)
     k = len(A[0]) if m else 0
@@ -63,16 +59,6 @@ def lin_comb(vectors: Sequence[Sequence[int]], coeffs: Sequence[int], n: int) ->
 
 def columns_to_matrix(cols: Sequence[Sequence[int]], n: int) -> Mat:
     return [[col[i] for col in cols] for i in range(n)]
-
-
-def matrix_columns(A: Sequence[Sequence[int]]) -> list[Vec]:
-    m = len(A)
-    n = len(A[0]) if m else 0
-    return [[A[i][j] for i in range(m)] for j in range(n)]
-
-
-def is_zero_matrix(A: Sequence[Sequence[int]]) -> bool:
-    return all(all(x == 0 for x in row) for row in A)
 
 
 # Transforms each kind of caller reads; the kernel skips the others.
@@ -194,12 +180,6 @@ class Lattice:
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(b in self for b in other.basis)
-
-    def first_missing(self, gens: Sequence[Sequence[int]]) -> Optional[Vec]:
-        for g in gens:
-            if g not in self:
-                return list(g)
-        return None
 
 
 def augmented_snf(matrix: Sequence[Sequence[int]], target_orders: Sequence[int],

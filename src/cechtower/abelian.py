@@ -226,6 +226,8 @@ class Homomorphism:
         """self after first."""
         if first.target != self.source:
             raise ValidationError("homomorphisms are not composable")
+        if first.target.is_trivial:  # no rows to read the column count from
+            return zero_hom(first.source, self.target)
         prod = _intlin.mat_mul(self.matrix, first.matrix)
         return Homomorphism(first.source, self.target,
                             tuple(tuple(r) for r in prod))
@@ -233,10 +235,6 @@ class Homomorphism:
     @property
     def is_zero(self) -> bool:
         return all(all(v == 0 for v in row) for row in self.matrix)
-
-
-def identity_hom(g: FgAbGroup) -> Homomorphism:
-    return Homomorphism(g, g, tuple(tuple(r) for r in _intlin.identity_matrix(g.ngens)))
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> Homomorphism:
@@ -262,9 +260,7 @@ def _presentation_group(p: _intlin.Presentation) -> FgAbGroup:
 
 def _inclusion_from_lifts(sub: FgAbGroup, ambient: FgAbGroup,
                           lift_cols: Sequence[Sequence[int]]) -> Homomorphism:
-    matrix = tuple(
-        tuple(col[i] for col in lift_cols) for i in range(ambient.ngens))
-    return Homomorphism(sub, ambient, matrix)
+    return Homomorphism(sub, ambient, _intlin.columns_to_matrix(lift_cols, ambient.ngens))
 
 
 @dataclass(frozen=True)
@@ -293,17 +289,16 @@ def hom_invariants(h: Homomorphism) -> HomInvariants:
     image = _presentation_group(im_p)
     im_inc = _inclusion_from_lifts(image, h.target, im_p.lift_cols)
 
-    full = [[1 if i == j else 0 for i in range(nb)] for j in range(nb)]
+    full = _intlin.identity_matrix(nb)
     cok_p = present_quotient(Lattice(nb, full), im_gens)
     cokernel = _presentation_group(cok_p)
-    proj_cols = [cok_p.project([1 if i == j else 0 for i in range(nb)])
-                 for j in range(nb)]
-    cok_proj = Homomorphism(h.target, cokernel, tuple(
-        tuple(col[i] for col in proj_cols) for i in range(cokernel.ngens)))
+    proj_cols = [cok_p.project(e) for e in full]
+    cok_proj = Homomorphism(h.target, cokernel,
+                            _intlin.columns_to_matrix(proj_cols, cokernel.ngens))
     return HomInvariants(kernel, ker_inc, image, im_inc, cokernel, cok_proj)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _hom_solver(h: Homomorphism) -> _intlin.SnfResult:
     return _intlin.augmented_snf(h.matrix, h.target.orders, h.source.ngens,
                                  _intlin.SOLVE)
@@ -369,7 +364,7 @@ def direct_sum_with_maps(summands: Sequence[FgAbGroup]):
         offsets.append(total)
         total += g.ngens
     orders = [o for g in summands for o in g.orders]
-    full = [[1 if i == j else 0 for i in range(total)] for j in range(total)]
+    full = _intlin.identity_matrix(total)
     pres = present_quotient(Lattice(total, full), relation_columns(orders))
     L = _presentation_group(pres)
 
@@ -377,16 +372,10 @@ def direct_sum_with_maps(summands: Sequence[FgAbGroup]):
     projections = []
     for idx, g in enumerate(summands):
         off = offsets[idx]
-        cols = []
-        for j in range(g.ngens):
-            e = [0] * total
-            e[off + j] = 1
-            cols.append(pres.project(e))
-        emb = Homomorphism(g, L, tuple(
-            tuple(col[i] for col in cols) for i in range(L.ngens)))
+        cols = [pres.project(full[off + j]) for j in range(g.ngens)]
+        emb = Homomorphism(g, L, _intlin.columns_to_matrix(cols, L.ngens))
         proj_cols = [lift[off:off + g.ngens] for lift in pres.lift_cols]
-        proj = Homomorphism(L, g, tuple(
-            tuple(col[i] for col in proj_cols) for i in range(g.ngens)))
+        proj = Homomorphism(L, g, _intlin.columns_to_matrix(proj_cols, g.ngens))
         embeddings.append(emb)
         projections.append(proj)
     return L, embeddings, projections

@@ -19,6 +19,7 @@ from cechtower import jsonio
 from cechtower.abelian import GroupElement
 from cechtower.cochain import (
     cech_complex,
+    check_degree_bound,
     class_of,
     coboundary,
     cohomology,
@@ -80,6 +81,7 @@ def _cmd_cohomology(payload: Any, options: Options) -> dict:
     comp = cech_complex(x, group)
     if degree == "all":
         top = options.max_degree if options.max_degree is not None else x.dim
+        check_degree_bound(top)
         degrees = list(range(top + 1))
     elif isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0:
         degrees = [degree]

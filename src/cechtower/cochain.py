@@ -10,6 +10,12 @@ generator-major, i.e. coordinate g*k + s holds the g-th L-coordinate of
 the value on cell number s.  This keeps C^p in invariant-factor form with
 no reshuffling, because repeating each invariant factor k times preserves
 the divisor chain.
+
+The site's face table (``SimplicialComplex.faces``) is the only Cech
+coboundary data: (df)(tau) = sum_j (-1)^j f(tau without vertex j), applied
+to the block of each coefficient generator by ``cech_coboundary``.  A Cech
+complex stores no coboundary matrix; ``differential(p)`` builds a dense
+view from the table when a caller needs one.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from cechtower.abelian import (
     GroupElement,
     Homomorphism,
     free_group,
+    hom_invariants,
     hom_validate,
     trivial_group,
     zero_hom,
@@ -36,9 +43,14 @@ from cechtower.errors import BudgetExceededError, ValidationError, VerificationE
 # Cap on the cells of a site and on the bar complex's generators in its top
 # degree, checked before either is enumerated.
 GENERATOR_BUDGET = 1 << 16
-# Cap on the entries of one dense Cech coboundary, checked before any row of
-# the complex is allocated.
+# Cap on the entries of one dense Cech coboundary (g*k_{p+1} x g*k_p),
+# checked when the complex is built; work at L^k size (spectral lattices,
+# cochain-level maps) relies on it.
 COBOUNDARY_ENTRY_BUDGET = 1 << 22
+
+# Cap on the degrees of one cohomology or long exact sequence request: a
+# degree past the dimension still costs about 0.4 ms and 10 kB of memo.
+DEGREE_BUDGET = 1 << 12
 
 _INTEGERS = free_group(1)
 
@@ -53,7 +65,6 @@ class SimplicialComplex:
     def __post_init__(self):
         if self.vertex_count <= 0:
             raise ValidationError("vertex_count must be positive")
-        seen = set()
         for p, level in enumerate(self.simplices):
             if tuple(sorted(level)) != tuple(level):
                 raise ValidationError(f"dimension {p} is not lexicographically sorted")
@@ -64,18 +75,25 @@ class SimplicialComplex:
                     raise ValidationError(f"simplex {s} is not strictly increasing")
                 if s[0] < 0 or s[-1] >= self.vertex_count:
                     raise ValidationError(f"simplex {s} has a vertex out of range")
-                seen.add(s)
+        index = tuple({s: i for i, s in enumerate(level)} for level in self.simplices)
         for v in range(self.vertex_count):
-            if (v,) not in seen:
+            if (v,) not in (index[0] if index else {}):
                 raise ValidationError(f"vertex {v} is missing from the 0-simplices")
-        for level in self.simplices[1:]:
-            for s in level:
-                for face in itertools.combinations(s, len(s) - 1):
-                    if face not in seen:
+        faces = [((),) * len(index[0])]
+        for p in range(1, len(index)):
+            rows = []
+            for s in self.simplices[p]:
+                row = []
+                for j in range(p + 1):
+                    face = s[:j] + s[j + 1:]
+                    if face not in index[p - 1]:
                         raise ValidationError(
                             f"complex is not downward closed: face {face} of {s} missing")
-        index = tuple({s: i for i, s in enumerate(level)} for level in self.simplices)
+                    row.append(index[p - 1][face])
+                rows.append(tuple(row))
+            faces.append(tuple(rows))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_faces", tuple(faces))
         # Degree -> _IntegralDegree, filled by _integral_degree.
         object.__setattr__(self, "_integral", {})
         object.__setattr__(self, "_integral_lock", threading.Lock())
@@ -96,19 +114,21 @@ class SimplicialComplex:
         """Cell -> position among the degree-p cells (empty outside 0..dim)."""
         return self._index[p] if 0 <= p <= self.dim else {}
 
+    def faces(self, p: int) -> tuple[tuple[int, ...], ...]:
+        """Per degree-p cell, the positions among the (p-1)-cells of its
+        faces; face j leaves out vertex j and has sign (-1)^j.  A vertex
+        has no faces, and degrees outside 0..dim have no cells."""
+        return self._faces[p] if 0 <= p <= self.dim else ()
+
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(level) for p, level in enumerate(self.simplices))
 
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Maximal simplices, ordered by dimension then lexicographically."""
-        non_maximal = set()
-        for level in self.simplices[1:]:
-            for s in level:
-                for face in itertools.combinations(s, len(s) - 1):
-                    non_maximal.add(face)
         out = []
-        for level in self.simplices:
-            out.extend(s for s in level if s not in non_maximal)
+        for p, level in enumerate(self.simplices):
+            covered = {i for row in self.faces(p + 1) for i in row}
+            out.extend(s for i, s in enumerate(level) if i not in covered)
         return tuple(out)
 
 
@@ -155,6 +175,14 @@ def suspension(x: SimplicialComplex) -> SimplicialComplex:
     return build_complex_from_facets(x.vertex_count + 2, new_facets)
 
 
+def check_degree_bound(top: int) -> None:
+    """Refuse degrees 0..top when they are more than ``DEGREE_BUDGET``,
+    before any degree is listed."""
+    if top + 1 > DEGREE_BUDGET:
+        raise BudgetExceededError(
+            f"degrees 0..{top} are {top + 1} degrees, budget is {DEGREE_BUDGET}")
+
+
 def power_group(coefficients: FgAbGroup, k: int) -> FgAbGroup:
     """L^k in generator-major coordinates (still invariant-factor form)."""
     return FgAbGroup(coefficients.free_rank * k,
@@ -168,7 +196,10 @@ class CochainComplex:
     ``cells``/``coefficients`` carry the per-cell structure for complexes
     built from a site or a bar construction; plain graded complexes may
     leave them unset.  Degrees outside the stored range behave as zero
-    groups with zero maps.
+    groups with zero maps.  A Cech complex (``base`` set) stores no
+    differentials: they come from the site's face table, and d∘d = 0
+    holds by the simplicial identity.  Other complexes store one matrix per
+    adjacent degree pair, checked to compose to zero.
     """
 
     groups: tuple[FgAbGroup, ...]
@@ -178,7 +209,9 @@ class CochainComplex:
     base: Optional[SimplicialComplex] = None
 
     def __post_init__(self):
-        if len(self.diffs) != max(len(self.groups) - 1, 0):
+        if self.base is not None and self.diffs:
+            raise ValidationError("a Cech complex takes its differentials from the site")
+        if self.base is None and len(self.diffs) != max(len(self.groups) - 1, 0):
             raise ValidationError("need exactly one differential per adjacent degree pair")
         for p, d in enumerate(self.diffs):
             if d.source != self.groups[p] or d.target != self.groups[p + 1]:
@@ -202,9 +235,22 @@ class CochainComplex:
         return trivial_group()
 
     def differential(self, p: int) -> Homomorphism:
-        if 0 <= p < self.max_degree:
-            return self.diffs[p]
-        return zero_hom(self.group(p), self.group(p + 1))
+        """d_p as a matrix.  On a Cech complex this is a dense view of the
+        face table, built on each call and never stored; code that only
+        applies d_p uses ``coboundary``/``cech_coboundary`` instead."""
+        if self.base is None:
+            if 0 <= p < self.max_degree:
+                return self.diffs[p]
+            return zero_hom(self.group(p), self.group(p + 1))
+        src, k = self.group(p), len(self.base.cells(p))
+        rows = []
+        for g in range(self.coefficients.ngens):
+            for faces in self.base.faces(p + 1):
+                row = [0] * src.ngens
+                for j, f in enumerate(faces):
+                    row[g * k + f] = -1 if j % 2 else 1
+                rows.append(row)
+        return Homomorphism(src, self.group(p + 1), rows)
 
     def ncells(self, p: int) -> int:
         if self.cells is None:
@@ -278,8 +324,7 @@ class Cochain:
             raise ValidationError("complex carries no cell structure")
         k = self.complex.ncells(self.degree)
         s = self.complex.cell_position(self.degree, tuple(cell))
-        return GroupElement(coeff, tuple(self.coords[g * k + s]
-                                         for g in range(coeff.ngens)))
+        return GroupElement(coeff, self.coords[s::k])
 
 
 def zero_cochain(complex_: CochainComplex, degree: int) -> Cochain:
@@ -300,8 +345,7 @@ def cochain_from_values(complex_: CochainComplex, degree: int,
         if len(val) != coeff.ngens:
             raise ValidationError(
                 f"value on {cell} has {len(val)} coordinates, expected {coeff.ngens}")
-        for g, v in enumerate(val):
-            coords[g * k + s] = v
+        coords[s::k] = val
     return Cochain(complex_, degree, tuple(coords))
 
 
@@ -310,43 +354,52 @@ def cech_complex(x: SimplicialComplex, coefficients: FgAbGroup) -> CochainComple
     """The Cech complex of the site with constant coefficients.
 
     Stored degrees run to dim+1 (the top group is trivial) so that the top
-    nontrivial degree still has an outgoing differential.  Instances are
-    memoized on (site, coefficients): class coordinates computed through
-    the same pair are directly comparable.  A coboundary with more than
-    ``COBOUNDARY_ENTRY_BUDGET`` entries is refused before any is built.
+    nontrivial degree still has an outgoing differential.  The complex
+    keeps only groups and cells; its coboundary is the site's face table
+    (``cech_coboundary``).  A complex whose dense coboundary would have more
+    than ``COBOUNDARY_ENTRY_BUDGET`` entries is refused.
+
+    Instances are memoized on (site, coefficients), so class coordinates
+    computed through the same pair are directly comparable.  The memo is
+    unbounded on purpose: each CLI request parses a new site, and key
+    equality lets it share the first equal site's ``_integral`` memo and
+    pass ``connecting``'s ``is`` check, which a memo on each site instance
+    would not, and evicting would orphan cochains a caller still holds.
     """
     g = coefficients.ngens
-    dim = x.dim
-    cells = tuple(x.cells(p) for p in range(dim + 1)) + ((),)
-    for p in range(dim + 1):
+    cells = tuple(x.cells(p) for p in range(x.dim + 1)) + ((),)
+    for p in range(x.dim + 1):
         rows, cols = g * len(cells[p + 1]), g * len(cells[p])
         if rows * cols > COBOUNDARY_ENTRY_BUDGET:
             raise BudgetExceededError(
                 f"coboundary {p} would have {rows} x {cols} entries, budget is "
                 f"{COBOUNDARY_ENTRY_BUDGET}")
     groups = tuple(power_group(coefficients, len(c)) for c in cells)
-    diffs = []
-    for p in range(dim + 1):
-        src, tgt = cells[p], cells[p + 1]
-        k0, k1 = len(src), len(tgt)
-        rows = [[0] * (g * k0) for _ in range(g * k1)]
-        for ti, tau in enumerate(tgt):
-            for j in range(len(tau)):
-                face = tau[:j] + tau[j + 1:]
-                si = x.cell_index(p, face)
-                sign = -1 if j % 2 else 1
-                for gen in range(g):
-                    rows[gen * k1 + ti][gen * k0 + si] = sign
-        diffs.append(Homomorphism(groups[p], groups[p + 1],
-                                  tuple(tuple(r) for r in rows)))
-    return CochainComplex(groups, tuple(diffs), coefficients, cells, x)
+    return CochainComplex(groups, (), coefficients, cells, x)
+
+
+def cech_coboundary(x: SimplicialComplex, p: int, coords: Sequence[int],
+                    ngens: int) -> list[int]:
+    """delta_p of a vector of C^p(X; L), L with ``ngens`` generators: the
+    face table applied to the block of each coefficient generator
+    (generator-major coordinates).  Entries are not reduced."""
+    k = len(x.cells(p))
+    out = []
+    for g in range(ngens):
+        block = coords[g * k:(g + 1) * k]
+        out += [sum(block[f] for f in faces[::2]) - sum(block[f] for f in faces[1::2])
+                for faces in x.faces(p + 1)]
+    return out
 
 
 def coboundary(c: Cochain) -> Cochain:
     """Apply the differential; degrees past the top land in the zero group."""
-    d = c.complex.differential(c.degree)
-    return Cochain(c.complex, c.degree + 1,
-                   tuple(_intlin.mat_vec(d.matrix, c.coords)))
+    comp = c.complex
+    if comp.base is not None:
+        image = cech_coboundary(comp.base, c.degree, c.coords, comp.coefficients.ngens)
+    else:
+        image = _intlin.mat_vec(comp.differential(c.degree).matrix, c.coords)
+    return Cochain(comp, c.degree + 1, tuple(image))
 
 
 def _violated_cell(c: Cochain, image_coords: Sequence[int]):
@@ -580,11 +633,8 @@ class GroupAction:
             report = hom_validate(self.module, self.module, mat)
             if not report.ok:
                 raise ValidationError(f"action of element {i}: {report.message}")
-            h = Homomorphism(self.module, self.module, mat)
-            homs.append(h)
-        object.__setattr__(self, "action",
-                           tuple(h.matrix for h in homs))
-        from cechtower.abelian import hom_invariants
+            homs.append(Homomorphism(self.module, self.module, mat))
+        object.__setattr__(self, "action", tuple(h.matrix for h in homs))
         for i, h in enumerate(homs):
             inv = hom_invariants(h)
             if not inv.kernel.is_trivial or not inv.cokernel.is_trivial:
@@ -592,11 +642,7 @@ class GroupAction:
         table = self.group.table
         for a in range(m):
             for b in range(m):
-                prod = Homomorphism(
-                    self.module, self.module,
-                    tuple(tuple(r) for r in _intlin.mat_mul(self.action[a],
-                                                            self.action[b])))
-                if prod.matrix != homs[table[a][b]].matrix:
+                if homs[a].compose(homs[b]).matrix != homs[table[a][b]].matrix:
                     raise ValidationError(
                         f"action is not a homomorphism at the pair ({a}, {b})")
 
@@ -605,8 +651,7 @@ class GroupAction:
 
 
 def trivial_action(group, module: FgAbGroup) -> GroupAction:
-    ident = tuple(tuple(1 if i == j else 0 for j in range(module.ngens))
-                  for i in range(module.ngens))
+    ident = tuple(map(tuple, _intlin.identity_matrix(module.ngens)))
     return GroupAction(group, module, (ident,) * group.order)
 
 
@@ -681,8 +726,16 @@ def cech_induced(x: SimplicialComplex, h: Homomorphism, p: int) -> Homomorphism:
     return Homomorphism(src.group(p), tgt.group(p), tuple(tuple(r) for r in rows))
 
 
+def apply_cellwise(matrix: Sequence[Sequence[int]], coords: Sequence[int],
+                   ngens: int, k: int) -> list[int]:
+    """A coefficient matrix applied to the value on each of k cells: in
+    generator-major coordinates, block i of the result is sum_j
+    matrix[i][j] times block j of ``coords`` (``ngens`` blocks)."""
+    blocks = [coords[j * k:(j + 1) * k] for j in range(ngens)]
+    return [v for row in matrix for v in _intlin.lin_comb(blocks, row, k)]
+
+
 def map_coefficients(x: SimplicialComplex, h: Homomorphism, c: Cochain) -> Cochain:
-    """Push a cochain through a coefficient homomorphism."""
-    ind = cech_induced(x, h, c.degree)
-    tgt = cech_complex(x, h.target)
-    return Cochain(tgt, c.degree, tuple(_intlin.mat_vec(ind.matrix, c.coords)))
+    """Push a cochain through a coefficient homomorphism, cell by cell."""
+    image = apply_cellwise(h.matrix, c.coords, h.source.ngens, len(x.cells(c.degree)))
+    return Cochain(cech_complex(x, h.target), c.degree, tuple(image))

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from cechtower import _intlin
 from cechtower.abelian import (
     FgAbGroup,
     GroupElement,
@@ -25,12 +24,16 @@ from cechtower.abelian import (
     trivial_group,
     zero_hom,
 )
+from cechtower._intlin import columns_to_matrix
 from cechtower.cochain import (
     Cochain,
-    CochainComplex,
+    Cohomology,
     SimplicialComplex,
+    apply_cellwise,
+    cech_coboundary,
     cech_complex,
     cech_induced,
+    check_degree_bound,
     class_of,
     coboundary,
     cohomology,
@@ -75,7 +78,7 @@ def validate_ses(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup,
     return ShortExactSequence(a, b, c, iota, pi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _check_degreewise(x: SimplicialComplex, ses: ShortExactSequence, p: int) -> None:
     """Re-verify 0 -> C^p(A) -> C^p(B) -> C^p(C) -> 0 instead of trusting it."""
     iota_p = cech_induced(x, ses.iota, p)
@@ -88,7 +91,7 @@ def _check_degreewise(x: SimplicialComplex, ses: ShortExactSequence, p: int) -> 
         raise VerificationError(f"cochain-level middle exactness fails in degree {p}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _section_matrix(ses: ShortExactSequence) -> tuple[tuple[int, ...], ...]:
     """Canonical set-section of pi, one solve per generator of c.
 
@@ -123,44 +126,30 @@ def connecting(x: SimplicialComplex, ses: ShortExactSequence, c: Cochain,
     _check_degreewise(x, ses, p)
     _check_degreewise(x, ses, p + 1)
 
-    comp_b = cech_complex(x, ses.b)
-    comp_a = cech_complex(x, ses.a)
-    k = comp_c.ncells(p)
-    nc, nb = ses.c.ngens, ses.b.ngens
-    sec = _section_matrix(ses)
-
-    lift = [0] * (nb * k)
-    for s in range(k):
-        vals = [c.coords[g * k + s] for g in range(nc)]
-        img = _intlin.mat_vec(sec, vals)
-        for g in range(nb):
-            lift[g * k + s] = img[g]
+    k, k1 = comp_c.ncells(p), comp_c.ncells(p + 1)
+    na, nb = ses.a.ngens, ses.b.ngens
+    lift = apply_cellwise(_section_matrix(ses), c.coords, ses.c.ngens, k)
     if twist is not None:
         if len(twist) != k:
             raise ValidationError("need one twist element per cell")
-        for s, t in enumerate(twist):
-            if t.group != ses.a:
-                raise ValidationError("twist elements must come from the kernel group")
-            shifted = ses.iota.apply(t)
-            for g in range(nb):
-                lift[g * k + s] += shifted.coords[g]
+        if any(t.group != ses.a for t in twist):
+            raise ValidationError("twist elements must come from the kernel group")
+        shift = [t.coords[g] for g in range(na) for t in twist]
+        lift = [u + v for u, v in zip(lift, apply_cellwise(ses.iota.matrix, shift, na, k))]
 
-    d_b = comp_b.differential(p)
-    image = _intlin.mat_vec(d_b.matrix, lift)
-    k1 = comp_b.ncells(p + 1)
-
-    out = [0] * (ses.a.ngens * k1)
+    image = cech_coboundary(x, p, lift, nb)
+    backs = []
     for s in range(k1):
-        w = GroupElement(ses.b, tuple(image[g * k1 + s] for g in range(nb)))
+        w = GroupElement(ses.b, tuple(image[s::k1]))
         if not ses.pi.apply(w).is_zero:
             raise VerificationError("coboundary of the lift escapes the kernel of pi")
         back = solve_in_group(ses.iota, w)
         if back is None:
             raise VerificationError("kernel element has no preimage under iota")
-        for g in range(ses.a.ngens):
-            out[g * k1 + s] = back.coords[g]
+        backs.append(back.coords)
 
-    result = Cochain(comp_a, p + 1, tuple(out))
+    result = Cochain(cech_complex(x, ses.a), p + 1,
+                     tuple(b[g] for g in range(na) for b in backs))
     if not coboundary(result).is_zero:
         raise VerificationError("connecting morphism produced a non-cocycle")
     return result
@@ -197,41 +186,32 @@ class LesReport:
         return all(e.ok for e in self.exact_at)
 
 
-def _induced_on_cohomology(x: SimplicialComplex, h: Homomorphism,
-                           p: int) -> Homomorphism:
-    """H^p(X, h.source) -> H^p(X, h.target) by mapping representatives."""
-    hs = cohomology(cech_complex(x, h.source), p)
-    ht = cohomology(cech_complex(x, h.target), p)
-    cols = [ht.coords_of(map_coefficients(x, h, rep)) for rep in hs.representatives]
-    return Homomorphism(hs.group, ht.group, tuple(
-        tuple(col[i] for col in cols) for i in range(ht.group.ngens)))
-
-
-def _connecting_on_cohomology(x: SimplicialComplex, ses: ShortExactSequence,
-                              p: int) -> Homomorphism:
-    hc = cohomology(cech_complex(x, ses.c), p)
-    ha = cohomology(cech_complex(x, ses.a), p + 1)
-    cols = [ha.coords_of(connecting(x, ses, rep)) for rep in hc.representatives]
-    return Homomorphism(hc.group, ha.group, tuple(
-        tuple(col[i] for col in cols) for i in range(ha.group.ngens)))
+def _on_cohomology(source: Cohomology, target: Cohomology,
+                   cochain_map: Callable[[Cochain], Cochain]) -> Homomorphism:
+    """The map of cohomology groups a cochain map induces, by mapping the
+    source's representatives."""
+    cols = [target.coords_of(cochain_map(rep)) for rep in source.representatives]
+    return Homomorphism(source.group, target.group,
+                        columns_to_matrix(cols, target.group.ngens))
 
 
 def long_exact_sequence(x: SimplicialComplex, ses: ShortExactSequence,
                         max_degree: int) -> LesReport:
     """Materialize the cohomology sequence of the coefficient sequence and
-    check exactness at every position."""
+    check exactness at every position.  More than ``DEGREE_BUDGET``
+    degrees are refused before any is computed."""
+    check_degree_bound(max_degree)
     nodes: list[LesNode] = []
     maps: list[Homomorphism] = []
     for p in range(max_degree + 1):
-        ga = cohomology(cech_complex(x, ses.a), p).group
-        gb = cohomology(cech_complex(x, ses.b), p).group
-        gc = cohomology(cech_complex(x, ses.c), p).group
-        nodes.append(LesNode(f"H^{p}(A)", ga))
-        maps.append(_induced_on_cohomology(x, ses.iota, p))
-        nodes.append(LesNode(f"H^{p}(B)", gb))
-        maps.append(_induced_on_cohomology(x, ses.pi, p))
-        nodes.append(LesNode(f"H^{p}(C)", gc))
-        maps.append(_connecting_on_cohomology(x, ses, p))
+        ha, hb, hc = (cohomology(cech_complex(x, g), p) for g in (ses.a, ses.b, ses.c))
+        nodes.append(LesNode(f"H^{p}(A)", ha.group))
+        maps.append(_on_cohomology(ha, hb, lambda c: map_coefficients(x, ses.iota, c)))
+        nodes.append(LesNode(f"H^{p}(B)", hb.group))
+        maps.append(_on_cohomology(hb, hc, lambda c: map_coefficients(x, ses.pi, c)))
+        nodes.append(LesNode(f"H^{p}(C)", hc.group))
+        maps.append(_on_cohomology(hc, cohomology(cech_complex(x, ses.a), p + 1),
+                                   lambda c: connecting(x, ses, c)))
     tail = cohomology(cech_complex(x, ses.a), max_degree + 1).group
     nodes.append(LesNode(f"H^{max_degree + 1}(A)", tail))
 

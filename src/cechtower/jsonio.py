@@ -7,7 +7,7 @@ schemas (round-trip property).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from cechtower.abelian import FgAbGroup, Homomorphism
 from cechtower.cochain import (

@@ -278,12 +278,9 @@ class TransitionCocycle:
         for e, v in enumerate(self.values):
             if not 0 <= v < self.quotient.order:
                 raise ValidationError(f"label on edge {edges[e]} out of range")
-        for tri in self.site.cells(2):
-            i, j, k = tri
-            gij = self.value_on(i, j)
-            gjk = self.value_on(j, k)
-            gik = self.value_on(i, k)
-            if self.quotient.table[gij][gjk] != gik:
+        # The faces of triangle (i, j, k) are (j, k), (i, k), (i, j).
+        for tri, (jk, ik, ij) in zip(self.site.cells(2), self.site.faces(2)):
+            if self.quotient.table[self.values[ij]][self.values[jk]] != self.values[ik]:
                 raise ValidationError(f"cocycle law fails on triangle {tri}")
 
     def value_on(self, i: int, j: int) -> int:
@@ -331,11 +328,8 @@ def lifting_obstruction(t: TransitionCocycle, ext: CentralExtension,
     lab = ext.kernel_group
     comp = cech_complex(site, lab)
     values = {}
-    for tri in site.cells(2):
-        i, j, k = tri
-        lifted_ij = sec[t.value_on(i, j)]
-        lifted_jk = sec[t.value_on(j, k)]
-        lifted_ik = sec[t.value_on(i, k)]
+    for tri, faces in zip(site.cells(2), site.faces(2)):
+        lifted_jk, lifted_ik, lifted_ij = (sec[t.values[e]] for e in faces)
         defect = g.mul(g.mul(g.inv(lifted_ik), lifted_ij), lifted_jk)
         if ext.projection[defect] != ext.quotient.identity:
             raise VerificationError(f"triangle defect on {tri} escapes the kernel")
@@ -375,12 +369,7 @@ def brute_force_lift(t: TransitionCocycle, ext: CentralExtension,
     # candidate lift of edge e under twist l, twists commute with everything
     cand = [[g.mul(base[e], ke) for ke in ext.kernel_elements]
             for e in range(n_edges)]
-    triangles = []
-    for tri in site.cells(2):
-        i, j, k = tri
-        triangles.append((site.cell_index(1, (i, j)),
-                          site.cell_index(1, (j, k)),
-                          site.cell_index(1, (i, k))))
+    triangles = [(ij, jk, ik) for jk, ik, ij in site.faces(2)]
 
     for choice in itertools.product(range(ksize), repeat=n_edges):
         ok = True

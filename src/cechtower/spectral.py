@@ -15,20 +15,19 @@ what ``check_degeneration`` verifies, never a shortcut taken here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from cechtower import _intlin
 from cechtower.abelian import (
     FgAbGroup,
-    Homomorphism,
     direct_sum_with_maps,
 )
 from cechtower.cochain import (
     COBOUNDARY_ENTRY_BUDGET,
     GENERATOR_BUDGET,
-    CochainComplex,
     SimplicialComplex,
+    cech_coboundary,
     cech_complex,
     cech_induced,
     cohomology,
@@ -108,10 +107,10 @@ class FilteredComplex:
         n = p + q
         amb = self.total.group(n)
         vp = self._v_lattice(p, n)
-        d = self.total.differential(n)
-        image_cols = [_intlin.mat_vec(d.matrix, b) for b in vp.basis]
+        g = self.total_group.ngens
+        image_cols = [cech_coboundary(self.site, n, b, g) for b in vp.basis]
         coeffs = _intlin.lattice_preimage_gens(
-            image_cols, d.target.ngens, self._v_lattice(t, n + 1).basis)
+            image_cols, self.total.group(n + 1).ngens, self._v_lattice(t, n + 1).basis)
         return _intlin.Lattice(
             amb.ngens, [_intlin.lin_comb(vp.basis, c, amb.ngens) for c in coeffs])
 
@@ -126,8 +125,8 @@ class FilteredComplex:
         rel = _intlin.relation_columns(amb.orders)
         if n - 1 < 0:
             return _intlin.Lattice(amb.ngens, rel)
-        d = self.total.differential(n - 1)
-        image = [_intlin.mat_vec(d.matrix, b)
+        g = self.total_group.ngens
+        image = [cech_coboundary(self.site, n - 1, b, g)
                  for b in self._v_lattice(s, n - 1).basis] + rel
         return _intlin.Lattice(amb.ngens, _intlin.lattice_intersection_gens(
             amb.ngens, image, self._v_lattice(p, n).basis))

@@ -123,6 +123,13 @@ class TestHomInvariants:
         # the cokernel projection is onto and kills the image
         assert inv.cokernel_projection.compose(h).is_zero
 
+    def test_compose_through_trivial_group(self):
+        # the middle group has no generators, so the product has no rows to
+        # read its column count from; it is the zero map Z6 -> Z4
+        to_zero, from_zero = zero_hom(Z6, trivial_group()), zero_hom(trivial_group(), Z4)
+        composed = from_zero.compose(to_zero)
+        assert (composed.source, composed.target) == (Z6, Z4) and composed.is_zero
+
     @pytest.mark.parametrize("source,target,matrix", [
         (Z, cyclic_group(4), ((2,),)),
         (Z6, FgAbGroup(0, (2, 6)), ((1,), (3,))),

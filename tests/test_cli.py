@@ -197,6 +197,20 @@ class TestOtherCommands:
         assert b"coboundary" in proc.stderr and b"budget" in proc.stderr
 
 
+    @pytest.mark.parametrize("command,payload", [
+        ("cohomology", {"complex": RP2_DOC, "group": Z2_DOC, "degree": "all"}),
+        ("les", {"complex": RP2_DOC, "ses": BOCKSTEIN_DOC}),
+    ])
+    def test_oversized_degree_bound_refused_before_allocation(self, command, payload):
+        # 10^9 degrees would be listed (cohomology) or computed one by one
+        # (les) before the first answer; exit code 4 within the memory cap
+        # and the timeout shows the bound was checked first.
+        proc = run_cli([command, "--max-degree", "1000000000"], payload,
+                       timeout=60, preexec_fn=_cap_address_space)
+        assert proc.returncode == 4
+        assert b"budget exceeded" in proc.stderr and b"degrees" in proc.stderr
+
+
 class TestSpectralCommand:
     # stdout of `spectral --verify --max-degree 4` on RP^2 with (Z/2, Z/3, Z)
     # from an implementation that computed every page's terms separately, so
