@@ -61,16 +61,18 @@ def _payload_dict(payload: Any) -> dict:
 
 
 def _random_element(rng: random.Random, group) -> GroupElement:
-    coords = []
-    for o in group.orders:
-        coords.append(rng.randrange(o) if o else rng.randint(-2, 2))
-    return GroupElement(group, tuple(coords))
+    return GroupElement(group, tuple(
+        rng.randrange(o) if o else rng.randint(-2, 2) for o in group.orders))
 
 
-def _random_cochain(rng: random.Random, complex_, degree: int) -> Cochain:
-    group = complex_.group(degree)
-    return Cochain(complex_, degree, tuple(
-        (rng.randrange(o) if o else rng.randint(-2, 2)) for o in group.orders))
+def _max_degree(options: Options, default: int) -> int:
+    """The ``--max-degree`` bound of cohomology and les, ``default`` when
+    unset; a negative bound is refused."""
+    if options.max_degree is None:
+        return default
+    if options.max_degree < 0:
+        raise SchemaError("options.max_degree", "degree bound must be >= 0")
+    return options.max_degree
 
 
 def _cmd_cohomology(payload: Any, options: Options) -> dict:
@@ -79,8 +81,8 @@ def _cmd_cohomology(payload: Any, options: Options) -> dict:
     group = jsonio.parse_group(jsonio._get(d, "group", "payload"), "payload.group")
     degree = d.get("degree", "all")
     comp = cech_complex(x, group)
+    top = _max_degree(options, x.dim)
     if degree == "all":
-        top = options.max_degree if options.max_degree is not None else x.dim
         check_degree_bound(top)
         degrees = list(range(top + 1))
     elif isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0:
@@ -137,8 +139,7 @@ def _cmd_les(payload: Any, options: Options) -> dict:
     d = _payload_dict(payload)
     x = jsonio.parse_complex(jsonio._get(d, "complex", "payload"), "payload.complex")
     ses = jsonio.parse_ses(jsonio._get(d, "ses", "payload"), "payload.ses")
-    top = options.max_degree if options.max_degree is not None else x.dim + 1
-    report = long_exact_sequence(x, ses, top)
+    report = long_exact_sequence(x, ses, _max_degree(options, x.dim + 1))
     return {
         "nodes": [{"label": n.label, "group": jsonio.group_to_doc(n.group)}
                   for n in report.nodes],
@@ -159,7 +160,7 @@ def _cmd_tower(payload: Any, options: Options) -> dict:
         report = verify_tower(spec)
         rng = random.Random(_RELIFT_SEED)
         base = spec.c2.complex
-        perturb = coboundary(_random_cochain(rng, base, 1))
+        perturb = coboundary(Cochain(base, 1, _random_element(rng, base.group(1)).coords))
         alt_spec = type(spec)(spec.complex, spec.c2 + perturb, spec.sequences)
         stable = compare_towers(classes, tower_classes(alt_spec)).equal
         result["verify"] = {

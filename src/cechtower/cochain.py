@@ -21,7 +21,6 @@ view from the table when a caller needs one.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -94,9 +93,6 @@ class SimplicialComplex:
             faces.append(tuple(rows))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_faces", tuple(faces))
-        # Degree -> _IntegralDegree, filled by _integral_degree.
-        object.__setattr__(self, "_integral", {})
-        object.__setattr__(self, "_integral_lock", threading.Lock())
 
     @property
     def dim(self) -> int:
@@ -176,8 +172,10 @@ def suspension(x: SimplicialComplex) -> SimplicialComplex:
 
 
 def check_degree_bound(top: int) -> None:
-    """Refuse degrees 0..top when they are more than ``DEGREE_BUDGET``,
-    before any degree is listed."""
+    """Refuse degrees 0..top when top is negative or they are more than
+    ``DEGREE_BUDGET``, before any degree is listed."""
+    if top < 0:
+        raise ValidationError(f"degree bound {top} is negative")
     if top + 1 > DEGREE_BUDGET:
         raise BudgetExceededError(
             f"degrees 0..{top} are {top + 1} degrees, budget is {DEGREE_BUDGET}")
@@ -200,6 +198,11 @@ class CochainComplex:
     differentials: they come from the site's face table, and d∘d = 0
     holds by the simplicial identity.  Other complexes store one matrix per
     adjacent degree pair, checked to compose to zero.
+
+    A Cech complex is a value: it compares and hashes by (site,
+    coefficients), which determine everything else it holds, so complexes
+    built from equal inputs share cochains, memo entries and class
+    coordinates.  Complexes without a site compare by identity.
     """
 
     groups: tuple[FgAbGroup, ...]
@@ -221,9 +224,18 @@ class CochainComplex:
                 raise ValidationError(f"d∘d != 0 between degrees {p} and {p + 2}")
         if self.cells is not None and len(self.cells) != len(self.groups):
             raise ValidationError("cell table must cover every stored degree")
-        object.__setattr__(self, "_cohomology_cache", {})
-        object.__setattr__(self, "_cache_lock", threading.Lock())
         object.__setattr__(self, "_cell_index", {})
+        object.__setattr__(self, "_hash", object.__hash__(self) if self.base is None
+                           else hash((self.base, self.coefficients)))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, CochainComplex) and self.base is not None
+            and self._hash == other._hash
+            and (self.base, self.coefficients) == (other.base, other.coefficients))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def max_degree(self) -> int:
@@ -298,12 +310,12 @@ class Cochain:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain)
-                and self.complex is other.complex
+                and self.complex == other.complex
                 and self.degree == other.degree
                 and self.coords == other.coords)
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        if other.complex is not self.complex or other.degree != self.degree:
+        if other.complex != self.complex or other.degree != self.degree:
             raise ValidationError("cochains live in different groups")
         return Cochain(self.complex, self.degree,
                        tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -349,7 +361,7 @@ def cochain_from_values(complex_: CochainComplex, degree: int,
     return Cochain(complex_, degree, tuple(coords))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cech_complex(x: SimplicialComplex, coefficients: FgAbGroup) -> CochainComplex:
     """The Cech complex of the site with constant coefficients.
 
@@ -357,14 +369,10 @@ def cech_complex(x: SimplicialComplex, coefficients: FgAbGroup) -> CochainComple
     nontrivial degree still has an outgoing differential.  The complex
     keeps only groups and cells; its coboundary is the site's face table
     (``cech_coboundary``).  A complex whose dense coboundary would have more
-    than ``COBOUNDARY_ENTRY_BUDGET`` entries is refused.
-
-    Instances are memoized on (site, coefficients), so class coordinates
-    computed through the same pair are directly comparable.  The memo is
-    unbounded on purpose: each CLI request parses a new site, and key
-    equality lets it share the first equal site's ``_integral`` memo and
-    pass ``connecting``'s ``is`` check, which a memo on each site instance
-    would not, and evicting would orphan cochains a caller still holds.
+    than ``COBOUNDARY_ENTRY_BUDGET`` entries is refused.  The complex
+    equals every other one built from an equal (site, coefficients) pair,
+    so the bounded memo only saves rebuilding it: a cochain of an evicted
+    instance still belongs to the rebuilt one.
     """
     g = coefficients.ngens
     cells = tuple(x.cells(p) for p in range(x.dim + 1)) + ((),)
@@ -418,8 +426,9 @@ def _violated_cell(c: Cochain, image_coords: Sequence[int]):
 class Cohomology:
     """H^p with chosen representatives and the fixed projection.
 
-    The projection is deterministic for the complex instance it was
-    computed on; coordinates are only comparable within that instance.
+    The projection is deterministic for the complex it was computed on;
+    for a Cech complex that is its (site, coefficients) pair, so
+    coordinates are comparable across equal complexes.
     """
 
     degree: int
@@ -436,30 +445,22 @@ class Cohomology:
         return tuple(self._presentation.project(list(c.coords)))
 
 
+@lru_cache(maxsize=256)
 def cohomology(complex_: CochainComplex, p: int) -> Cohomology:
     """Kernel/image quotient at degree p in invariant-factor form.
 
     A Cech complex is computed from its site's integral data, one cyclic
     factor of the coefficients at a time (``_site_presentation``); other
-    complexes present ker/im as one lattice quotient.  Results are cached
-    on the complex instance (thread-safe memo).
+    complexes present ker/im as one lattice quotient.  Memoized on
+    (complex, p): Cech complexes by value, others by identity.
     """
-    with complex_._cache_lock:
-        hit = complex_._cohomology_cache.get(p)
-    if hit is not None:
-        return hit
-
     if complex_.base is not None:
         pres = _site_presentation(complex_, p)
     else:
         pres = _lattice_presentation(complex_, p)
     group = FgAbGroup(pres.free_rank, pres.torsion)
     reps = tuple(Cochain(complex_, p, tuple(col)) for col in pres.lift_cols)
-    result = Cohomology(p, group, reps, pres)
-
-    with complex_._cache_lock:
-        complex_._cohomology_cache.setdefault(p, result)
-        return complex_._cohomology_cache[p]
+    return Cohomology(p, group, reps, pres)
 
 
 def _lattice_presentation(complex_: CochainComplex, p: int,
@@ -494,28 +495,23 @@ class _IntegralDegree:
     vinv_rows: list
 
 
+@lru_cache(maxsize=256)
 def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
-    """Degree-p integral data of the site, memoized on it.
+    """Degree-p integral data of the site, memoized on (site, p).
 
     The one SNF of d_p gives both the kernel generators of the lattice path
     (the V-columns past the rank, as ``kernel_lattice_gens`` would) and the
     V, V^-1 and a_i of the Tor part.
     """
-    with x._integral_lock:
-        hit = x._integral.get(p)
-    if hit is not None:
-        return hit
     z = cech_complex(x, _INTEGERS)
     d = z.differential(p)
     res = _intlin.snf(d.matrix, d.target.ngens, d.source.ngens, _intlin.COBOUNDARY)
     r = res.rank
-    entry = _IntegralDegree(
+    return _IntegralDegree(
         _lattice_presentation(z, p, _intlin.kernel_columns(res)),
         res.diag[:r],
         [[row[i] for row in res.V] for i in range(r)],
         res.Vinv[:r])
-    with x._integral_lock:
-        return x._integral.setdefault(p, entry)
 
 
 def _cyclic_factor(h: _IntegralDegree, m: int, k: int):
@@ -605,8 +601,8 @@ class CohomologyClass:
 
 
 def class_of(complex_: CochainComplex, c: Cochain) -> CohomologyClass:
-    if c.complex is not complex_:
-        raise ValidationError("cochain does not belong to this complex instance")
+    if c.complex != complex_:
+        raise ValidationError("cochain does not belong to this complex")
     h = cohomology(complex_, c.degree)
     coords = h.coords_of(c)
     return CohomologyClass(c.degree, h.group, coords, c)

@@ -115,10 +115,10 @@ def connecting(x: SimplicialComplex, ses: ShortExactSequence, c: Cochain,
     ``twist`` optionally perturbs the lift by one kernel element per cell
     (used to verify section independence); the default lift is canonical.
     Output is a (p+1)-cocycle with coefficients in ses.a, living in the
-    shared complex instance for (x, ses.a).
+    Cech complex of (x, ses.a).
     """
     comp_c = cech_complex(x, ses.c)
-    if c.complex is not comp_c:
+    if c.complex != comp_c:
         raise ValidationError("cochain does not live in the C-coefficient complex of x")
     p = c.degree
     if not coboundary(c).is_zero:
@@ -198,8 +198,8 @@ def _on_cohomology(source: Cohomology, target: Cohomology,
 def long_exact_sequence(x: SimplicialComplex, ses: ShortExactSequence,
                         max_degree: int) -> LesReport:
     """Materialize the cohomology sequence of the coefficient sequence and
-    check exactness at every position.  More than ``DEGREE_BUDGET``
-    degrees are refused before any is computed."""
+    check exactness at every position.  A negative ``max_degree`` and more
+    than ``DEGREE_BUDGET`` degrees are refused before any is computed."""
     check_degree_bound(max_degree)
     nodes: list[LesNode] = []
     maps: list[Homomorphism] = []

@@ -40,8 +40,7 @@ class TowerSpec:
     sequences: tuple[ShortExactSequence, ...]
 
     def __post_init__(self):
-        base = cech_complex(self.complex, self.c2.complex.coefficients)
-        if self.c2.complex is not base:
+        if self.c2.complex.base != self.complex:
             raise ValidationError(
                 "base cocycle must live in the Cech complex of the given site")
         if self.c2.degree != 2:

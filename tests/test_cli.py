@@ -210,6 +210,18 @@ class TestOtherCommands:
         assert proc.returncode == 4
         assert b"budget exceeded" in proc.stderr and b"degrees" in proc.stderr
 
+    @pytest.mark.parametrize("command,payload", [
+        ("cohomology", {"complex": RP2_DOC, "group": Z2_DOC, "degree": "all"}),
+        ("les", {"complex": RP2_DOC, "ses": BOCKSTEIN_DOC}),
+    ])
+    def test_negative_degree_bound_refused(self, command, payload):
+        # A negative bound once listed no degree (cohomology printed {}) or
+        # a lone node H^-2(A) reported exact (les), both with exit code 0.
+        proc = run_cli([command, "--max-degree", "-3"], payload)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"options.max_degree" in proc.stderr
+
 
 class TestSpectralCommand:
     # stdout of `spectral --verify --max-degree 4` on RP^2 with (Z/2, Z/3, Z)

@@ -166,6 +166,10 @@ class TestLongExactSequence:
         assert all(n.group.is_trivial for n in report.nodes[6:])
         assert report.ok
 
+    def test_negative_degree_bound_refused(self, rp2, bockstein_222):
+        with pytest.raises(ValidationError, match="negative"):
+            long_exact_sequence(rp2, bockstein_222, -1)
+
     def test_contractible_collapses(self, full_triangle, bockstein_222):
         report = long_exact_sequence(full_triangle, bockstein_222, 3)
         assert report.ok
