@@ -65,14 +65,15 @@ def _random_element(rng: random.Random, group) -> GroupElement:
         rng.randrange(o) if o else rng.randint(-2, 2) for o in group.orders))
 
 
-def _max_degree(options: Options, default: int) -> int:
-    """The ``--max-degree`` bound of cohomology and les, ``default`` when
-    unset; a negative bound is refused."""
-    if options.max_degree is None:
+def _bound(options: Options, name: str, default: int) -> int:
+    """``options.<name>`` (``--max-degree`` of cohomology and les, or
+    ``--budget``), ``default`` when unset; a negative bound is refused."""
+    value = getattr(options, name)
+    if value is None:
         return default
-    if options.max_degree < 0:
-        raise SchemaError("options.max_degree", "degree bound must be >= 0")
-    return options.max_degree
+    if value < 0:
+        raise SchemaError(f"options.{name}", "bound must be >= 0")
+    return value
 
 
 def _cmd_cohomology(payload: Any, options: Options) -> dict:
@@ -81,7 +82,7 @@ def _cmd_cohomology(payload: Any, options: Options) -> dict:
     group = jsonio.parse_group(jsonio._get(d, "group", "payload"), "payload.group")
     degree = d.get("degree", "all")
     comp = cech_complex(x, group)
-    top = _max_degree(options, x.dim)
+    top = _bound(options, "max_degree", x.dim)
     if degree == "all":
         check_degree_bound(top)
         degrees = list(range(top + 1))
@@ -139,7 +140,7 @@ def _cmd_les(payload: Any, options: Options) -> dict:
     d = _payload_dict(payload)
     x = jsonio.parse_complex(jsonio._get(d, "complex", "payload"), "payload.complex")
     ses = jsonio.parse_ses(jsonio._get(d, "ses", "payload"), "payload.ses")
-    report = long_exact_sequence(x, ses, _max_degree(options, x.dim + 1))
+    report = long_exact_sequence(x, ses, _bound(options, "max_degree", x.dim + 1))
     return {
         "nodes": [{"label": n.label, "group": jsonio.group_to_doc(n.group)}
                   for n in report.nodes],
@@ -196,12 +197,12 @@ def _cmd_gerbe_lift(payload: Any, options: Options) -> dict:
                                  "payload.extension")
     t_doc = jsonio._get(d, "transition", "payload")
     t = jsonio.parse_transition(t_doc, x, ext.quotient, "payload.transition")
+    budget = _bound(options, "budget", LIFT_SEARCH_BUDGET)
     cochain, cl = lifting_obstruction(t, ext)
     result = {"cocycle": jsonio.cochain_to_doc(cochain),
               "class": jsonio.class_to_doc(cl),
               "obstruction_zero": cl.is_zero}
     if options.verify:
-        budget = options.budget if options.budget is not None else LIFT_SEARCH_BUDGET
         lift = brute_force_lift(t, ext, budget=budget)
         rng = random.Random(_RELIFT_SEED)
         fibers = [[g for g in range(ext.group.order) if ext.projection[g] == q]

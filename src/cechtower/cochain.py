@@ -51,12 +51,11 @@ COBOUNDARY_ENTRY_BUDGET = 1 << 22
 # degree past the dimension still costs about 0.4 ms and 10 kB of memo.
 DEGREE_BUDGET = 1 << 12
 
-_INTEGERS = free_group(1)
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Simplices grouped by dimension, each a strictly increasing tuple."""
+    """Simplices grouped by dimension, each a strictly increasing tuple.
+
+    Hashed once, on construction: every memo lookup on a site hashes it."""
 
     vertex_count: int
     simplices: tuple[tuple[tuple[int, ...], ...], ...]
@@ -93,6 +92,10 @@ class SimplicialComplex:
             faces.append(tuple(rows))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_faces", tuple(faces))
+        object.__setattr__(self, "_hash", hash((self.vertex_count, self.simplices)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -463,88 +466,79 @@ def cohomology(complex_: CochainComplex, p: int) -> Cohomology:
     return Cohomology(p, group, reps, pres)
 
 
-def _lattice_presentation(complex_: CochainComplex, p: int,
-                          ker_gens: Optional[list] = None) -> _intlin.Presentation:
-    """ker d_p / (im d_{p-1} + relations) as one lattice quotient.
-
-    ``ker_gens`` may pass in kernel generators of d_p computed elsewhere.
-    """
-    amb = complex_.group(p)
-    n = amb.ngens
-    if ker_gens is None:
-        out_diff = complex_.differential(p)
-        ker_gens = _intlin.kernel_lattice_gens(out_diff.matrix,
-                                               out_diff.target.orders, n)
-    img_gens = _intlin.relation_columns(amb.orders)
-    if p - 1 >= 0:
-        img_gens = complex_.differential(p - 1).columns() + img_gens
-    return _intlin.present_quotient(_intlin.Lattice(n, ker_gens), img_gens)
+def _lattice_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation:
+    """ker d_p / (im d_{p-1} + relations) as one lattice quotient: the path
+    for complexes without a site, and the reference for the tests."""
+    amb, d = complex_.group(p), complex_.differential(p)
+    ker_gens = _intlin.kernel_lattice_gens(d.matrix, d.target.orders, amb.ngens)
+    img_gens = (complex_.differential(p - 1).columns()
+                + _intlin.relation_columns(amb.orders))
+    return _intlin.present_quotient(_intlin.Lattice(amb.ngens, ker_gens), img_gens)
 
 
 @dataclass(frozen=True)
 class _IntegralDegree:
-    """H^p(X; Z) and the SNF U d_p V = D of the integral coboundary.
+    """The SNF U d_p V = D of the integral coboundary: the nonzero diagonal
+    a_i, the columns of V and the rows of V^-1.  In the V-coordinates
+    y = V^-1 c, ker d_p is y[:rank] = 0, and ``pres`` presents H^p(X; Z) on
+    y[rank:] (lift columns and ``project`` live there, not in C^p)."""
 
-    Only what the universal coefficient step reads is kept: the nonzero
-    diagonal a_i, the first rank columns of V and rows of V^-1.
-    """
-
-    pres: _intlin.Presentation
     diag: tuple[int, ...]
     v_cols: list
     vinv_rows: list
+    pres: _intlin.Presentation
+
+
+def _pull_back(x: SimplicialComplex, p: int, w: Sequence[int]) -> list[int]:
+    """The row w d_{p-1}, for a row w on C^p(X; Z), from the face table."""
+    out = [0] * len(x.cells(p - 1))
+    for wt, faces in zip(w, x.faces(p)):
+        for j, f in enumerate(faces):
+            out[f] += -wt if j % 2 else wt
+    return out
 
 
 @lru_cache(maxsize=256)
 def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
-    """Degree-p integral data of the site, memoized on (site, p).
-
-    The one SNF of d_p gives both the kernel generators of the lattice path
-    (the V-columns past the rank, as ``kernel_lattice_gens`` would) and the
-    V, V^-1 and a_i of the Tor part.
-    """
-    z = cech_complex(x, _INTEGERS)
-    d = z.differential(p)
+    """Degree-p integral data of the site, memoized on (site, p): one SNF of
+    d_p.  im d_{p-1} in V-coordinates is V^-1 d_{p-1}; its rows below the
+    rank vanish, and the columns of the others present H^p(X; Z)."""
+    d = cech_complex(x, free_group(1)).differential(p)
     res = _intlin.snf(d.matrix, d.target.ngens, d.source.ngens, _intlin.COBOUNDARY)
-    r = res.rank
-    return _IntegralDegree(
-        _lattice_presentation(z, p, _intlin.kernel_columns(res)),
-        res.diag[:r],
-        [[row[i] for row in res.V] for i in range(r)],
-        res.Vinv[:r])
+    free = res.n - res.rank
+    image_rows = [_pull_back(x, p, row) for row in res.Vinv[res.rank:]]
+    pres = _intlin.present_quotient(_intlin.Lattice(free, _intlin.identity_matrix(free)),
+                                    [list(col) for col in zip(*image_rows)])
+    return _IntegralDegree(res.diag[:res.rank], [list(col) for col in zip(*res.V)],
+                           res.Vinv, pres)
 
 
 def _cyclic_factor(h: _IntegralDegree, m: int, k: int):
     """H^p(X; Z/m) (m == 0: Z) as cyclic summands, by universal coefficients.
 
     Returns (orders, representatives in Z^k, coords) where ``coords`` maps
-    a cocycle of the factor to its coordinates in the summands.  For m > 0
-    the summands are H^p(Z) (x) Z/m, the integral representatives of
-    order gcd(t_j, m), then Tor(H^{p+1}(Z), Z/m), the cochains
-    (m/g_i) V e_i of order g_i = gcd(a_i, m); summands of order 1 are left
-    out.
+    a cocycle of the factor to its coordinates in the summands, read off
+    y = V^-1 c.  The summands are H^p(Z) (x) Z/m, the integral
+    representatives of order gcd(t_j, m), projected from y[rank:]; then
+    Tor(H^{p+1}(Z), Z/m), the cochains (m/g_i) V e_i of order
+    g_i = gcd(a_i, m) (none for m == 0), read from y_i.  Summands of order
+    1 are left out.  c is a cocycle mod m exactly when m | a_i y_i.
     """
-    pres = h.pres
+    pres, rank = h.pres, len(h.diag)
     h_orders = pres.torsion + (0,) * pres.free_rank
-    if m == 0:
-        return list(h_orders), pres.lift_cols, pres.project
-    tensor = [(j, gcd(t, m)) for j, t in enumerate(h_orders) if gcd(t, m) > 1]
+    tensor = [(j, gcd(t, m)) for j, t in enumerate(h_orders) if gcd(t, m) != 1]
     steps = [m // gcd(a, m) for a in h.diag]  # m / g_i
     tor = [i for i, step in enumerate(steps) if step < m]
     orders = [o for _, o in tensor] + [m // steps[i] for i in tor]
-    reps = ([pres.lift_cols[j] for j, _ in tensor]
+    reps = ([_intlin.lin_comb(h.v_cols[rank:], pres.lift_cols[j], k) for j, _ in tensor]
             + [[steps[i] * v for v in h.v_cols[i]] for i in tor])
 
     def coords(c: Sequence[int]) -> list[int]:
-        # With y = V^-1 c, c is a cocycle mod m exactly when a_i y_i = 0 mod m,
-        # that is when m/g_i divides y_i; c - sum_{i < rank} y_i V e_i is then
-        # an integral cocycle.
         y = _intlin.mat_vec(h.vinv_rows, c)
-        if any(yi % step for yi, step in zip(y, steps)):
+        if any(a * yi % m if m else yi for a, yi in zip(h.diag, y)):
             raise VerificationError("cochain is not a cocycle modulo its order")
-        integral = [ci - s for ci, s in zip(c, _intlin.lin_comb(h.v_cols, y, k))]
-        hc = pres.project(integral)
-        return ([hc[j] % o for j, o in tensor]
+        hc = pres.project(y[rank:])
+        return ([hc[j] % o if o else hc[j] for j, o in tensor]
                 + [y[i] // steps[i] % (m // steps[i]) for i in tor])
 
     return orders, reps, coords
@@ -554,36 +548,35 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
     """H^p(X; L) from the site's integral data, L = sum of cyclic factors.
 
     Each generator-major block of C^p(X; L) is C^p(X; Z/o) for one
-    coefficient order o.  The factors' cyclic summands are brought into
-    invariant-factor form by one small ``present_quotient``.  Z
-    coefficients reuse the integral presentation as it is.
+    coefficient order o (o = 0: Z).  One small ``present_quotient`` brings
+    the factors' cyclic summands into invariant-factor form, unless their
+    finite orders already form a divisor chain ahead of the free ones, as
+    for Z, Z/q with q prime or (Z/2)^r.
     """
     h = _integral_degree(complex_.base, p)
-    coeff = complex_.coefficients
-    if coeff == _INTEGERS:
-        return h.pres
     k = complex_.ncells(p)
-    n = coeff.ngens * k
+    n = complex_.coefficients.ngens * k
     orders, reps, coord_fns = [], [], []
-    for b, o in enumerate(coeff.orders):
+    for b, o in enumerate(complex_.coefficients.orders):
         f_orders, f_reps, f_coords = _cyclic_factor(h, o, k)
         orders += f_orders
         reps += [[0] * (b * k) + list(r) + [0] * (n - (b + 1) * k) for r in f_reps]
         coord_fns.append(f_coords)
-    total = len(orders)
+
+    def coords(v: Sequence[int]) -> list[int]:
+        return [y for b, f in enumerate(coord_fns) for y in f(v[b * k:(b + 1) * k])]
+
+    free = orders.count(0)
+    torsion = orders[:len(orders) - free]
+    if 0 not in torsion and all(b % a == 0 for a, b in zip(torsion, torsion[1:])):
+        return _intlin.Presentation(n, tuple(torsion), free, reps, coords)
     summed = _intlin.present_quotient(
-        _intlin.Lattice(total, _intlin.identity_matrix(total)),
+        _intlin.Lattice(len(orders), _intlin.identity_matrix(len(orders))),
         _intlin.relation_columns(orders))
-
-    def project(v: Sequence[int]) -> list[int]:
-        coords = []
-        for b, f in enumerate(coord_fns):
-            coords += f(v[b * k:(b + 1) * k])
-        return summed.project(coords)
-
     return _intlin.Presentation(
         n, summed.torsion, summed.free_rank,
-        [_intlin.lin_comb(reps, col, n) for col in summed.lift_cols], project)
+        [_intlin.lin_comb(reps, col, n) for col in summed.lift_cols],
+        lambda v: summed.project(coords(v)))
 
 
 @dataclass(frozen=True)

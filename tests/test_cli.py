@@ -173,6 +173,11 @@ class TestOtherCommands:
                    "transition": transition}
         proc = run_cli(["gerbe-lift", "--verify", "--budget", "10"], payload)
         assert proc.returncode == 4
+        # A negative budget is a bad option, not an exceeded budget.
+        proc = run_cli(["gerbe-lift", "--verify", "--budget", "-1"], payload)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"options.budget" in proc.stderr
 
     def test_oversized_complex_refused_before_enumeration(self):
         # One 40-vertex facet has 2^40 - 1 faces; enumerating them would not

@@ -103,7 +103,7 @@ def test_rebuilt_complex_equals_the_evicted_one(x, coefficients):
     before = [cohomology(old, p) for p in range(x.dim + 2)]
     clear_memos()
     twin = rebuilt(x)
-    assert twin is not x and twin == x
+    assert twin is not x and twin == x and hash(twin) == hash(x)
     new = cech_complex(twin, coefficients)
     assert new is not old
     assert new == old and hash(new) == hash(old)

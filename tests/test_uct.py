@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cechtower import _intlin
 from cechtower.abelian import FgAbGroup, cyclic_group, free_group
 from cechtower.cochain import (
     Cochain,
+    _integral_degree,
     _lattice_presentation,
+    _pull_back,
     build_complex_from_facets,
     cech_complex,
     coboundary,
@@ -97,6 +100,28 @@ def test_random_sites_and_coefficients(x, coeff, rng):
     comp = cech_complex(x, coeff)
     for p in range(x.dim + 2):
         check_degree(comp, p, rng)
+
+
+@settings(max_examples=100)
+@given(sites())
+def test_integral_degree_in_v_coordinates(x):
+    # The integral data against dense matrices: V V^-1 = I, the face table
+    # read backwards gives V^-1 d_{p-1} with the rows below the rank zero,
+    # V's columns past the rank lie in ker d_p, and H^p(X; Z) is the group
+    # the lattice path presents.
+    z = cech_complex(x, free_group(1))
+    for p in range(x.dim + 2):
+        h = _integral_degree(x, p)
+        k, rank = len(h.v_cols), len(h.diag)
+        assert _intlin.mat_mul(_intlin.columns_to_matrix(h.v_cols, k), h.vinv_rows) == \
+            _intlin.identity_matrix(k)
+        image = _intlin.mat_mul(h.vinv_rows, z.differential(p - 1).matrix)
+        assert [_pull_back(x, p, row) for row in h.vinv_rows] == image
+        assert not any(any(row) for row in image[:rank])
+        d = z.differential(p).matrix
+        assert all(not any(_intlin.mat_vec(d, v)) for v in h.v_cols[rank:])
+        lattice = _lattice_presentation(z, p)
+        assert (h.pres.torsion, h.pres.free_rank) == (lattice.torsion, lattice.free_rank)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
