@@ -5,6 +5,8 @@ SNF one cyclic coefficient factor at a time.  These tests compare it with
 exhaustive enumeration (``oracles.brute_cohomology``) and with the lattice
 path that presents ker/im of the whole coefficient complex in one piece,
 and check that representatives and the projection agree with each other.
+The integral data the assembly reads (the V-coordinates of one SNF of
+each coboundary) is checked against dense matrices.
 """
 
 import random
