@@ -548,10 +548,8 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
     """H^p(X; L) from the site's integral data, L = sum of cyclic factors.
 
     Each generator-major block of C^p(X; L) is C^p(X; Z/o) for one
-    coefficient order o (o = 0: Z).  One small ``present_quotient`` brings
-    the factors' cyclic summands into invariant-factor form, unless their
-    finite orders already form a divisor chain ahead of the free ones, as
-    for Z, Z/q with q prime or (Z/2)^r.
+    coefficient order o (o = 0: Z).  The factors' cyclic summands are
+    brought into invariant-factor form by one small ``present_quotient``.
     """
     h = _integral_degree(complex_.base, p)
     k = complex_.ncells(p)
@@ -562,21 +560,20 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
         orders += f_orders
         reps += [[0] * (b * k) + list(r) + [0] * (n - (b + 1) * k) for r in f_reps]
         coord_fns.append(f_coords)
-
-    def coords(v: Sequence[int]) -> list[int]:
-        return [y for b, f in enumerate(coord_fns) for y in f(v[b * k:(b + 1) * k])]
-
-    free = orders.count(0)
-    torsion = orders[:len(orders) - free]
-    if 0 not in torsion and all(b % a == 0 for a, b in zip(torsion, torsion[1:])):
-        return _intlin.Presentation(n, tuple(torsion), free, reps, coords)
+    total = len(orders)
     summed = _intlin.present_quotient(
-        _intlin.Lattice(len(orders), _intlin.identity_matrix(len(orders))),
+        _intlin.Lattice(total, _intlin.identity_matrix(total)),
         _intlin.relation_columns(orders))
+
+    def project(v: Sequence[int]) -> list[int]:
+        coords = []
+        for b, f in enumerate(coord_fns):
+            coords += f(v[b * k:(b + 1) * k])
+        return summed.project(coords)
+
     return _intlin.Presentation(
         n, summed.torsion, summed.free_rank,
-        [_intlin.lin_comb(reps, col, n) for col in summed.lift_cols],
-        lambda v: summed.project(coords(v)))
+        [_intlin.lin_comb(reps, col, n) for col in summed.lift_cols], project)
 
 
 @dataclass(frozen=True)

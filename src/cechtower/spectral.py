@@ -29,6 +29,7 @@ from cechtower.cochain import (
     SimplicialComplex,
     cech_coboundary,
     cech_complex,
+    cech_induced,
     cohomology,
 )
 from cechtower.errors import BudgetExceededError, ValidationError, VerificationError
@@ -89,22 +90,13 @@ class FilteredComplex:
         return self._memoized(("V", p, n), lambda: self._compute_v(p, n))
 
     def _compute_v(self, p: int, n: int) -> _intlin.Lattice:
-        """Generated by the images of summands p..depth, cell by cell, and
-        the relations: summand generator j on cell s goes to column j of
-        its embedding in the blocks of cell s (generator-major)."""
         amb = self.total.group(n)
         if p == 1:
             return _intlin.Lattice(amb.ngens, _intlin.identity_matrix(amb.ngens))
-        k = len(self.site.cells(n))
-        gens = []
-        for emb in reversed(self.embeddings[p - 1:]):
-            for j in range(emb.source.ngens):
-                for s in range(k):
-                    col = [0] * amb.ngens
-                    for i, row in enumerate(emb.matrix):
-                        col[i * k + s] = row[j]
-                    gens.append(col)
-        return _intlin.Lattice(amb.ngens, gens + _intlin.relation_columns(amb.orders))
+        gens = _intlin.relation_columns(amb.orders)
+        for i in range(p - 1, self.depth):
+            gens = cech_induced(self.site, self.embeddings[i], n).columns() + gens
+        return _intlin.Lattice(amb.ngens, gens)
 
     def _z_lattice(self, r: Optional[int], p: int, q: int) -> _intlin.Lattice:
         """{x in V_p ∩ C^{p+q} : dx in V_{p+r}} (r=None: dx = 0)."""
