@@ -215,15 +215,6 @@ def lattice_preimage_gens(map_cols: Sequence[Sequence[int]], m: int,
     return [col[:g] for col in kernel_columns(res)]
 
 
-def lattice_intersection_gens(n: int, gens_a: Sequence[Sequence[int]],
-                              gens_b: Sequence[Sequence[int]]) -> list[Vec]:
-    """Generators of the intersection of two lattices in Z^n."""
-    if not gens_a or not gens_b:
-        return []
-    return [lin_comb(gens_a, y, n)
-            for y in lattice_preimage_gens(gens_a, n, gens_b)]
-
-
 @dataclass
 class Presentation:
     """Invariant-factor presentation of S/T for lattices T <= S <= Z^n.
@@ -241,29 +232,40 @@ class Presentation:
     project: Callable[[Sequence[int]], Vec] = field(repr=False)
 
 
+def present_cokernel(n: int, cols: Sequence[Sequence[int]]) -> Presentation:
+    """Present Z^n modulo the span of ``cols`` with one SNF U*C*V == D of
+    the column matrix: rows of U project, columns of Uinv lift."""
+    res = snf(columns_to_matrix(cols, n), n, len(cols), LATTICE)
+    kept_torsion = [i for i in range(res.rank) if res.diag[i] > 1]
+    free_idx = list(range(res.rank, n))
+    kept = kept_torsion + free_idx
+    orders = [res.diag[i] for i in kept_torsion] + [0] * len(free_idx)
+    lift_cols = [[row[i] for row in res.Uinv] for i in kept]
+    rows = [res.U[i] for i in kept]
+
+    def project(v: Sequence[int]) -> Vec:
+        return [y % o if o else y for y, o in zip(mat_vec(rows, v), orders)]
+
+    return Presentation(n, tuple(orders[:len(kept_torsion)]), len(free_idx),
+                        lift_cols, project)
+
+
 def present_quotient(S: Lattice, t_gens: Sequence[Sequence[int]]) -> Presentation:
-    """Present S modulo lattice(t_gens), which must lie inside S."""
-    B = S.basis
-    s = len(B)
+    """Present S modulo lattice(t_gens), which must lie inside S: the
+    cokernel of t_gens in S's basis coordinates, lifted through the basis."""
     cols = []
     for t in t_gens:
         c = S.coords_of(t)
         if c is None:
             raise VerificationError("denominator lattice is not contained in the numerator")
         cols.append(c)
-    res = snf(columns_to_matrix(cols, s), s, len(cols), LATTICE)
-    kept_torsion = [i for i in range(res.rank) if res.diag[i] > 1]
-    free_idx = list(range(res.rank, s))
-    kept = kept_torsion + free_idx
-    orders = [res.diag[i] for i in kept_torsion] + [0] * len(free_idx)
-    lift_cols = [lin_comb(B, [row[i] for row in res.Uinv], S.n) for i in kept]
-    rows = [res.U[i] for i in kept]
+    pres = present_cokernel(S.rank, cols)
 
     def project(v: Sequence[int]) -> Vec:
         c = S.coords_of(v)
         if c is None:
             raise VerificationError("vector outside the presented subgroup")
-        return [y % o if o else y for y, o in zip(mat_vec(rows, c), orders)]
+        return pres.project(c)
 
-    return Presentation(S.n, tuple(orders[:len(kept_torsion)]), len(free_idx),
-                        lift_cols, project)
+    return Presentation(S.n, pres.torsion, pres.free_rank,
+                        [lin_comb(S.basis, col, S.n) for col in pres.lift_cols], project)

@@ -21,6 +21,7 @@ from cechtower import _intlin
 from cechtower._intlin import (
     Lattice,
     kernel_lattice_gens,
+    present_cokernel,
     present_quotient,
     relation_columns,
 )
@@ -289,10 +290,9 @@ def hom_invariants(h: Homomorphism) -> HomInvariants:
     image = _presentation_group(im_p)
     im_inc = _inclusion_from_lifts(image, h.target, im_p.lift_cols)
 
-    full = _intlin.identity_matrix(nb)
-    cok_p = present_quotient(Lattice(nb, full), im_gens)
+    cok_p = present_cokernel(nb, im_gens)
     cokernel = _presentation_group(cok_p)
-    proj_cols = [cok_p.project(e) for e in full]
+    proj_cols = [cok_p.project(e) for e in _intlin.identity_matrix(nb)]
     cok_proj = Homomorphism(h.target, cokernel,
                             _intlin.columns_to_matrix(proj_cols, cokernel.ngens))
     return HomInvariants(kernel, ker_inc, image, im_inc, cokernel, cok_proj)
@@ -365,7 +365,7 @@ def direct_sum_with_maps(summands: Sequence[FgAbGroup]):
         total += g.ngens
     orders = [o for g in summands for o in g.orders]
     full = _intlin.identity_matrix(total)
-    pres = present_quotient(Lattice(total, full), relation_columns(orders))
+    pres = present_cokernel(total, relation_columns(orders))
     L = _presentation_group(pres)
 
     embeddings = []

@@ -507,8 +507,7 @@ def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
     res = _intlin.snf(d.matrix, d.target.ngens, d.source.ngens, _intlin.COBOUNDARY)
     free = res.n - res.rank
     image_rows = [_pull_back(x, p, row) for row in res.Vinv[res.rank:]]
-    pres = _intlin.present_quotient(_intlin.Lattice(free, _intlin.identity_matrix(free)),
-                                    [list(col) for col in zip(*image_rows)])
+    pres = _intlin.present_cokernel(free, [list(col) for col in zip(*image_rows)])
     return _IntegralDegree(res.diag[:res.rank], [list(col) for col in zip(*res.V)],
                            res.Vinv, pres)
 
@@ -549,7 +548,7 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
 
     Each generator-major block of C^p(X; L) is C^p(X; Z/o) for one
     coefficient order o (o = 0: Z).  The factors' cyclic summands are
-    brought into invariant-factor form by one small ``present_quotient``.
+    brought into invariant-factor form by one small ``present_cokernel``.
     """
     h = _integral_degree(complex_.base, p)
     k = complex_.ncells(p)
@@ -560,10 +559,7 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
         orders += f_orders
         reps += [[0] * (b * k) + list(r) + [0] * (n - (b + 1) * k) for r in f_reps]
         coord_fns.append(f_coords)
-    total = len(orders)
-    summed = _intlin.present_quotient(
-        _intlin.Lattice(total, _intlin.identity_matrix(total)),
-        _intlin.relation_columns(orders))
+    summed = _intlin.present_cokernel(len(orders), _intlin.relation_columns(orders))
 
     def project(v: Sequence[int]) -> list[int]:
         coords = []
@@ -695,21 +691,19 @@ def bar_complex(group, action: GroupAction, max_degree: int,
     return CochainComplex(groups, tuple(diffs), module, cells, None)
 
 
+def cellwise(cols: Sequence[Sequence[int]], k: int) -> list[list[int]]:
+    """Each coefficient vector of ``cols`` on each of k cells, in generator-
+    major coordinates of L^k: entry j*k + s is cols[j] on cell s."""
+    return [[col[i // k] if i % k == s else 0 for i in range(len(col) * k)]
+            for col in cols for s in range(k)]
+
+
 def cech_induced(x: SimplicialComplex, h: Homomorphism, p: int) -> Homomorphism:
-    """The cochain-level map C^p(X, source) -> C^p(X, target) of a
-    coefficient homomorphism, acting cellwise."""
-    src = cech_complex(x, h.source)
-    tgt = cech_complex(x, h.target)
-    k = src.ncells(p)
-    ga, gb = h.source.ngens, h.target.ngens
-    rows = [[0] * (ga * k) for _ in range(gb * k)]
-    for s in range(k):
-        for i in range(gb):
-            for j in range(ga):
-                v = h.matrix[i][j]
-                if v:
-                    rows[i * k + s][j * k + s] = v
-    return Homomorphism(src.group(p), tgt.group(p), tuple(tuple(r) for r in rows))
+    """The dense cochain-level map I_k (x) h: C^p(X, source) -> C^p(X, target)
+    of a coefficient homomorphism h, its columns placed on each cell."""
+    src, tgt = cech_complex(x, h.source).group(p), cech_complex(x, h.target).group(p)
+    cols = cellwise(h.columns(), len(x.cells(p)))
+    return Homomorphism(src, tgt, _intlin.columns_to_matrix(cols, tgt.ngens))
 
 
 def apply_cellwise(matrix: Sequence[Sequence[int]], coords: Sequence[int],

@@ -7,7 +7,8 @@ terms are computed from the membership definitions
     B_r^{pq} = d(V_{p-r}) ∩ V_p ∩ C^{p+q},
     E_r^{pq} = Z_r^{pq} / (B_{r-1}^{pq} + Z_{r-1}^{p+1,q-1}),
 
-solved exactly by lattice arithmetic in the total cochain group; the
+solved exactly by lattice arithmetic in the total cochain group, with no
+intersection: B_r^{pq} is d(Z_r^{p-r,q+r-1}) plus the relations.  The
 closed forms (E_r^{pq} equals the summand cohomology, page stability) are
 what ``check_degeneration`` verifies, never a shortcut taken here.
 ``r=None`` means the limiting page (dx = 0 / global boundaries).
@@ -29,7 +30,7 @@ from cechtower.cochain import (
     SimplicialComplex,
     cech_coboundary,
     cech_complex,
-    cech_induced,
+    cellwise,
     cohomology,
 )
 from cechtower.errors import BudgetExceededError, ValidationError, VerificationError
@@ -58,10 +59,9 @@ class FilteredComplex:
             raise BudgetExceededError(
                 f"direct sum of {g} generators would need a {g} x {g} matrix, "
                 f"budget is {COBOUNDARY_ENTRY_BUDGET} entries")
-        total, embeddings, projections = direct_sum_with_maps(self.summands)
+        total, embeddings, _ = direct_sum_with_maps(self.summands)
         object.__setattr__(self, "total_group", total)
         object.__setattr__(self, "embeddings", tuple(embeddings))
-        object.__setattr__(self, "projections", tuple(projections))
         object.__setattr__(self, "total", cech_complex(self.site, total))
         object.__setattr__(self, "_memo", {})
 
@@ -83,20 +83,18 @@ class FilteredComplex:
     def _b_source(self, r: Optional[int], p: int) -> int:
         return 1 if r is None else max(p - r, 1)
 
-    def _v_lattice(self, p: int, n: int) -> _intlin.Lattice:
-        """The V_p sublattice of C^n (1-based filtration index; p <= 1 is
-        everything, p > depth only the relations)."""
+    def _v_basis(self, p: int, n: int) -> list[list[int]]:
+        """A basis of V_p = C^n(X, W_p), W_p in Z^g spanned by summands p..
+        and the relations, as a basis of W_p on each cell (1-based
+        filtration index; p <= 1 is everything, p > depth the relations)."""
         p = min(max(p, 1), self.depth + 1)
         return self._memoized(("V", p, n), lambda: self._compute_v(p, n))
 
-    def _compute_v(self, p: int, n: int) -> _intlin.Lattice:
-        amb = self.total.group(n)
-        if p == 1:
-            return _intlin.Lattice(amb.ngens, _intlin.identity_matrix(amb.ngens))
-        gens = _intlin.relation_columns(amb.orders)
-        for i in range(p - 1, self.depth):
-            gens = cech_induced(self.site, self.embeddings[i], n).columns() + gens
-        return _intlin.Lattice(amb.ngens, gens)
+    def _compute_v(self, p: int, n: int) -> list[list[int]]:
+        total = self.total_group
+        gens = [col for emb in self.embeddings[p - 1:] for col in emb.columns()]
+        w = _intlin.Lattice(total.ngens, gens + _intlin.relation_columns(total.orders))
+        return cellwise(w.basis, len(self.site.cells(n)))
 
     def _z_lattice(self, r: Optional[int], p: int, q: int) -> _intlin.Lattice:
         """{x in V_p ∩ C^{p+q} : dx in V_{p+r}} (r=None: dx = 0)."""
@@ -106,13 +104,13 @@ class FilteredComplex:
     def _compute_z(self, t: int, p: int, q: int) -> _intlin.Lattice:
         n = p + q
         amb = self.total.group(n)
-        vp = self._v_lattice(p, n)
+        vp = self._v_basis(p, n)
         g = self.total_group.ngens
-        image_cols = [cech_coboundary(self.site, n, b, g) for b in vp.basis]
+        image_cols = [cech_coboundary(self.site, n, b, g) for b in vp]
         coeffs = _intlin.lattice_preimage_gens(
-            image_cols, self.total.group(n + 1).ngens, self._v_lattice(t, n + 1).basis)
+            image_cols, self.total.group(n + 1).ngens, self._v_basis(t, n + 1))
         return _intlin.Lattice(
-            amb.ngens, [_intlin.lin_comb(vp.basis, c, amb.ngens) for c in coeffs])
+            amb.ngens, [_intlin.lin_comb(vp, c, amb.ngens) for c in coeffs])
 
     def _b_lattice(self, r: Optional[int], p: int, q: int) -> _intlin.Lattice:
         """d(V_{p-r}) ∩ V_p in degree p+q (r=None: d of all of V_1)."""
@@ -120,16 +118,17 @@ class FilteredComplex:
         return self._memoized(("B", s, p, q), lambda: self._compute_b(s, p, q))
 
     def _compute_b(self, s: int, p: int, q: int) -> _intlin.Lattice:
+        """d(V_s) ∩ V_p = d{y in V_s ∩ C^{n-1} : dy in V_p} + relations,
+        n = p+q: dy + rho lies in V_p exactly when dy does."""
         n = p + q
         amb = self.total.group(n)
         rel = _intlin.relation_columns(amb.orders)
         if n - 1 < 0:
             return _intlin.Lattice(amb.ngens, rel)
         g = self.total_group.ngens
-        image = [cech_coboundary(self.site, n - 1, b, g)
-                 for b in self._v_lattice(s, n - 1).basis] + rel
-        return _intlin.Lattice(amb.ngens, _intlin.lattice_intersection_gens(
-            amb.ngens, image, self._v_lattice(p, n).basis))
+        image = [cech_coboundary(self.site, n - 1, y, g)
+                 for y in self._z_lattice(p - s, s, n - 1 - s).basis]
+        return _intlin.Lattice(amb.ngens, image + rel)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cechtower
@@ -74,3 +74,32 @@ def test_coords_of_agrees_with_a_fresh_snf_of_the_basis(case):
             assert _intlin.lin_comb(lat.basis, got, n) == v
     for v in inside:
         assert v in lat
+
+
+@st.composite
+def cokernel_cases(draw):
+    """Column lists in Z^n, n = 0..6, possibly empty, with vectors to project."""
+    n = draw(st.integers(0, 6))
+    entry = st.integers(-9, 9)
+    cols = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(0, 6)))]
+    vectors = [[draw(st.integers(-20, 20)) for _ in range(n)] for _ in range(3)]
+    return n, cols, vectors
+
+
+@settings(max_examples=150)
+@given(cokernel_cases())
+@example((0, [], [[]]))
+@example((0, [[], []], [[]]))
+@example((3, [], [[1, -2, 5]]))
+def test_present_cokernel_matches_the_whole_lattice_quotient(case):
+    n, cols, vectors = case
+    got = _intlin.present_cokernel(n, cols)
+    ref = _intlin.present_quotient(_intlin.Lattice(n, _intlin.identity_matrix(n)), cols)
+    assert (got.n, got.torsion, got.free_rank) == (ref.n, ref.torsion, ref.free_rank)
+    assert got.lift_cols == ref.lift_cols
+    for v in vectors + cols:
+        assert got.project(v) == ref.project(v)
+    for col in cols:
+        assert not any(got.project(col))
+    units = _intlin.identity_matrix(len(got.lift_cols))
+    assert [got.project(lift) for lift in got.lift_cols] == units

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from cechtower import _intlin
 from cechtower.abelian import cyclic_group, direct_sum_with_maps, free_group
-from cechtower.cochain import cech_complex, cech_induced, cohomology
+from cechtower.cochain import apply_cellwise, cech_complex, cech_induced, cohomology
 from cechtower.errors import ValidationError
 from cechtower.spectral import (
     FilteredComplex,
@@ -87,7 +87,7 @@ def boundary_closed_form_holds(f: FilteredComplex, r, p: int, n: int) -> bool:
     definitional = f._b_lattice(r, p, n - p).basis
     if n - 1 >= 0:
         d = f.total.differential(n - 1)
-        vp = f._v_lattice(p, n - 1).basis
+        vp = f._v_basis(p, n - 1)
         closed = [_intlin.mat_vec(d.matrix, g) for g in vp] + rel
     else:
         closed = rel
@@ -112,7 +112,7 @@ def cycle_direct_determination_holds(f: FilteredComplex, r, p: int, n: int) -> b
     amb = f.total.group(n)
     rel = _intlin.relation_columns(amb.orders)
     definitional = f._z_lattice(r, p, n - p).basis
-    closed = list(f._v_lattice(top, n).basis) + rel
+    closed = list(f._v_basis(top, n)) + rel
     for i in range(p - 1, min(top - 1, f.depth)):
         closed = closed + embedded_cocycle_gens(f, i, n)
     return lattices_equal(amb.ngens, definitional, closed)
@@ -190,6 +190,36 @@ def test_memo_against_fresh_instances(f):
                 fresh = FilteredComplex(x, f.summands)
                 assert filtered_terms(f, r, p, n - p) == filtered_terms(fresh, r, p, n - p)
     assert check_degeneration(f, f.depth + 2).ok
+
+
+def induced_v_gens(f: FilteredComplex, p: int, n: int):
+    """V_p in C^n as the cochain-level images of summands max(p, 1).. under
+    ``cech_induced``, plus the relations."""
+    gens = [col for emb in f.embeddings[max(p, 1) - 1:]
+            for col in cech_induced(f.site, emb, n).columns()]
+    return gens + _intlin.relation_columns(f.total.group(n).orders)
+
+
+@settings(max_examples=MEMO_EXAMPLES)
+@given(filtered_complexes())
+def test_v_basis_spans_the_induced_lattice(f):
+    # The basis built from the coefficient lattice W_p on each cell spans
+    # the lattice the cochain-level embeddings generate (all of C^n for
+    # p <= 1), and it is independent.  The dense embeddings agree with the
+    # cell-by-cell map of cochains.
+    for n in range(f.site.dim + 2):
+        ngens, k = f.total.group(n).ngens, len(f.site.cells(n))
+        for emb in f.embeddings:
+            g = emb.source.ngens
+            units = _intlin.identity_matrix(g * k)
+            assert cech_induced(f.site, emb, n).columns() == \
+                [apply_cellwise(emb.matrix, e, g, k) for e in units]
+        for p in range(f.depth + 3):
+            basis = f._v_basis(p, n)
+            assert lattices_equal(ngens, basis, induced_v_gens(f, p, n))
+            if p <= 1:
+                assert lattices_equal(ngens, basis, _intlin.identity_matrix(ngens))
+            assert _intlin.Lattice(ngens, basis).rank == len(basis)
 
 
 class TestDegeneration:
