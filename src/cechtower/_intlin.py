@@ -13,15 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Optional, Sequence
 
-from cechtower._kernels import smith_with_transforms
+from cechtower._kernels import identity_matrix, smith_with_transforms
 from cechtower.errors import VerificationError
 
 Vec = list[int]
 Mat = list[list[int]]
-
-
-def identity_matrix(n: int) -> Mat:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Mat:
@@ -144,16 +140,11 @@ class Lattice:
 
     def __init__(self, n: int, gens: Sequence[Sequence[int]]):
         self.n = n
-        if gens:
-            res = snf(columns_to_matrix(gens, n), n, len(gens), LATTICE)
-            self._diag = res.diag[:res.rank]
-            self._U = res.U
-            self.basis = [[d * row[i] for row in res.Uinv]
-                          for i, d in enumerate(self._diag)]
-        else:
-            self._diag = ()
-            self._U = []
-            self.basis = []
+        res = snf(columns_to_matrix(gens, n), n, len(gens), LATTICE)
+        self._diag = res.diag[:res.rank]
+        self._U = res.U
+        self.basis = [[d * row[i] for row in res.Uinv]
+                      for i, d in enumerate(self._diag)]
 
     @property
     def rank(self) -> int:
@@ -165,7 +156,7 @@ class Lattice:
         v = sum c_i b_i exactly when u = U v has u_i == c_i * d_i below the
         rank and u_i == 0 from the rank on.
         """
-        u = mat_vec(self._U, v) if self.basis else v  # no basis: only 0 is inside
+        u = mat_vec(self._U, v)
         coords = []
         for ui, d in zip(u, self._diag):
             if ui % d:
@@ -182,24 +173,13 @@ class Lattice:
         return all(b in self for b in other.basis)
 
 
-def augmented_snf(matrix: Sequence[Sequence[int]], target_orders: Sequence[int],
-                  n: int, transforms: Collection[str]) -> SnfResult:
-    """SNF of [M | -R], R the relation generators o_i e_i of the target.
-
-    A solution w of [M | -R] w == y gives M w[:n] == y modulo the target
-    relations; the kernel projects onto {x in Z^n : M x in lattice(R)}.
-    """
-    rel = [i for i, o in enumerate(target_orders) if o]
-    W = [list(row) + [-target_orders[i] if i == j else 0 for j in rel]
-         for i, row in enumerate(matrix)]
-    return snf(W, len(target_orders), n + len(rel), transforms)
-
-
-def kernel_lattice_gens(matrix: Sequence[Sequence[int]], target_orders: Sequence[int],
-                        n: int) -> list[Vec]:
-    """Generators of {x in Z^n : M x lies in the relation lattice of target}."""
-    res = augmented_snf(matrix, target_orders, n, NULLSPACE)
-    return [col[:n] for col in kernel_columns(res)]
+def preimage_snf(map_cols: Sequence[Sequence[int]], m: int, w_gens: Sequence[Sequence[int]],
+                 transforms: Collection[str]) -> SnfResult:
+    """SNF of the block [cols | -W]: ``map_cols`` and ``w_gens`` are column
+    vectors in Z^m.  A solution w of [cols | -W] w == y gives
+    sum_j w_j * col_j == y modulo lattice(w_gens)."""
+    cols = [*map_cols, *([-x for x in w] for w in w_gens)]
+    return snf(columns_to_matrix(cols, m), m, len(cols), transforms)
 
 
 def lattice_preimage_gens(map_cols: Sequence[Sequence[int]], m: int,
@@ -207,12 +187,11 @@ def lattice_preimage_gens(map_cols: Sequence[Sequence[int]], m: int,
     """Generators of {y in Z^g : sum_j y_j * col_j lies in lattice(w_gens)}.
 
     ``map_cols`` are g column vectors in Z^m.  Computed as the projection
-    of the kernel of the block matrix [cols | -W].
+    of the kernel of the block matrix [cols | -W]; with W the relation
+    columns of a target group this is the kernel of a homomorphism.
     """
-    g = len(map_cols)
-    cols = [*map_cols, *([-x for x in w] for w in w_gens)]
-    res = snf(columns_to_matrix(cols, m), m, len(cols), NULLSPACE)
-    return [col[:g] for col in kernel_columns(res)]
+    res = preimage_snf(map_cols, m, w_gens, NULLSPACE)
+    return [col[:len(map_cols)] for col in kernel_columns(res)]
 
 
 @dataclass

@@ -25,7 +25,7 @@ BACKEND = "python"
 ALL_TRANSFORMS = frozenset(("U", "Uinv", "V", "Vinv"))
 
 
-def _identity(n):
+def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
@@ -56,10 +56,10 @@ def smith_with_transforms(mat, transforms=ALL_TRANSFORMS):
     track_ui = "Uinv" in transforms
     track_v = "V" in transforms
     track_vi = "Vinv" in transforms
-    U = _identity(m) if track_u else []
-    UiT = _identity(m) if track_ui else []  # Uinv transposed: rows are columns
-    VT = _identity(n) if track_v else []  # V transposed
-    Vinv = _identity(n) if track_vi else []
+    U = identity_matrix(m) if track_u else []
+    UiT = identity_matrix(m) if track_ui else []  # Uinv transposed: rows are columns
+    VT = identity_matrix(n) if track_v else []  # V transposed
+    Vinv = identity_matrix(n) if track_vi else []
 
     r = min(m, n)
     k = 0

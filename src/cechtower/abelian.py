@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 from cechtower import _intlin
 from cechtower._intlin import (
     Lattice,
-    kernel_lattice_gens,
+    lattice_preimage_gens,
     present_cokernel,
     present_quotient,
     relation_columns,
@@ -255,7 +255,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     return to_t(res.U), to_t(res.D), to_t(res.V)
 
 
-def _presentation_group(p: _intlin.Presentation) -> FgAbGroup:
+def presentation_group(p: _intlin.Presentation) -> FgAbGroup:
+    """The group a presentation presents."""
     return FgAbGroup(p.free_rank, p.torsion)
 
 
@@ -280,18 +281,18 @@ def hom_invariants(h: Homomorphism) -> HomInvariants:
     rel_a = relation_columns(h.source.orders)
     rel_b = relation_columns(h.target.orders)
 
-    ker_gens = kernel_lattice_gens(h.matrix, h.target.orders, na)
+    ker_gens = lattice_preimage_gens(h.columns(), nb, rel_b)
     ker_p = present_quotient(Lattice(na, ker_gens), rel_a)
-    kernel = _presentation_group(ker_p)
+    kernel = presentation_group(ker_p)
     ker_inc = _inclusion_from_lifts(kernel, h.source, ker_p.lift_cols)
 
     im_gens = h.columns() + rel_b
     im_p = present_quotient(Lattice(nb, im_gens), rel_b)
-    image = _presentation_group(im_p)
+    image = presentation_group(im_p)
     im_inc = _inclusion_from_lifts(image, h.target, im_p.lift_cols)
 
     cok_p = present_cokernel(nb, im_gens)
-    cokernel = _presentation_group(cok_p)
+    cokernel = presentation_group(cok_p)
     proj_cols = [cok_p.project(e) for e in _intlin.identity_matrix(nb)]
     cok_proj = Homomorphism(h.target, cokernel,
                             _intlin.columns_to_matrix(proj_cols, cokernel.ngens))
@@ -300,8 +301,8 @@ def hom_invariants(h: Homomorphism) -> HomInvariants:
 
 @lru_cache(maxsize=256)
 def _hom_solver(h: Homomorphism) -> _intlin.SnfResult:
-    return _intlin.augmented_snf(h.matrix, h.target.orders, h.source.ngens,
-                                 _intlin.SOLVE)
+    return _intlin.preimage_snf(h.columns(), h.target.ngens,
+                                relation_columns(h.target.orders), _intlin.SOLVE)
 
 
 def solve_in_group(h: Homomorphism, y: GroupElement) -> Optional[GroupElement]:
@@ -339,7 +340,8 @@ def is_exact_at(f: Homomorphism, g: Homomorphism) -> ExactnessResult:
     nb = f.target.ngens
     rel_b = relation_columns(f.target.orders)
     im = Lattice(nb, f.columns() + rel_b)
-    ker = Lattice(nb, kernel_lattice_gens(g.matrix, g.target.orders, nb))
+    ker = Lattice(nb, lattice_preimage_gens(g.columns(), g.target.ngens,
+                                            relation_columns(g.target.orders)))
     for b in im.basis:
         if b not in ker:
             return ExactnessResult(False, GroupElement(f.target, tuple(b)),
@@ -366,7 +368,7 @@ def direct_sum_with_maps(summands: Sequence[FgAbGroup]):
     orders = [o for g in summands for o in g.orders]
     full = _intlin.identity_matrix(total)
     pres = present_cokernel(total, relation_columns(orders))
-    L = _presentation_group(pres)
+    L = presentation_group(pres)
 
     embeddings = []
     projections = []

@@ -32,8 +32,9 @@ from cechtower.abelian import (
     GroupElement,
     Homomorphism,
     free_group,
-    hom_invariants,
     hom_validate,
+    is_exact_at,
+    presentation_group,
     trivial_group,
     zero_hom,
 )
@@ -461,7 +462,7 @@ def cohomology(complex_: CochainComplex, p: int) -> Cohomology:
         pres = _site_presentation(complex_, p)
     else:
         pres = _lattice_presentation(complex_, p)
-    group = FgAbGroup(pres.free_rank, pres.torsion)
+    group = presentation_group(pres)
     reps = tuple(Cochain(complex_, p, tuple(col)) for col in pres.lift_cols)
     return Cohomology(p, group, reps, pres)
 
@@ -470,7 +471,8 @@ def _lattice_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentat
     """ker d_p / (im d_{p-1} + relations) as one lattice quotient: the path
     for complexes without a site, and the reference for the tests."""
     amb, d = complex_.group(p), complex_.differential(p)
-    ker_gens = _intlin.kernel_lattice_gens(d.matrix, d.target.orders, amb.ngens)
+    ker_gens = _intlin.lattice_preimage_gens(d.columns(), d.target.ngens,
+                                             _intlin.relation_columns(d.target.orders))
     img_gens = (complex_.differential(p - 1).columns()
                 + _intlin.relation_columns(amb.orders))
     return _intlin.present_quotient(_intlin.Lattice(amb.ngens, ker_gens), img_gens)
@@ -617,10 +619,14 @@ class GroupAction:
                 raise ValidationError(f"action of element {i}: {report.message}")
             homs.append(Homomorphism(self.module, self.module, mat))
         object.__setattr__(self, "action", tuple(h.matrix for h in homs))
+        zero_in = zero_hom(trivial_group(), self.module)
+        zero_out = zero_hom(self.module, trivial_group())
         for i, h in enumerate(homs):
-            inv = hom_invariants(h)
-            if not inv.kernel.is_trivial or not inv.cokernel.is_trivial:
-                raise ValidationError(f"action of element {i} is not an automorphism")
+            for verdict in (is_exact_at(zero_in, h), is_exact_at(h, zero_out)):
+                if not verdict.ok:
+                    raise ValidationError(
+                        f"action of element {i} is not an automorphism "
+                        f"({verdict.side}): witness {verdict.witness.coords}")
         table = self.group.table
         for a in range(m):
             for b in range(m):

@@ -44,7 +44,8 @@ from cechtower.errors import ValidationError, VerificationError
 
 @dataclass(frozen=True)
 class ShortExactSequence:
-    """0 -> a -(iota)-> b -(pi)-> c -> 0, fully verified at construction."""
+    """0 -> a -(iota)-> b -(pi)-> c -> 0, fully verified at construction:
+    ``is_exact_at`` judges a, b and c in turn, the zero maps at the ends."""
 
     a: FgAbGroup
     b: FgAbGroup
@@ -57,20 +58,14 @@ class ShortExactSequence:
             raise ValidationError("iota must map the first group into the middle one")
         if self.pi.source != self.b or self.pi.target != self.c:
             raise ValidationError("pi must map the middle group onto the last one")
-        inv_iota = hom_invariants(self.iota)
-        if not inv_iota.kernel.is_trivial:
-            witness = inv_iota.kernel_inclusion.apply(inv_iota.kernel.generator(0))
-            raise ValidationError(
-                f"iota is not injective: kernel element {witness.coords}")
-        inv_pi = hom_invariants(self.pi)
-        if not inv_pi.cokernel.is_trivial:
-            raise ValidationError(
-                f"pi is not surjective: cokernel {inv_pi.cokernel}")
-        mid = is_exact_at(self.iota, self.pi)
-        if not mid.ok:
-            raise ValidationError(
-                f"not exact at the middle group ({mid.side}): "
-                f"witness {mid.witness.coords}")
+        nodes = (("iota is not injective", zero_hom(trivial_group(), self.a), self.iota),
+                 ("pi is not surjective", self.pi, zero_hom(self.c, trivial_group())),
+                 ("not exact at the middle group", self.iota, self.pi))
+        for refusal, f, g in nodes:
+            verdict = is_exact_at(f, g)
+            if not verdict.ok:
+                raise ValidationError(
+                    f"{refusal} ({verdict.side}): witness {verdict.witness.coords}")
 
 
 def validate_ses(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup,

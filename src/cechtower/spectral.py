@@ -23,6 +23,7 @@ from cechtower import _intlin
 from cechtower.abelian import (
     FgAbGroup,
     direct_sum_with_maps,
+    presentation_group,
 )
 from cechtower.cochain import (
     COBOUNDARY_ENTRY_BUDGET,
@@ -102,9 +103,13 @@ class FilteredComplex:
         return self._memoized(("Z", t, p, q), lambda: self._compute_z(t, p, q))
 
     def _compute_z(self, t: int, p: int, q: int) -> _intlin.Lattice:
+        """The preimage of V_t under d on V_p; V_p itself when t <= p,
+        since d(V_p) lies in V_p, which lies in V_t."""
         n = p + q
         amb = self.total.group(n)
         vp = self._v_basis(p, n)
+        if t <= p:
+            return _intlin.Lattice(amb.ngens, vp)
         g = self.total_group.ngens
         image_cols = [cech_coboundary(self.site, n, b, g) for b in vp]
         coeffs = _intlin.lattice_preimage_gens(
@@ -144,8 +149,7 @@ class SpectralTerms:
 
 
 def _group_of(lattice: _intlin.Lattice, rel) -> FgAbGroup:
-    pres = _intlin.present_quotient(lattice, rel)
-    return FgAbGroup(pres.free_rank, pres.torsion)
+    return presentation_group(_intlin.present_quotient(lattice, rel))
 
 
 def filtered_terms(f: FilteredComplex, r: Optional[int], p: int, q: int) -> SpectralTerms:

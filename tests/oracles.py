@@ -4,6 +4,8 @@ Nothing here touches the package's SNF/lattice path: determinants come
 from fraction-free elimination, cohomology from exhaustive enumeration
 with the group structure reconstructed by order counting, solves from
 brute-force search.  These are the second route of every dual-route check.
+The one exception is ``ses_failure``, the earlier criterion for a short
+exact sequence, kept as the reference for the one the package uses now.
 """
 
 from __future__ import annotations
@@ -11,7 +13,13 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from cechtower.abelian import FgAbGroup, GroupElement, Homomorphism
+from cechtower.abelian import (
+    FgAbGroup,
+    GroupElement,
+    Homomorphism,
+    hom_invariants,
+    is_exact_at,
+)
 
 
 def bareiss_det(mat) -> int:
@@ -244,3 +252,17 @@ def brute_connecting(comp_a, comp_b, comp_c, iota: Homomorphism,
         for g in range(na):
             out[g * k1 + s] = back.coords[g]
     return comp_a.group(p + 1).normalize(out)
+
+
+def ses_failure(iota: Homomorphism, pi: Homomorphism):
+    """The first node at which 0 -> A -> B -> C -> 0 fails to be exact, as
+    the prefix of its refusal message, or None for an exact sequence: the
+    kernel of iota and the cokernel of pi by ``hom_invariants``, then
+    ``is_exact_at(iota, pi)``."""
+    if not hom_invariants(iota).kernel.is_trivial:
+        return "iota is not injective"
+    if not hom_invariants(pi).cokernel.is_trivial:
+        return "pi is not surjective"
+    if not is_exact_at(iota, pi).ok:
+        return "not exact at the middle group"
+    return None

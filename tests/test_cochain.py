@@ -269,8 +269,11 @@ class TestBarComplex:
 
     def test_action_must_be_automorphisms(self):
         h = cyclic_table(2)
-        with pytest.raises(ValidationError):
+        refusal = r"element 1 is not an automorphism \(kernel_not_in_image\): witness"
+        with pytest.raises(ValidationError, match=refusal + r" \(2,\)"):
             GroupAction(h, Z4, (((1,),), ((2,),)))  # doubling is not invertible
+        with pytest.raises(ValidationError, match=refusal + r" \(1,\)"):
+            GroupAction(h, Z, (((1,),), ((2,),)))  # injective, not onto
 
     def test_action_must_respect_table(self):
         h = cyclic_table(2)

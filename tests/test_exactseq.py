@@ -1,6 +1,10 @@
+import ast
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cechtower.abelian import (
     FgAbGroup,
@@ -9,6 +13,7 @@ from cechtower.abelian import (
     cyclic_group,
     free_group,
     hom_invariants,
+    hom_validate,
     is_exact_at,
 )
 from cechtower.cochain import (
@@ -27,7 +32,7 @@ from cechtower.exactseq import (
     validate_ses,
 )
 
-from .oracles import coboundary_set
+from .oracles import coboundary_set, ses_failure
 
 Z = free_group(1)
 Z2 = cyclic_group(2)
@@ -75,6 +80,78 @@ class TestValidateSes:
             validate_ses(Z2, z22, Z2,
                          Homomorphism(Z2, z22, ((1,), (0,))),
                          Homomorphism(z22, Z2, ((1, 0),)))
+
+
+Z22 = FgAbGroup(0, (2, 2))
+SMALL_GROUPS = (Z, Z2, Z3, Z4, Z22)
+
+
+@st.composite
+def homomorphisms(draw, source, target):
+    """A small random matrix from source to target that is well defined."""
+    entries = st.integers(-2, 4)
+    matrix = st.lists(st.lists(entries, min_size=source.ngens, max_size=source.ngens),
+                      min_size=target.ngens, max_size=target.ngens)
+    return Homomorphism(source, target, draw(
+        matrix.filter(lambda m: hom_validate(source, target, m).ok)))
+
+
+# Triples (A, B, C) that carry exact sequences, drawn half of the time so
+# that exact ones and each kind of middle failure show up often.
+EXACT_SHAPES = ((Z2, Z4, Z2), (Z2, Z22, Z2), (Z, Z, Z2), (Z, Z, Z3), (Z, Z, Z4))
+
+
+@st.composite
+def candidate_sequences(draw):
+    any_group = st.sampled_from(SMALL_GROUPS)
+    a, b, c = draw(st.one_of(st.tuples(any_group, any_group, any_group),
+                             st.sampled_from(EXACT_SHAPES)))
+    return draw(homomorphisms(a, b)), draw(homomorphisms(b, c))
+
+
+REFUSAL = re.compile(r"(.*) \((\w+)\): witness (\(.*\))")
+
+
+@settings(max_examples=300)
+@given(candidate_sequences())
+@example((Homomorphism(Z2, Z4, ((2,),)), Homomorphism(Z4, Z2, ((1,),))))
+@example((Homomorphism(Z, Z, ((2,),)), Homomorphism(Z, Z2, ((1,),))))
+@example((Homomorphism(Z2, Z22, ((1,), (0,))), Homomorphism(Z22, Z2, ((0, 1),))))
+@example((Homomorphism(Z2, Z4, ((0,),)), Homomorphism(Z4, Z2, ((1,),))))
+@example((Homomorphism(Z2, Z4, ((2,),)), Homomorphism(Z4, Z4, ((2,),))))
+@example((Homomorphism(Z2, Z22, ((1,), (0,))), Homomorphism(Z22, Z2, ((1, 0),))))
+@example((Homomorphism(Z, Z, ((4,),)), Homomorphism(Z, Z2, ((1,),))))
+def test_ses_refusals_match_the_reference(maps):
+    # A sequence is refused exactly when the earlier criterion (kernel and
+    # cokernel by hom_invariants, then the middle node) says it is not
+    # exact, with that criterion's first failing node as the prefix, and
+    # the witness lies where the message's side says.
+    iota, pi = maps
+    a, b, c = iota.source, iota.target, pi.target
+    expected = ses_failure(iota, pi)
+    if expected is None:
+        validate_ses(a, b, c, iota, pi)
+        return
+    with pytest.raises(ValidationError) as caught:
+        validate_ses(a, b, c, iota, pi)
+    prefix, side, coords = REFUSAL.fullmatch(str(caught.value)).groups()
+    assert prefix == expected
+
+    def in_image(h, y):
+        return hom_invariants(h).cokernel_projection.apply(y).is_zero
+
+    if prefix == "iota is not injective":
+        assert side == "kernel_not_in_image"
+        witness = GroupElement(a, ast.literal_eval(coords))
+        assert not witness.is_zero and iota.apply(witness).is_zero
+    elif prefix == "pi is not surjective":
+        assert side == "kernel_not_in_image"
+        assert not in_image(pi, GroupElement(c, ast.literal_eval(coords)))
+    else:
+        witness = GroupElement(b, ast.literal_eval(coords))
+        in_ker = pi.apply(witness).is_zero
+        assert (in_image(iota, witness), in_ker) == (
+            (True, False) if side == "image_not_in_kernel" else (False, True))
 
 
 class TestConnecting:

@@ -1,7 +1,10 @@
-"""The SNF kernel's transform subsets, and lattice coordinates read off it."""
+"""The SNF kernel's transform subsets, lattice coordinates read off it, and
+kernels built as preimages of a relation lattice."""
 
 import itertools
+import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -103,3 +106,52 @@ def test_present_cokernel_matches_the_whole_lattice_quotient(case):
         assert not any(got.project(col))
     units = _intlin.identity_matrix(len(got.lift_cols))
     assert [got.project(lift) for lift in got.lift_cols] == units
+
+
+@st.composite
+def preimage_cases(draw):
+    """M up to 4 x 4 with entries in [-9, 9], target orders from
+    {0, 2, 3, 4, 6}, and vectors x to test against the kernel."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 4))
+    entry = st.integers(-9, 9)
+    cols = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    orders = [draw(st.sampled_from((0, 2, 3, 4, 6))) for _ in range(m)]
+    vectors = [[draw(st.integers(-12, 12)) for _ in range(n)] for _ in range(4)]
+    return cols, m, orders, vectors
+
+
+def maps_to_zero(cols, orders, x) -> bool:
+    """M x == 0 modulo the orders, exactly 0 where the order is 0."""
+    image = _intlin.lin_comb(cols, x, len(orders))
+    return all((y % o if o else y) == 0 for y, o in zip(image, orders))
+
+
+@settings(max_examples=200)
+@given(preimage_cases())
+@example(([[], []], 0, [], [[1, -1], [0, 0]]))
+@example(([], 3, [0, 2, 6], [[]]))
+@example(([], 0, [], [[]]))
+@example(([[4, 9], [2, 0]], 2, [0, 6], [[3, -6], [1, 1]]))
+def test_kernel_is_the_preimage_of_the_relation_lattice(case):
+    # The kernel of M into a group with these coordinate orders is the
+    # preimage of its relation lattice: x lies in it exactly when M x
+    # vanishes in the target.
+    cols, m, orders, vectors = case
+    n = len(cols)
+    kernel = _intlin.Lattice(n, _intlin.lattice_preimage_gens(
+        cols, m, _intlin.relation_columns(orders)))
+    period = math.lcm(*(o for o in orders if o))
+    inside = [[period * v for v in x] for x in vectors] if all(orders) else []
+    for x in vectors + inside + kernel.basis:
+        assert (x in kernel) == maps_to_zero(cols, orders, x), x
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_lattice_without_generators_holds_only_zero(n):
+    lat = _intlin.Lattice(n, [])
+    assert lat.basis == [] and lat.rank == 0
+    assert lat.coords_of([0] * n) == []
+    for e in _intlin.identity_matrix(n):
+        assert e not in lat
+        assert [-3 * v for v in e] not in lat

@@ -4,7 +4,13 @@ from hypothesis import strategies as st
 
 from cechtower import _intlin
 from cechtower.abelian import cyclic_group, direct_sum_with_maps, free_group
-from cechtower.cochain import apply_cellwise, cech_complex, cech_induced, cohomology
+from cechtower.cochain import (
+    apply_cellwise,
+    cech_coboundary,
+    cech_complex,
+    cech_induced,
+    cohomology,
+)
 from cechtower.errors import ValidationError
 from cechtower.spectral import (
     FilteredComplex,
@@ -34,8 +40,8 @@ def embedded_cocycle_gens(f: FilteredComplex, summand_index: int, n: int):
     """Cocycles of one summand's complex, pushed into the total complex."""
     comp = cech_complex(f.site, f.summands[summand_index])
     d = comp.differential(n)
-    kernel = _intlin.kernel_lattice_gens(d.matrix, d.target.orders,
-                                         comp.group(n).ngens)
+    kernel = _intlin.lattice_preimage_gens(d.columns(), d.target.ngens,
+                                           _intlin.relation_columns(d.target.orders))
     emb = cech_induced(f.site, f.embeddings[summand_index], n)
     return [_intlin.mat_vec(emb.matrix, g) for g in kernel]
 
@@ -220,6 +226,29 @@ def test_v_basis_spans_the_induced_lattice(f):
             if p <= 1:
                 assert lattices_equal(ngens, basis, _intlin.identity_matrix(ngens))
             assert _intlin.Lattice(ngens, basis).rank == len(basis)
+
+
+def preimage_z_gens(f: FilteredComplex, t: int, p: int, n: int):
+    """{x in V_p ∩ C^n : dx in V_t}, solved as a preimage over V_p's basis."""
+    vp = f._v_basis(p, n)
+    g, ngens = f.total_group.ngens, f.total.group(n).ngens
+    image_cols = [cech_coboundary(f.site, n, b, g) for b in vp]
+    coeffs = _intlin.lattice_preimage_gens(
+        image_cols, f.total.group(n + 1).ngens, f._v_basis(t, n + 1))
+    return [_intlin.lin_comb(vp, c, ngens) for c in coeffs]
+
+
+@settings(max_examples=MEMO_EXAMPLES)
+@given(filtered_complexes())
+def test_cycles_with_target_at_most_p_are_v_p(f):
+    # Z with target index t <= p is V_p itself (d(V_p) lies in V_p, which
+    # lies in V_t): the term equals the preimage solved in full.
+    for p in range(1, f.depth + 2):
+        for t in range(1, p + 1):
+            for n in range(f.site.dim + 2):
+                term = f._z_lattice(t - p, p, n - p)
+                assert lattices_equal(f.total.group(n).ngens, term.basis,
+                                      preimage_z_gens(f, t, p, n))
 
 
 class TestDegeneration:
