@@ -12,6 +12,20 @@ deterministic.  Divisibility of later diagonal entries is enforced by the
 usual row-addition trick, so the diagonal comes out as an invariant-factor
 chain in a single pass.
 
+The work of a pivot step follows the supports of its pivot row and column,
+not the size of the matrix (Dumas, Saunders & Villard, J. Symb. Comput. 32,
+2001); a Cech coboundary has p+2 entries of +-1 per row.  The pivot search
+scans row tails with builtins, stops at a row whose minimum is 1 and skips
+rows already found zero.  Clearing the column touches only the rows with a
+nonzero in it, each at the support of the pivot row (and U's pivot row);
+clearing the row touches only the nonzero column entries, and V^T at the
+support of its pivot row.  The accumulating transforms, Uinv^T and Vinv,
+are sparse rows during the elimination, where rows past k are still mostly
+unit rows, and dense only on return.  A unit pivot skips the divisor-chain
+scan.  The operations and their order are those of the dense kernel kept
+as ``tests/oracles.reference_smith``, and the output equals its output
+entry for entry.
+
 Only the transforms a caller asks for are updated.  The pivot sequence
 depends on the working matrix alone, so D and every tracked transform are
 the same whichever subset is tracked.  Column operations on Uinv and V are
@@ -20,17 +34,44 @@ applied to their transposes, so every transform update is a row operation.
 BACKEND names the implementation (reported as ``cechtower.KERNEL_BACKEND``).
 """
 
+from itertools import compress
+
 BACKEND = "python"
 
 ALL_TRANSFORMS = frozenset(("U", "Uinv", "V", "Vinv"))
 
 
 def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def _transpose(rows):
     return [list(col) for col in zip(*rows)]
+
+
+def _dense(rows, n):
+    """Sparse rows (column -> value) as lists of n ints."""
+    out = []
+    for sparse in rows:
+        row = [0] * n
+        for j, v in sparse.items():
+            row[j] = v
+        out.append(row)
+    return out
+
+
+def _add_sparse(acc, q, row):
+    """acc += q * row, both sparse."""
+    for j, v in row.items():
+        acc[j] = acc.get(j, 0) + q * v
+
+
+def _entries(row, start):
+    """(column, value) of the nonzero entries of a dense row from ``start``."""
+    return [(j, row[j]) for j in compress(range(start, len(row)), row[start:])]
 
 
 def smith_with_transforms(mat, transforms=ALL_TRANSFORMS):
@@ -57,113 +98,125 @@ def smith_with_transforms(mat, transforms=ALL_TRANSFORMS):
     track_v = "V" in transforms
     track_vi = "Vinv" in transforms
     U = identity_matrix(m) if track_u else []
-    UiT = identity_matrix(m) if track_ui else []  # Uinv transposed: rows are columns
     VT = identity_matrix(n) if track_v else []  # V transposed
-    Vinv = identity_matrix(n) if track_vi else []
+    # Accumulating transforms, as sparse rows until the return.
+    UiT = [{i: 1} for i in range(m)] if track_ui else []  # Uinv transposed
+    Vinv = [{j: 1} for j in range(n)] if track_vi else []
 
+    # Rows found zero from column k on: no row operation ever touches them
+    # again, so they stay zero and the pivot search skips them.
+    zero_rows = set()
     r = min(m, n)
     k = 0
     while k < r:
         # Pivot: smallest |nonzero| in A[k:, k:], row-major ties.
         pi = -1
-        pj = -1
         best = 0
         for i in range(k, m):
-            row = A[i]
-            for j in range(k, n):
-                a = row[j]
-                if a != 0:
-                    if a < 0:
-                        a = -a
-                    if best == 0 or a < best:
-                        best = a
-                        pi = i
-                        pj = j
-            if best == 1:
-                break
+            if i in zero_rows:
+                continue
+            low = min(map(abs, filter(None, A[i][k:])), default=0)
+            if not low:
+                zero_rows.add(i)
+            elif best == 0 or low < best:
+                best = low
+                pi = i
+                if low == 1:
+                    break
         if pi < 0:
             break  # remaining submatrix is zero
+        pj = k + list(map(abs, A[pi][k:])).index(best)
 
         if pi != k:
+            if k in zero_rows:
+                zero_rows.remove(k)
+                zero_rows.add(pi)
             A[k], A[pi] = A[pi], A[k]
             if track_u:
                 U[k], U[pi] = U[pi], U[k]
             if track_ui:
                 UiT[k], UiT[pi] = UiT[pi], UiT[k]
         if pj != k:
-            for t in range(m):
+            for t in range(k, m):  # rows above k are zero from column k on
                 rowt = A[t]
                 rowt[k], rowt[pj] = rowt[pj], rowt[k]
             if track_v:
                 VT[k], VT[pj] = VT[pj], VT[k]
             if track_vi:
                 Vinv[k], Vinv[pj] = Vinv[pj], Vinv[k]
-        if A[k][k] < 0:
-            A[k] = [-x for x in A[k]]
+        Ak = A[k]
+        if Ak[k] < 0:
+            Ak = A[k] = [-x for x in Ak]
             if track_u:
                 U[k] = [-x for x in U[k]]
             if track_ui:
-                UiT[k] = [-x for x in UiT[k]]
+                UiT[k] = {j: -v for j, v in UiT[k].items()}
 
-        a = A[k][k]
+        a = Ak[k]
         dirty = False
 
         # Clear column k below the pivot (floor quotients leave remainders
         # in [0, a), so min |nonzero| strictly decreases when not clean).
-        # Rows k.. are zero left of column k, so whole-row updates are safe.
-        for i in range(k + 1, m):
-            b = A[i][k]
-            if b != 0:
-                q = b // a
+        # Rows k.. are zero left of column k, and A[k] and U[k] stay fixed
+        # here, so each row update runs over their supports only.
+        below = list(compress(range(k + 1, m), [row[k] for row in A[k + 1:]]))
+        if below:
+            pivot_row = _entries(Ak, k)
+            pivot_u = _entries(U[k], 0) if track_u else ()
+            for i in below:
+                Ai = A[i]
+                q = Ai[k] // a
                 if q != 0:
-                    A[i] = [x - q * y for x, y in zip(A[i], A[k])]
+                    for j, y in pivot_row:
+                        Ai[j] -= q * y
                     if track_u:
-                        U[i] = [x - q * y for x, y in zip(U[i], U[k])]
+                        Ui = U[i]
+                        for j, y in pivot_u:
+                            Ui[j] -= q * y
                     if track_ui:
-                        UiT[k] = [x + q * y for x, y in zip(UiT[k], UiT[i])]
-                if A[i][k] != 0:
+                        _add_sparse(UiT[k], q, UiT[i])
+                if Ai[k] != 0:
                     dirty = True
 
-        # Clear row k right of the pivot.
-        for j in range(k + 1, n):
-            b = A[k][j]
-            if b != 0:
-                q = b // a
+        # Clear row k right of the pivot.  Column k and V^T[k] stay fixed
+        # here, so each column update runs over their supports only.
+        right = list(compress(range(k + 1, n), Ak[k + 1:]))
+        if right:
+            pivot_col = [(A[t], A[t][k]) for t in [k] + below if A[t][k] != 0]
+            pivot_v = _entries(VT[k], 0) if track_v else ()
+            for j in right:
+                q = Ak[j] // a
                 if q != 0:
-                    for t in range(k, m):
-                        rowt = A[t]
-                        rowt[j] -= q * rowt[k]
+                    for rowt, y in pivot_col:
+                        rowt[j] -= q * y
                     if track_v:
-                        VT[j] = [x - q * y for x, y in zip(VT[j], VT[k])]
+                        VTj = VT[j]
+                        for c, y in pivot_v:
+                            VTj[c] -= q * y
                     if track_vi:
-                        Vinv[k] = [x + q * y for x, y in zip(Vinv[k], Vinv[j])]
-                if A[k][j] != 0:
+                        _add_sparse(Vinv[k], q, Vinv[j])
+                if Ak[j] != 0:
                     dirty = True
 
         if dirty:
             continue  # re-pick the pivot among the smaller remainders
 
         # Pivot row/column clean.  Enforce the divisor chain: the pivot must
-        # divide every entry of the remaining submatrix.
-        fix = -1
-        for i in range(k + 1, m):
-            row = A[i]
-            for j in range(k + 1, n):
-                if row[j] % a != 0:
-                    fix = i
-                    break
+        # divide every entry of the remaining submatrix (always, for a = 1).
+        if a != 1:
+            remainder = a.__rmod__  # x -> x % a
+            fix = next((i for i in range(k + 1, m)
+                        if any(map(remainder, A[i][k + 1:]))), -1)
             if fix >= 0:
-                break
-        if fix >= 0:
-            # Row addition exposes the non-divisible entry in row k; the
-            # next pass shrinks the pivot to a proper divisor of a.
-            A[k] = [x + y for x, y in zip(A[k], A[fix])]
-            if track_u:
-                U[k] = [x + y for x, y in zip(U[k], U[fix])]
-            if track_ui:
-                UiT[fix] = [x - y for x, y in zip(UiT[fix], UiT[k])]
-            continue
+                # Row addition exposes the non-divisible entry in row k; the
+                # next pass shrinks the pivot to a proper divisor of a.
+                A[k] = [x + y for x, y in zip(Ak, A[fix])]
+                if track_u:
+                    U[k] = [x + y for x, y in zip(U[k], U[fix])]
+                if track_ui:
+                    _add_sparse(UiT[fix], -1, UiT[k])
+                continue
 
         k += 1
 
-    return U, _transpose(UiT), A, _transpose(VT), Vinv
+    return U, _transpose(_dense(UiT, m)), A, _transpose(VT), _dense(Vinv, n)

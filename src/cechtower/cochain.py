@@ -31,7 +31,6 @@ from cechtower.abelian import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    free_group,
     hom_validate,
     is_exact_at,
     presentation_group,
@@ -259,13 +258,8 @@ class CochainComplex:
                 return self.diffs[p]
             return zero_hom(self.group(p), self.group(p + 1))
         src, k = self.group(p), len(self.base.cells(p))
-        rows = []
-        for g in range(self.coefficients.ngens):
-            for faces in self.base.faces(p + 1):
-                row = [0] * src.ngens
-                for j, f in enumerate(faces):
-                    row[g * k + f] = -1 if j % 2 else 1
-                rows.append(row)
+        rows = [row for g in range(self.coefficients.ngens)
+                for row in _coboundary_rows(self.base, p, src.ngens, g * k)]
         return Homomorphism(src, self.group(p + 1), rows)
 
     def ncells(self, p: int) -> int:
@@ -378,16 +372,33 @@ def cech_complex(x: SimplicialComplex, coefficients: FgAbGroup) -> CochainComple
     so the bounded memo only saves rebuilding it: a cochain of an evicted
     instance still belongs to the rebuilt one.
     """
-    g = coefficients.ngens
+    _check_coboundary_budget(x, coefficients.ngens)
     cells = tuple(x.cells(p) for p in range(x.dim + 1)) + ((),)
+    groups = tuple(power_group(coefficients, len(c)) for c in cells)
+    return CochainComplex(groups, (), coefficients, cells, x)
+
+
+def _check_coboundary_budget(x: SimplicialComplex, g: int) -> None:
+    """Refuse a site whose dense coboundaries with g coefficient generators
+    (g*k_{p+1} x g*k_p) would pass ``COBOUNDARY_ENTRY_BUDGET`` entries."""
     for p in range(x.dim + 1):
-        rows, cols = g * len(cells[p + 1]), g * len(cells[p])
+        rows, cols = g * len(x.cells(p + 1)), g * len(x.cells(p))
         if rows * cols > COBOUNDARY_ENTRY_BUDGET:
             raise BudgetExceededError(
                 f"coboundary {p} would have {rows} x {cols} entries, budget is "
                 f"{COBOUNDARY_ENTRY_BUDGET}")
-    groups = tuple(power_group(coefficients, len(c)) for c in cells)
-    return CochainComplex(groups, (), coefficients, cells, x)
+
+
+def _coboundary_rows(x: SimplicialComplex, p: int, width: int, offset: int = 0) -> list:
+    """The integral d_p as dense rows of ``width`` ints, one per (p+1)-cell,
+    with the p-cell f at column offset + f.  Face j has sign (-1)^j."""
+    rows = []
+    for faces in x.faces(p + 1):
+        row = [0] * width
+        for j, f in enumerate(faces):
+            row[offset + f] = -1 if j % 2 else 1
+        rows.append(row)
+    return rows
 
 
 def cech_coboundary(x: SimplicialComplex, p: int, coords: Sequence[int],
@@ -495,8 +506,11 @@ def _pull_back(x: SimplicialComplex, p: int, w: Sequence[int]) -> list[int]:
     """The row w d_{p-1}, for a row w on C^p(X; Z), from the face table."""
     out = [0] * len(x.cells(p - 1))
     for wt, faces in zip(w, x.faces(p)):
-        for j, f in enumerate(faces):
-            out[f] += -wt if j % 2 else wt
+        if wt:
+            for f in faces[::2]:
+                out[f] += wt
+            for f in faces[1::2]:
+                out[f] -= wt
     return out
 
 
@@ -505,8 +519,10 @@ def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
     """Degree-p integral data of the site, memoized on (site, p): one SNF of
     d_p.  im d_{p-1} in V-coordinates is V^-1 d_{p-1}; its rows below the
     rank vanish, and the columns of the others present H^p(X; Z)."""
-    d = cech_complex(x, free_group(1)).differential(p)
-    res = _intlin.snf(d.matrix, d.target.ngens, d.source.ngens, _intlin.COBOUNDARY)
+    _check_coboundary_budget(x, 1)
+    k = len(x.cells(p))
+    res = _intlin.snf(_coboundary_rows(x, p, k), len(x.cells(p + 1)), k,
+                      _intlin.COBOUNDARY)
     free = res.n - res.rank
     image_rows = [_pull_back(x, p, row) for row in res.Vinv[res.rank:]]
     pres = _intlin.present_cokernel(free, [list(col) for col in zip(*image_rows)])

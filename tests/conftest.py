@@ -33,6 +33,16 @@ TORUS_FACETS = sorted(
     | {tuple(sorted((i % 7, (i + 2) % 7, (i + 3) % 7))) for i in range(7)})
 
 
+def grid_torus_facets(n: int) -> list[tuple[int, ...]]:
+    """The n x n grid torus (n >= 3): n^2 vertices, 3n^2 edges, 2n^2
+    triangles, each square (i, j) cut along its diagonal."""
+    def v(i, j):
+        return (i % n) * n + (j % n)
+    return [f for i in range(n) for j in range(n)
+            for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                      (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+
+
 @pytest.fixture(scope="session")
 def circle():
     return build_complex_from_facets(3, [(0, 1), (0, 2), (1, 2)])

@@ -17,6 +17,7 @@ RP2_DOC = {"vertex_count": 6, "facets": [list(f) for f in RP2_FACETS]}
 Z2_DOC = {"free_rank": 0, "torsion": [2]}
 Z3_DOC = {"free_rank": 0, "torsion": [3]}
 Z_DOC = {"free_rank": 1, "torsion": []}
+TRIVIAL_DOC = {"free_rank": 0, "torsion": []}
 BOCKSTEIN_DOC = {"A": Z2_DOC, "B": {"free_rank": 0, "torsion": [4]},
                  "C": Z2_DOC, "iota": [[2]], "pi": [[1]]}
 
@@ -201,6 +202,16 @@ class TestOtherCommands:
         assert proc.returncode == 4
         assert b"coboundary" in proc.stderr and b"budget" in proc.stderr
 
+    def test_oversized_integral_coboundary_refused_before_allocation(self):
+        # The same facet with trivial coefficients: every Cech coboundary is
+        # empty, so only the integral coboundary that cohomology reads
+        # passes the budget, and it too must be refused before it is built.
+        payload = {"complex": {"vertex_count": 14, "facets": [list(range(14))]},
+                   "group": TRIVIAL_DOC, "degree": "all"}
+        proc = run_cli(["cohomology"], payload, timeout=60,
+                       preexec_fn=_cap_address_space)
+        assert proc.returncode == 4
+        assert b"coboundary" in proc.stderr and b"budget" in proc.stderr
 
     @pytest.mark.parametrize("command,payload", [
         ("cohomology", {"complex": RP2_DOC, "group": Z2_DOC, "degree": "all"}),

@@ -26,9 +26,10 @@ from cechtower.cochain import (
     cech_complex,
     coboundary,
     cohomology,
+    suspension,
 )
 
-from .conftest import RP2_FACETS
+from .conftest import RP2_FACETS, grid_torus_facets
 from .oracles import brute_cohomology
 
 ORDERS = (2, 3, 4, 6, 8, 9, 12)
@@ -140,3 +141,21 @@ def test_projective_plane_tor_part(m, suspended, rp2, srp2):
     rng = random.Random(m)
     for p in range(x.dim + 2):
         check_degree(comp, p, rng)
+
+
+def _grid_torus(n):
+    return build_complex_from_facets(n * n, grid_torus_facets(n))
+
+
+@pytest.mark.parametrize("x, betti", [
+    (_grid_torus(10), (1, 2, 1)),
+    (suspension(_grid_torus(6)), (1, 0, 2, 1)),
+], ids=["torus10", "suspended_torus6"])
+@pytest.mark.parametrize("coeff", [free_group(1), FgAbGroup(0, (2, 4))], ids=["Z", "Z2xZ4"])
+def test_grid_tori_at_scale(x, betti, coeff):
+    # Integral cohomology of these sites is free (Betti numbers as given),
+    # so universal coefficients give H^p(X; L) = L^b_p, with no Tor part.
+    comp = cech_complex(x, coeff)
+    expected = [FgAbGroup(coeff.free_rank * b, tuple(d for d in coeff.torsion for _ in range(b)))
+                for b in betti]
+    assert [cohomology(comp, p).group for p in range(x.dim + 1)] == expected
