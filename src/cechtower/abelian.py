@@ -13,9 +13,11 @@ to share between threads.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 from cechtower import _intlin
 from cechtower._intlin import (
@@ -126,6 +128,57 @@ def cyclic_group(m: int) -> FgAbGroup:
     if m == 1:
         return FgAbGroup(0, ())
     return FgAbGroup(0, (m,))
+
+
+def cyclic_sum(pairs: Iterable[tuple[int, int]]) -> FgAbGroup:
+    """The direct sum of ``count`` copies of Z/order over the (order, count)
+    pairs (order 0 is Z, order 1 the trivial group), in invariant-factor
+    form.  Each distinct order is merged into the chain by gcd and lcm
+    alone: no SNF, and no factoring, so orders may be large primes."""
+    free, counts = 0, {}
+    for order, count in pairs:
+        if order == 0:
+            free += count
+        elif order > 1 and count:
+            counts[order] = counts.get(order, 0) + count
+    chain: list[tuple[int, int]] = []
+    for order, count in counts.items():
+        chain = _merge_copies(chain, order, count)
+    return FgAbGroup(free, tuple(d for d, m in chain for _ in range(m)))
+
+
+def _merge_copies(chain: list[tuple[int, int]], order: int,
+                  count: int) -> list[tuple[int, int]]:
+    """Merge ``count`` copies of Z/order into the invariant factors A_1 | A_2
+    | ... held as runs (factor, multiplicity).
+
+    Prime by prime the exponents of the result are those of A and of the
+    copies, sorted, so its k-th factor is gcd(A_k, lcm(A_{k-count}, order))
+    with A_i = 1 for i <= 0, and lcm(A_{k-count}, order) past the end of A.
+    That is constant between the run starts of A and those starts shifted
+    by ``count``, so the result is computed once per such stretch."""
+    starts, length = [], 0
+    for _, m in chain:
+        starts.append(length + 1)
+        length += m
+    end = length + count + 1
+
+    def factor(i: int) -> int:
+        return chain[bisect_right(starts, i) - 1][0] if i > 0 else 1
+
+    cuts = sorted({1, length + 1, *starts, *(s + count for s in starts)})
+    out: list[tuple[int, int]] = []
+    for k, nxt in zip(cuts, cuts[1:] + [end]):
+        d = lcm(factor(k - count), order)
+        if k <= length:
+            d = gcd(factor(k), d)
+        if d == 1:
+            continue
+        if out and out[-1][0] == d:
+            out[-1] = (d, out[-1][1] + nxt - k)
+        else:
+            out.append((d, nxt - k))
+    return out
 
 
 @dataclass(frozen=True)

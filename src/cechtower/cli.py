@@ -235,7 +235,7 @@ _VALIDATORS = {
 def _cmd_validate(payload: Any, options: Options) -> dict:
     d = _payload_dict(payload)
     kind = jsonio._get(d, "kind", "payload")
-    if kind not in _VALIDATORS:
+    if not isinstance(kind, str) or kind not in _VALIDATORS:
         raise SchemaError("payload.kind",
                           f"unknown kind {kind!r}; expected one of "
                           f"{sorted(_VALIDATORS)}")
@@ -268,12 +268,14 @@ def _read_payload(path: str) -> Any:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SchemaError("input", f"cannot read payload: {e}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError("input", f"payload is not valid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError("input", "payload nests too deeply to parse") from None
 
 
 def main(argv: Optional[list[str]] = None) -> int:

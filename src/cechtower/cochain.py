@@ -42,9 +42,10 @@ from cechtower.errors import BudgetExceededError, ValidationError, VerificationE
 # Cap on the cells of a site and on the bar complex's generators in its top
 # degree, checked before either is enumerated.
 GENERATOR_BUDGET = 1 << 16
-# Cap on the entries of one dense Cech coboundary (g*k_{p+1} x g*k_p),
-# checked when the complex is built; work at L^k size (spectral lattices,
-# cochain-level maps) relies on it.
+# Cap on the entries of one dense matrix: a Cech coboundary (g*k_{p+1} x
+# g*k_p), checked when the complex is built, which the cochain-level check
+# of a coefficient sequence (L^k size) relies on; the k_p x k_p transforms
+# of an integral SNF; the square SNF that sums cyclic summands.
 COBOUNDARY_ENTRY_BUDGET = 1 << 22
 
 # Cap on the degrees of one cohomology or long exact sequence request: a
@@ -378,15 +379,23 @@ def cech_complex(x: SimplicialComplex, coefficients: FgAbGroup) -> CochainComple
     return CochainComplex(groups, (), coefficients, cells, x)
 
 
+def check_dense_budget(what: str, rows: int, cols: int) -> None:
+    """Refuse a dense rows x cols matrix of more than
+    ``COBOUNDARY_ENTRY_BUDGET`` entries, before it is built."""
+    if rows * cols > COBOUNDARY_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"{what} would need a {rows} x {cols} matrix, budget is "
+            f"{COBOUNDARY_ENTRY_BUDGET} entries")
+
+
 def _check_coboundary_budget(x: SimplicialComplex, g: int) -> None:
     """Refuse a site whose dense coboundaries with g coefficient generators
-    (g*k_{p+1} x g*k_p) would pass ``COBOUNDARY_ENTRY_BUDGET`` entries."""
+    (g*k_{p+1} x g*k_p), or the k_p x k_p transforms of its integral SNF
+    (built even when d_p has no rows), would pass the budget."""
     for p in range(x.dim + 1):
-        rows, cols = g * len(x.cells(p + 1)), g * len(x.cells(p))
-        if rows * cols > COBOUNDARY_ENTRY_BUDGET:
-            raise BudgetExceededError(
-                f"coboundary {p} would have {rows} x {cols} entries, budget is "
-                f"{COBOUNDARY_ENTRY_BUDGET}")
+        k = len(x.cells(p))
+        check_dense_budget(f"coboundary {p}", g * len(x.cells(p + 1)), g * k)
+        check_dense_budget(f"the SNF transforms of integral coboundary {p}", k, k)
 
 
 def _coboundary_rows(x: SimplicialComplex, p: int, width: int, offset: int = 0) -> list:
@@ -514,6 +523,12 @@ def _pull_back(x: SimplicialComplex, p: int, w: Sequence[int]) -> list[int]:
     return out
 
 
+def coboundary_diagonal(x: SimplicialComplex, p: int) -> tuple[int, ...]:
+    """The nonzero SNF diagonal a_1 | a_2 | ... of the integral d_p, read
+    from the memoized SNF; empty outside degrees 0..dim."""
+    return _integral_degree(x, p).diag if 0 <= p <= x.dim else ()
+
+
 @lru_cache(maxsize=256)
 def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
     """Degree-p integral data of the site, memoized on (site, p): one SNF of
@@ -571,12 +586,12 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
     h = _integral_degree(complex_.base, p)
     k = complex_.ncells(p)
     n = complex_.coefficients.ngens * k
-    orders, reps, coord_fns = [], [], []
-    for b, o in enumerate(complex_.coefficients.orders):
-        f_orders, f_reps, f_coords = _cyclic_factor(h, o, k)
-        orders += f_orders
-        reps += [[0] * (b * k) + list(r) + [0] * (n - (b + 1) * k) for r in f_reps]
-        coord_fns.append(f_coords)
+    factors = [_cyclic_factor(h, o, k) for o in complex_.coefficients.orders]
+    orders = [o for f_orders, _, _ in factors for o in f_orders]
+    check_dense_budget(f"summing {len(orders)} cyclic summands", len(orders), len(orders))
+    reps = [[0] * (b * k) + list(r) + [0] * (n - (b + 1) * k)
+            for b, (_, f_reps, _) in enumerate(factors) for r in f_reps]
+    coord_fns = [f_coords for _, _, f_coords in factors]
     summed = _intlin.present_cokernel(len(orders), _intlin.relation_columns(orders))
 
     def project(v: Sequence[int]) -> list[int]:

@@ -1,37 +1,53 @@
 """The filtered Cech complex of a direct sum of coefficient groups.
 
-Filtration index p keeps the summands with index >= p (1-based).  All
-terms are computed from the membership definitions
+L = L_1 + ... + L_D is Z^g modulo its relations R, and filtration index p
+keeps the summands with index >= p: W_p in Z^g is spanned by summands p..
+and R, so W_1 = Z^g and W_{D+1} = R.  The terms are defined by membership
+in the cochains C^n(X; W_p),
 
-    Z_r^{pq} = {x in V_p ∩ C^{p+q} : dx in V_{p+r}},
-    B_r^{pq} = d(V_{p-r}) ∩ V_p ∩ C^{p+q},
+    Z_r^{pq} = {x in C^{p+q}(X; W_p) : dx in C^{p+q+1}(X; W_{p+r})},
+    B_r^{pq} = d C^{p+q-1}(X; W_{p-r}) ∩ C^{p+q}(X; W_p),
     E_r^{pq} = Z_r^{pq} / (B_{r-1}^{pq} + Z_{r-1}^{p+1,q-1}),
 
-solved exactly by lattice arithmetic in the total cochain group, with no
-intersection: B_r^{pq} is d(Z_r^{p-r,q+r-1}) plus the relations.  The
-closed forms (E_r^{pq} equals the summand cohomology, page stability) are
-what ``check_degeneration`` verifies, never a shortcut taken here.
-``r=None`` means the limiting page (dx = 0 / global boundaries).
+with Z and B presented modulo the relations.  They are not solved in
+C^n(X; Z^g).  By the standard-basis theorem C*(X; Z) is a direct sum of
+elementary pieces: in degree n, one source piece Z --a--> Z per nonzero SNF
+diagonal entry a of the integral d_n, one target piece per entry of
+d_{n-1}, and k_n - r_n - r_{n-1} free pieces Z.  Tensoring with the
+filtered lattices keeps the sum, so every term is a sum of the pieces'
+terms, quotients of lattices in Z^g:
+
+    piece         Z_r                       B_r
+    free          W_p                       R
+    source of a   {x in W_p : ax in W_t}    R
+    target of a   W_p                       a{y in W_s : ay in W_p} + R
+
+with t = min(p+r, D+1) and s = max(p-r, 1); ``r=None`` is the limit page,
+t = D+1 and s = 1.  E_r divides a piece's Z_r by that piece's B_{r-1} +
+Z_{r-1}^{p+1,q-1}.  The page r enters only through t and s.  The closed
+forms (E_r^{pq} equals the summand cohomology, page stability) are what
+``check_degeneration`` verifies, never a shortcut taken here.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from cechtower import _intlin
 from cechtower.abelian import (
     FgAbGroup,
+    cyclic_sum,
     direct_sum_with_maps,
     presentation_group,
 )
 from cechtower.cochain import (
-    COBOUNDARY_ENTRY_BUDGET,
     GENERATOR_BUDGET,
     SimplicialComplex,
-    cech_coboundary,
     cech_complex,
-    cellwise,
+    check_dense_budget,
+    coboundary_diagonal,
     cohomology,
 )
 from cechtower.errors import BudgetExceededError, ValidationError, VerificationError
@@ -40,13 +56,11 @@ from cechtower.exactseq import LesReport, long_exact_sequence, validate_ses
 
 @dataclass(frozen=True, eq=False)
 class FilteredComplex:
-    """Total complex of the direct sum with the summand-index filtration.
-
-    Every term is one ``Lattice`` memoized under a key free of r: Z_r^{pq}
-    reads r only through its target index min(p+r, depth+1) and B_r^{pq}
-    only through its source index max(p-r, 1), so a page past
-    stabilization shares the limit page's lattices (r=None uses depth+1
-    and 1).  New lattices are generated from the bases of memoized ones.
+    """A site and a direct sum of coefficient groups with the summand-index
+    filtration.  It keeps the summands, their embeddings into the sum and a
+    basis of each coefficient lattice W_1 ⊃ ... ⊃ W_{D+1} = R in Z^g; the
+    terms are computed on request from the site's integral data, and no
+    cochain group of the sum is built.
     """
 
     site: SimplicialComplex
@@ -56,84 +70,28 @@ class FilteredComplex:
         if not self.summands:
             raise ValidationError("need at least one summand")
         g = sum(s.ngens for s in self.summands)
-        if g * g > COBOUNDARY_ENTRY_BUDGET:
-            raise BudgetExceededError(
-                f"direct sum of {g} generators would need a {g} x {g} matrix, "
-                f"budget is {COBOUNDARY_ENTRY_BUDGET} entries")
+        check_dense_budget(f"direct sum of {g} generators", g, g)
         total, embeddings, _ = direct_sum_with_maps(self.summands)
-        object.__setattr__(self, "total_group", total)
+        rel = _intlin.relation_columns(total.orders)
+        w_bases = tuple(
+            _intlin.Lattice(total.ngens, [col for emb in embeddings[i:]
+                                          for col in emb.columns()] + rel).basis
+            for i in range(len(embeddings) + 1))
         object.__setattr__(self, "embeddings", tuple(embeddings))
-        object.__setattr__(self, "total", cech_complex(self.site, total))
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "w_bases", w_bases)
 
     @property
     def depth(self) -> int:
         return len(self.summands)
 
-    def _memoized(self, key: tuple, compute):
-        """compute(), once per key on this instance; results are shared, so
-        callers must not mutate them."""
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = compute()
-        return hit
+    @property
+    def ngens(self) -> int:
+        """g, the generators of the direct sum."""
+        return self.embeddings[0].target.ngens
 
-    def _z_target(self, r: Optional[int], p: int) -> int:
-        return self.depth + 1 if r is None else min(p + r, self.depth + 1)
-
-    def _b_source(self, r: Optional[int], p: int) -> int:
-        return 1 if r is None else max(p - r, 1)
-
-    def _v_basis(self, p: int, n: int) -> list[list[int]]:
-        """A basis of V_p = C^n(X, W_p), W_p in Z^g spanned by summands p..
-        and the relations, as a basis of W_p on each cell (1-based
-        filtration index; p <= 1 is everything, p > depth the relations)."""
-        p = min(max(p, 1), self.depth + 1)
-        return self._memoized(("V", p, n), lambda: self._compute_v(p, n))
-
-    def _compute_v(self, p: int, n: int) -> list[list[int]]:
-        total = self.total_group
-        gens = [col for emb in self.embeddings[p - 1:] for col in emb.columns()]
-        w = _intlin.Lattice(total.ngens, gens + _intlin.relation_columns(total.orders))
-        return cellwise(w.basis, len(self.site.cells(n)))
-
-    def _z_lattice(self, r: Optional[int], p: int, q: int) -> _intlin.Lattice:
-        """{x in V_p ∩ C^{p+q} : dx in V_{p+r}} (r=None: dx = 0)."""
-        t = self._z_target(r, p)
-        return self._memoized(("Z", t, p, q), lambda: self._compute_z(t, p, q))
-
-    def _compute_z(self, t: int, p: int, q: int) -> _intlin.Lattice:
-        """The preimage of V_t under d on V_p; V_p itself when t <= p,
-        since d(V_p) lies in V_p, which lies in V_t."""
-        n = p + q
-        amb = self.total.group(n)
-        vp = self._v_basis(p, n)
-        if t <= p:
-            return _intlin.Lattice(amb.ngens, vp)
-        g = self.total_group.ngens
-        image_cols = [cech_coboundary(self.site, n, b, g) for b in vp]
-        coeffs = _intlin.lattice_preimage_gens(
-            image_cols, self.total.group(n + 1).ngens, self._v_basis(t, n + 1))
-        return _intlin.Lattice(
-            amb.ngens, [_intlin.lin_comb(vp, c, amb.ngens) for c in coeffs])
-
-    def _b_lattice(self, r: Optional[int], p: int, q: int) -> _intlin.Lattice:
-        """d(V_{p-r}) ∩ V_p in degree p+q (r=None: d of all of V_1)."""
-        s = self._b_source(r, p)
-        return self._memoized(("B", s, p, q), lambda: self._compute_b(s, p, q))
-
-    def _compute_b(self, s: int, p: int, q: int) -> _intlin.Lattice:
-        """d(V_s) ∩ V_p = d{y in V_s ∩ C^{n-1} : dy in V_p} + relations,
-        n = p+q: dy + rho lies in V_p exactly when dy does."""
-        n = p + q
-        amb = self.total.group(n)
-        rel = _intlin.relation_columns(amb.orders)
-        if n - 1 < 0:
-            return _intlin.Lattice(amb.ngens, rel)
-        g = self.total_group.ngens
-        image = [cech_coboundary(self.site, n - 1, y, g)
-                 for y in self._z_lattice(p - s, s, n - 1 - s).basis]
-        return _intlin.Lattice(amb.ngens, image + rel)
+    def w_basis(self, p: int) -> list[list[int]]:
+        """A basis of W_p (1-based; p <= 1 is Z^g, p > depth is R)."""
+        return self.w_bases[min(max(p, 1), self.depth + 1) - 1]
 
 
 @dataclass(frozen=True)
@@ -148,12 +106,8 @@ class SpectralTerms:
     e_group: FgAbGroup
 
 
-def _group_of(lattice: _intlin.Lattice, rel) -> FgAbGroup:
-    return presentation_group(_intlin.present_quotient(lattice, rel))
-
-
 def filtered_terms(f: FilteredComplex, r: Optional[int], p: int, q: int) -> SpectralTerms:
-    """Z, B, E from the defining membership conditions (memoized on f)."""
+    """Z, B, E in degree p+q as the sums of the elementary pieces' terms."""
     if r is not None and r < 1:
         raise ValidationError("page index must be >= 1")
     if p < 1:
@@ -161,23 +115,50 @@ def filtered_terms(f: FilteredComplex, r: Optional[int], p: int, q: int) -> Spec
     n = p + q
     if n < 0:
         raise ValidationError(f"degree p+q = {n} is out of range")
-    # E_r's denominator is B_{r-1}^{pq} + Z_{r-1}^{p+1,q-1}, and the latter
-    # has the same target index as Z_r^{pq}.
-    prev_r = None if r is None else r - 1
-    key = ("terms", p, q, f._z_target(r, p), f._b_source(r, p), f._b_source(prev_r, p))
-    groups = f._memoized(key, lambda: _compute_terms(f, r, prev_r, p, q))
-    return SpectralTerms(r, p, q, *groups)
+    top = f.depth + 1
+    # E_r's denominator reads page r-1: Z_{r-1}^{p+1,q-1} has the same
+    # target index t as Z_r^{pq}, and B_{r-1}^{pq} the source index s_prev.
+    t = top if r is None else min(p + r, top)
+    s, s_prev = (1, 1) if r is None else (max(p - r, 1), max(p - r + 1, 1))
+    w_p, w_next = f.w_basis(p), f.w_basis(p + 1)
+    sources = Counter(coboundary_diagonal(f.site, n))
+    targets = Counter(coboundary_diagonal(f.site, n - 1))
+    free = len(f.site.cells(n)) - sum(sources.values()) - sum(targets.values())
+    pieces = [(_piece_groups(f, w_p, [], w_next), free)] if free else []
+    for a, count in sources.items():
+        pieces.append((_piece_groups(f, _preimage(f, a, p, t), [],
+                                     _preimage(f, a, p + 1, t)), count))
+    for a, count in targets.items():
+        boundaries = [_scaled(a, _preimage(f, a, i, p)) for i in (s, s_prev)]
+        pieces.append((_piece_groups(f, w_p, boundaries[0], boundaries[1] + w_next),
+                       count))
+    z, b, e = (cyclic_sum((o, count) for groups, count in pieces
+                          for o in groups[i].orders) for i in range(3))
+    return SpectralTerms(r, p, q, z, b, e)
 
 
-def _compute_terms(f: FilteredComplex, r: Optional[int], prev_r: Optional[int],
-                   p: int, q: int) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
-    rel = _intlin.relation_columns(f.total.group(p + q).orders)
-    z_lat = f._z_lattice(r, p, q)
-    b_lat = f._b_lattice(r, p, q)
+def _scaled(a: int, vectors: list[list[int]]) -> list[list[int]]:
+    return [[a * v for v in vec] for vec in vectors]
+
+
+def _preimage(f: FilteredComplex, a: int, i: int, j: int) -> list[list[int]]:
+    """Generators of {x in W_i : ax in W_j}."""
+    w_i, g = f.w_basis(i), f.ngens
+    coeffs = _intlin.lattice_preimage_gens(_scaled(a, w_i), g, f.w_basis(j))
+    return [_intlin.lin_comb(w_i, c, g) for c in coeffs]
+
+
+def _piece_groups(f: FilteredComplex, z_gens: list[list[int]], b_gens: list[list[int]],
+                  e_gens: list[list[int]]) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
+    """Z/R, B/R and E = Z/(E's denominator) of one piece, from generators
+    of its Z_r, and of its B_r and E's denominator without R."""
+    rel = f.w_basis(f.depth + 1)
+    z_lat = _intlin.Lattice(f.ngens, z_gens)
+    b_lat = _intlin.Lattice(f.ngens, b_gens + rel)
     if not z_lat.contains_lattice(b_lat):
         raise VerificationError("boundary term escaped the cycle term")
-    e_rel = f._b_lattice(prev_r, p, q).basis + f._z_lattice(prev_r, p + 1, q - 1).basis
-    return _group_of(z_lat, rel), _group_of(b_lat, rel), _group_of(z_lat, e_rel)
+    return tuple(presentation_group(_intlin.present_quotient(num, den))
+                 for num, den in ((z_lat, rel), (b_lat, rel), (z_lat, e_gens + rel)))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Nothing here touches the package's SNF/lattice path: determinants come
 from fraction-free elimination, cohomology from exhaustive enumeration
 with the group structure reconstructed by order counting, solves from
 brute-force search.  These are the second route of every dual-route check.
-Two exceptions are earlier versions kept as references for the ones the
+Three exceptions are earlier versions kept as references for the ones the
 package uses now: ``ses_failure``, the earlier criterion for a short exact
-sequence, and ``reference_smith``, the dense SNF kernel whose output the
-sparse one must reproduce bit for bit.
+sequence, ``reference_smith``, the dense SNF kernel whose output the
+sparse one must reproduce bit for bit, and ``MembershipTerms``, the
+spectral terms solved as lattices in the total cochain group, which the
+sums over elementary pieces must match group for group.
 """
 
 from __future__ import annotations
@@ -15,13 +17,18 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
+from cechtower import _intlin
 from cechtower.abelian import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
     hom_invariants,
     is_exact_at,
+    presentation_group,
 )
+from cechtower.cochain import cech_coboundary, cech_complex, cellwise
+from cechtower.errors import VerificationError
+from cechtower.spectral import SpectralTerms
 
 
 def bareiss_det(mat) -> int:
@@ -418,3 +425,109 @@ def reference_smith(mat, transforms=ALL_TRANSFORMS):
         k += 1
 
     return U, _transpose(UiT), A, _transpose(VT), Vinv
+
+
+# The spectral terms from their membership definitions, solved in the total
+# cochain group L^k: the reference `cechtower.spectral.filtered_terms`, which
+# sums the elementary pieces of C*(X; Z), must agree with.
+
+class MembershipTerms:
+    """The terms of a ``FilteredComplex`` from the defining conditions
+
+        Z_r^{pq} = {x in V_p ∩ C^{p+q} : dx in V_{p+r}},
+        B_r^{pq} = d(V_{p-r}) ∩ V_p ∩ C^{p+q},
+        E_r^{pq} = Z_r^{pq} / (B_{r-1}^{pq} + Z_{r-1}^{p+1,q-1}),
+
+    solved exactly by lattice arithmetic in C^n(X; L), L the direct sum,
+    with no intersection: B_r^{pq} is d(Z_r^{p-r,q+r-1}) plus the
+    relations.  ``r=None`` is the limit page (dx = 0 / global boundaries).
+
+    Every term is one ``Lattice`` memoized under a key free of r: Z_r^{pq}
+    reads r only through its target index min(p+r, depth+1) and B_r^{pq}
+    only through its source index max(p-r, 1).  New lattices are generated
+    from the bases of memoized ones.
+    """
+
+    def __init__(self, f):
+        self.site = f.site
+        self.depth = f.depth
+        self.embeddings = f.embeddings
+        self.total_group = f.embeddings[0].target
+        self.total = cech_complex(self.site, self.total_group)
+        self._memo = {}
+
+    def _memoized(self, key: tuple, compute):
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = compute()
+        return hit
+
+    def z_target(self, r, p: int) -> int:
+        return self.depth + 1 if r is None else min(p + r, self.depth + 1)
+
+    def b_source(self, r, p: int) -> int:
+        return 1 if r is None else max(p - r, 1)
+
+    def v_basis(self, p: int, n: int) -> list[list[int]]:
+        """A basis of V_p = C^n(X, W_p), W_p in Z^g spanned by summands p..
+        and the relations, as a basis of W_p on each cell (1-based
+        filtration index; p <= 1 is everything, p > depth the relations)."""
+        p = min(max(p, 1), self.depth + 1)
+        return self._memoized(("V", p, n), lambda: self._compute_v(p, n))
+
+    def _compute_v(self, p: int, n: int) -> list[list[int]]:
+        total = self.total_group
+        gens = [col for emb in self.embeddings[p - 1:] for col in emb.columns()]
+        w = _intlin.Lattice(total.ngens, gens + _intlin.relation_columns(total.orders))
+        return cellwise(w.basis, len(self.site.cells(n)))
+
+    def z_lattice(self, r, p: int, q: int) -> _intlin.Lattice:
+        """{x in V_p ∩ C^{p+q} : dx in V_{p+r}} (r=None: dx = 0)."""
+        t = self.z_target(r, p)
+        return self._memoized(("Z", t, p, q), lambda: self._compute_z(t, p, q))
+
+    def _compute_z(self, t: int, p: int, q: int) -> _intlin.Lattice:
+        """The preimage of V_t under d on V_p; V_p itself when t <= p,
+        since d(V_p) lies in V_p, which lies in V_t."""
+        n = p + q
+        amb = self.total.group(n)
+        vp = self.v_basis(p, n)
+        if t <= p:
+            return _intlin.Lattice(amb.ngens, vp)
+        g = self.total_group.ngens
+        image_cols = [cech_coboundary(self.site, n, b, g) for b in vp]
+        coeffs = _intlin.lattice_preimage_gens(
+            image_cols, self.total.group(n + 1).ngens, self.v_basis(t, n + 1))
+        return _intlin.Lattice(
+            amb.ngens, [_intlin.lin_comb(vp, c, amb.ngens) for c in coeffs])
+
+    def b_lattice(self, r, p: int, q: int) -> _intlin.Lattice:
+        """d(V_{p-r}) ∩ V_p in degree p+q (r=None: d of all of V_1)."""
+        s = self.b_source(r, p)
+        return self._memoized(("B", s, p, q), lambda: self._compute_b(s, p, q))
+
+    def _compute_b(self, s: int, p: int, q: int) -> _intlin.Lattice:
+        """d(V_s) ∩ V_p = d{y in V_s ∩ C^{n-1} : dy in V_p} + relations,
+        n = p+q: dy + rho lies in V_p exactly when dy does."""
+        n = p + q
+        amb = self.total.group(n)
+        rel = _intlin.relation_columns(amb.orders)
+        if n - 1 < 0:
+            return _intlin.Lattice(amb.ngens, rel)
+        g = self.total_group.ngens
+        image = [cech_coboundary(self.site, n - 1, y, g)
+                 for y in self.z_lattice(p - s, s, n - 1 - s).basis]
+        return _intlin.Lattice(amb.ngens, image + rel)
+
+    def terms(self, r, p: int, q: int) -> SpectralTerms:
+        """Z, B, E at one grid point, each presented over its lattice."""
+        prev_r = None if r is None else r - 1
+        rel = _intlin.relation_columns(self.total.group(p + q).orders)
+        z_lat = self.z_lattice(r, p, q)
+        b_lat = self.b_lattice(r, p, q)
+        if not z_lat.contains_lattice(b_lat):
+            raise VerificationError("boundary term escaped the cycle term")
+        e_rel = self.b_lattice(prev_r, p, q).basis + self.z_lattice(prev_r, p + 1, q - 1).basis
+        return SpectralTerms(r, p, q, *(
+            presentation_group(_intlin.present_quotient(num, den))
+            for num, den in ((z_lat, rel), (b_lat, rel), (z_lat, e_rel))))

@@ -1,17 +1,20 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cechtower._intlin import present_cokernel, relation_columns
 from cechtower.abelian import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
     cyclic_group,
+    cyclic_sum,
     direct_sum_with_maps,
     free_group,
     hom_invariants,
     hom_validate,
     is_exact_at,
+    presentation_group,
     smith_normal_form,
     solve_in_group,
     trivial_group,
@@ -266,3 +269,34 @@ class TestDirectSum:
             for emb, proj in zip(embs, projs):
                 acc = acc + emb.apply(proj.apply(el))
             assert acc == el
+
+
+MERSENNE_61 = (1 << 61) - 1
+
+
+def summed_by_snf(pairs) -> FgAbGroup:
+    orders = [o for o, count in pairs for _ in range(count)]
+    return presentation_group(present_cokernel(len(orders), relation_columns(orders)))
+
+
+class TestCyclicSum:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.one_of(st.integers(0, 12),
+                                        st.sampled_from([16, 27, 30, 36, 49, 60, MERSENNE_61])),
+                              st.integers(0, 6)),
+                    max_size=8))
+    @example([(2, 60), (4, 45), (3, 30), (6, 25), (0, 20), (1, 10)])
+    @example([(MERSENNE_61, 3), (2 * MERSENNE_61, 2), (6, 4), (0, 1)])
+    def test_agrees_with_one_snf(self, pairs):
+        # The gcd/lcm merge of (order, count) pairs gives the invariant
+        # factors one SNF of the relations gives for the expanded list.
+        assert cyclic_sum(pairs) == summed_by_snf(pairs)
+
+    def test_many_copies_without_an_snf(self):
+        # Thousands of summands, as in a term of the 20 x 20 torus, and a
+        # 61-bit prime that must not be factored: prime by prime the
+        # largest exponents go to the largest factors.
+        group = cyclic_sum([(2, 1200), (4, 800), (3, 400), (MERSENNE_61, 7), (0, 5)])
+        assert group.free_rank == 5
+        assert group.torsion == ((2,) * 1200 + (4,) * 400 + (12,) * 393
+                                 + (12 * MERSENNE_61,) * 7)

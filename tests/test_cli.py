@@ -213,6 +213,22 @@ class TestOtherCommands:
         assert proc.returncode == 4
         assert b"coboundary" in proc.stderr and b"budget" in proc.stderr
 
+    @pytest.mark.parametrize("payload", [
+        # d_0 has no rows, so the integral SNF would build 2,100 x 2,100
+        # transforms although no coboundary has an entry.
+        {"complex": {"vertex_count": 2100, "facets": [[v] for v in range(2100)]},
+         "group": Z_DOC, "degree": "all"},
+        # One vertex with Z^2100: 2,100 cyclic summands summed by a square SNF.
+        {"complex": {"vertex_count": 1, "facets": [[0]]},
+         "group": {"free_rank": 2100, "torsion": []}, "degree": "all"},
+    ], ids=["isolated_vertices", "wide_coefficients"])
+    def test_oversized_square_snf_refused_before_allocation(self, payload):
+        proc = run_cli(["cohomology"], payload, timeout=60,
+                       preexec_fn=_cap_address_space)
+        assert proc.returncode == 4
+        assert proc.stdout == b""
+        assert b"budget exceeded" in proc.stderr and b"2100 x 2100" in proc.stderr
+
     @pytest.mark.parametrize("command,payload", [
         ("cohomology", {"complex": RP2_DOC, "group": Z2_DOC, "degree": "all"}),
         ("les", {"complex": RP2_DOC, "ses": BOCKSTEIN_DOC}),
@@ -237,6 +253,35 @@ class TestOtherCommands:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert b"options.max_degree" in proc.stderr
+
+
+class TestMalformedPayloads:
+    """Payloads that once escaped as a traceback with exit code 1."""
+
+    @staticmethod
+    def assert_refused_at(proc, path: bytes):
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        assert b"error: " + path + b":" in proc.stderr
+
+    def test_input_file_not_utf8(self, tmp_path):
+        payload = tmp_path / "payload.json"
+        payload.write_bytes(b'{"kind": "group", "value": "\xff"}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "cechtower.cli", "validate", "--input", str(payload)],
+            capture_output=True)
+        self.assert_refused_at(proc, b"input")
+
+    def test_json_nested_too_deeply(self):
+        depth = 100_000
+        proc = subprocess.run([sys.executable, "-m", "cechtower.cli", "validate"],
+                              input=b"[" * depth + b"]" * depth, capture_output=True)
+        self.assert_refused_at(proc, b"input")
+
+    def test_validate_kind_not_a_string(self):
+        proc = run_cli(["validate"], {"kind": ["x"], "value": {}})
+        self.assert_refused_at(proc, b"payload.kind")
 
 
 class TestSpectralCommand:
