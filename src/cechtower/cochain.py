@@ -39,13 +39,15 @@ from cechtower.abelian import (
 )
 from cechtower.errors import BudgetExceededError, ValidationError, VerificationError
 
-# Cap on the cells of a site and on the bar complex's generators in its top
-# degree, checked before either is enumerated.
+# Cap on the cells of a site, on the generators of each cochain group of a
+# Cech complex (g*k_p) and on the bar complex's generators in its top
+# degree, checked before any of them is enumerated.
 GENERATOR_BUDGET = 1 << 16
-# Cap on the entries of one dense matrix: a Cech coboundary (g*k_{p+1} x
-# g*k_p), checked when the complex is built, which the cochain-level check
-# of a coefficient sequence (L^k size) relies on; the k_p x k_p transforms
-# of an integral SNF; the square SNF that sums cyclic summands.
+# Cap on the entries of one dense matrix, checked where it is built: the
+# integral coboundary (k_{p+1} x k_p) and its SNF transforms (k_p x k_p),
+# the dense view ``differential(p)`` of a Cech coboundary, and the
+# representatives and lift columns of a degree's s cyclic summands (s x
+# g*k_p, which bounds the s x s SNF that sums them).
 COBOUNDARY_ENTRY_BUDGET = 1 << 22
 
 # Cap on the degrees of one cohomology or long exact sequence request: a
@@ -252,13 +254,16 @@ class CochainComplex:
 
     def differential(self, p: int) -> Homomorphism:
         """d_p as a matrix.  On a Cech complex this is a dense view of the
-        face table, built on each call and never stored; code that only
-        applies d_p uses ``coboundary``/``cech_coboundary`` instead."""
+        face table, built on each call and never stored, and refused before
+        any row is built when it would pass ``COBOUNDARY_ENTRY_BUDGET``;
+        code that only applies d_p uses ``coboundary``/``cech_coboundary``
+        instead."""
         if self.base is None:
             if 0 <= p < self.max_degree:
                 return self.diffs[p]
             return zero_hom(self.group(p), self.group(p + 1))
         src, k = self.group(p), len(self.base.cells(p))
+        check_dense_budget(f"coboundary {p}", self.group(p + 1).ngens, src.ngens)
         rows = [row for g in range(self.coefficients.ngens)
                 for row in _coboundary_rows(self.base, p, src.ngens, g * k)]
         return Homomorphism(src, self.group(p + 1), rows)
@@ -367,13 +372,18 @@ def cech_complex(x: SimplicialComplex, coefficients: FgAbGroup) -> CochainComple
     Stored degrees run to dim+1 (the top group is trivial) so that the top
     nontrivial degree still has an outgoing differential.  The complex
     keeps only groups and cells; its coboundary is the site's face table
-    (``cech_coboundary``).  A complex whose dense coboundary would have more
-    than ``COBOUNDARY_ENTRY_BUDGET`` entries is refused.  The complex
-    equals every other one built from an equal (site, coefficients) pair,
-    so the bounded memo only saves rebuilding it: a cochain of an evicted
-    instance still belongs to the rebuilt one.
+    (``cech_coboundary``).  A complex with a cochain group of more than
+    ``GENERATOR_BUDGET`` generators is refused before any is listed.  The
+    complex equals every other one built from an equal (site, coefficients)
+    pair, so the bounded memo only saves rebuilding it: a cochain of an
+    evicted instance still belongs to the rebuilt one.
     """
-    _check_coboundary_budget(x, coefficients.ngens)
+    for p in range(x.dim + 1):
+        n = coefficients.ngens * len(x.cells(p))
+        if n > GENERATOR_BUDGET:
+            raise BudgetExceededError(
+                f"cochain group {p} would have {n} generators, budget is "
+                f"{GENERATOR_BUDGET}")
     cells = tuple(x.cells(p) for p in range(x.dim + 1)) + ((),)
     groups = tuple(power_group(coefficients, len(c)) for c in cells)
     return CochainComplex(groups, (), coefficients, cells, x)
@@ -388,13 +398,13 @@ def check_dense_budget(what: str, rows: int, cols: int) -> None:
             f"{COBOUNDARY_ENTRY_BUDGET} entries")
 
 
-def _check_coboundary_budget(x: SimplicialComplex, g: int) -> None:
-    """Refuse a site whose dense coboundaries with g coefficient generators
-    (g*k_{p+1} x g*k_p), or the k_p x k_p transforms of its integral SNF
-    (built even when d_p has no rows), would pass the budget."""
+def _check_coboundary_budget(x: SimplicialComplex) -> None:
+    """Refuse a site whose dense integral coboundaries (k_{p+1} x k_p), or
+    the k_p x k_p transforms of their SNFs (built even when d_p has no
+    rows), would pass the budget."""
     for p in range(x.dim + 1):
         k = len(x.cells(p))
-        check_dense_budget(f"coboundary {p}", g * len(x.cells(p + 1)), g * k)
+        check_dense_budget(f"coboundary {p}", len(x.cells(p + 1)), k)
         check_dense_budget(f"the SNF transforms of integral coboundary {p}", k, k)
 
 
@@ -534,7 +544,7 @@ def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
     """Degree-p integral data of the site, memoized on (site, p): one SNF of
     d_p.  im d_{p-1} in V-coordinates is V^-1 d_{p-1}; its rows below the
     rank vanish, and the columns of the others present H^p(X; Z)."""
-    _check_coboundary_budget(x, 1)
+    _check_coboundary_budget(x)
     k = len(x.cells(p))
     res = _intlin.snf(_coboundary_rows(x, p, k), len(x.cells(p + 1)), k,
                       _intlin.COBOUNDARY)
@@ -548,9 +558,10 @@ def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
 def _cyclic_factor(h: _IntegralDegree, m: int, k: int):
     """H^p(X; Z/m) (m == 0: Z) as cyclic summands, by universal coefficients.
 
-    Returns (orders, representatives in Z^k, coords) where ``coords`` maps
-    a cocycle of the factor to its coordinates in the summands, read off
-    y = V^-1 c.  The summands are H^p(Z) (x) Z/m, the integral
+    Returns (orders, reps, coords): ``reps()`` builds the representatives
+    in Z^k, so a caller can size them from ``orders`` first, and ``coords``
+    maps a cocycle of the factor to its coordinates in the summands, read
+    off y = V^-1 c.  The summands are H^p(Z) (x) Z/m, the integral
     representatives of order gcd(t_j, m), projected from y[rank:]; then
     Tor(H^{p+1}(Z), Z/m), the cochains (m/g_i) V e_i of order
     g_i = gcd(a_i, m) (none for m == 0), read from y_i.  Summands of order
@@ -562,8 +573,10 @@ def _cyclic_factor(h: _IntegralDegree, m: int, k: int):
     steps = [m // gcd(a, m) for a in h.diag]  # m / g_i
     tor = [i for i, step in enumerate(steps) if step < m]
     orders = [o for _, o in tensor] + [m // steps[i] for i in tor]
-    reps = ([_intlin.lin_comb(h.v_cols[rank:], pres.lift_cols[j], k) for j, _ in tensor]
-            + [[steps[i] * v for v in h.v_cols[i]] for i in tor])
+
+    def reps() -> list[list[int]]:
+        return ([_intlin.lin_comb(h.v_cols[rank:], pres.lift_cols[j], k) for j, _ in tensor]
+                + [[steps[i] * v for v in h.v_cols[i]] for i in tor])
 
     def coords(c: Sequence[int]) -> list[int]:
         y = _intlin.mat_vec(h.vinv_rows, c)
@@ -582,15 +595,18 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
     Each generator-major block of C^p(X; L) is C^p(X; Z/o) for one
     coefficient order o (o = 0: Z).  The factors' cyclic summands are
     brought into invariant-factor form by one small ``present_cokernel``.
+    The s summands are counted before any representative is built, and
+    s x n (representatives and lift columns in C^p, n = g*k_p) is refused
+    past the budget; s <= n, so that also bounds the s x s summing SNF.
     """
     h = _integral_degree(complex_.base, p)
     k = complex_.ncells(p)
     n = complex_.coefficients.ngens * k
     factors = [_cyclic_factor(h, o, k) for o in complex_.coefficients.orders]
     orders = [o for f_orders, _, _ in factors for o in f_orders]
-    check_dense_budget(f"summing {len(orders)} cyclic summands", len(orders), len(orders))
+    check_dense_budget(f"{len(orders)} cyclic summands of degree {p}", len(orders), n)
     reps = [[0] * (b * k) + list(r) + [0] * (n - (b + 1) * k)
-            for b, (_, f_reps, _) in enumerate(factors) for r in f_reps]
+            for b, (_, f_reps, _) in enumerate(factors) for r in f_reps()]
     coord_fns = [f_coords for _, _, f_coords in factors]
     summed = _intlin.present_cokernel(len(orders), _intlin.relation_columns(orders))
 
@@ -726,21 +742,6 @@ def bar_complex(group, action: GroupAction, max_degree: int,
         diffs.append(Homomorphism(groups[p], groups[p + 1],
                                   tuple(tuple(r) for r in rows)))
     return CochainComplex(groups, tuple(diffs), module, cells, None)
-
-
-def cellwise(cols: Sequence[Sequence[int]], k: int) -> list[list[int]]:
-    """Each coefficient vector of ``cols`` on each of k cells, in generator-
-    major coordinates of L^k: entry j*k + s is cols[j] on cell s."""
-    return [[col[i // k] if i % k == s else 0 for i in range(len(col) * k)]
-            for col in cols for s in range(k)]
-
-
-def cech_induced(x: SimplicialComplex, h: Homomorphism, p: int) -> Homomorphism:
-    """The dense cochain-level map I_k (x) h: C^p(X, source) -> C^p(X, target)
-    of a coefficient homomorphism h, its columns placed on each cell."""
-    src, tgt = cech_complex(x, h.source).group(p), cech_complex(x, h.target).group(p)
-    cols = cellwise(h.columns(), len(x.cells(p)))
-    return Homomorphism(src, tgt, _intlin.columns_to_matrix(cols, tgt.ngens))
 
 
 def apply_cellwise(matrix: Sequence[Sequence[int]], coords: Sequence[int],

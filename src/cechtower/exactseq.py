@@ -18,7 +18,6 @@ from cechtower.abelian import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    hom_invariants,
     is_exact_at,
     solve_in_group,
     trivial_group,
@@ -32,7 +31,6 @@ from cechtower.cochain import (
     apply_cellwise,
     cech_coboundary,
     cech_complex,
-    cech_induced,
     check_degree_bound,
     class_of,
     coboundary,
@@ -74,19 +72,6 @@ def validate_ses(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup,
 
 
 @lru_cache(maxsize=256)
-def _check_degreewise(x: SimplicialComplex, ses: ShortExactSequence, p: int) -> None:
-    """Re-verify 0 -> C^p(A) -> C^p(B) -> C^p(C) -> 0 instead of trusting it."""
-    iota_p = cech_induced(x, ses.iota, p)
-    pi_p = cech_induced(x, ses.pi, p)
-    if not hom_invariants(iota_p).kernel.is_trivial:
-        raise VerificationError(f"cochain-level injection fails in degree {p}")
-    if not hom_invariants(pi_p).cokernel.is_trivial:
-        raise VerificationError(f"cochain-level surjection fails in degree {p}")
-    if not is_exact_at(iota_p, pi_p).ok:
-        raise VerificationError(f"cochain-level middle exactness fails in degree {p}")
-
-
-@lru_cache(maxsize=256)
 def _section_matrix(ses: ShortExactSequence) -> tuple[tuple[int, ...], ...]:
     """Canonical set-section of pi, one solve per generator of c.
 
@@ -111,6 +96,14 @@ def connecting(x: SimplicialComplex, ses: ShortExactSequence, c: Cochain,
     (used to verify section independence); the default lift is canonical.
     Output is a (p+1)-cocycle with coefficients in ses.a, living in the
     Cech complex of (x, ses.a).
+
+    C^p(X; A) -> C^p(X; B) -> C^p(X; C) is a direct sum of one copy of the
+    coefficient sequence per cell, so it is exact because ``ses`` was
+    checked exact when it was built; nothing here re-checks it.  Every step
+    works on cochain vectors cell by cell, and no matrix whose size grows
+    with the cell count is built.  The image's escape from ker pi, a
+    missing preimage under iota and a non-cocycle output are verification
+    failures.
     """
     comp_c = cech_complex(x, ses.c)
     if c.complex != comp_c:
@@ -118,8 +111,6 @@ def connecting(x: SimplicialComplex, ses: ShortExactSequence, c: Cochain,
     p = c.degree
     if not coboundary(c).is_zero:
         raise ValidationError("connecting morphism needs a cocycle input")
-    _check_degreewise(x, ses, p)
-    _check_degreewise(x, ses, p + 1)
 
     k, k1 = comp_c.ncells(p), comp_c.ncells(p + 1)
     na, nb = ses.a.ngens, ses.b.ngens

@@ -4,12 +4,15 @@ Nothing here touches the package's SNF/lattice path: determinants come
 from fraction-free elimination, cohomology from exhaustive enumeration
 with the group structure reconstructed by order counting, solves from
 brute-force search.  These are the second route of every dual-route check.
-Three exceptions are earlier versions kept as references for the ones the
+Four exceptions are earlier versions kept as references for the ones the
 package uses now: ``ses_failure``, the earlier criterion for a short exact
-sequence, ``reference_smith``, the dense SNF kernel whose output the
-sparse one must reproduce bit for bit, and ``MembershipTerms``, the
-spectral terms solved as lattices in the total cochain group, which the
-sums over elementary pieces must match group for group.
+sequence; ``degreewise_failure``, the same criterion applied to the dense
+cochain-level maps I_k (x) h (``cech_induced``), which ``connecting`` once
+re-checked in every degree and which must reach the coefficient-level
+verdict; ``reference_smith``, the dense SNF kernel whose output the sparse
+one must reproduce bit for bit; and ``MembershipTerms``, the spectral terms
+solved as lattices in the total cochain group, which the sums over
+elementary pieces must match group for group.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from cechtower.abelian import (
     is_exact_at,
     presentation_group,
 )
-from cechtower.cochain import cech_coboundary, cech_complex, cellwise
+from cechtower.cochain import cech_coboundary, cech_complex
 from cechtower.errors import VerificationError
 from cechtower.spectral import SpectralTerms
 
@@ -273,6 +276,37 @@ def ses_failure(iota: Homomorphism, pi: Homomorphism):
     if not hom_invariants(pi).cokernel.is_trivial:
         return "pi is not surjective"
     if not is_exact_at(iota, pi).ok:
+        return "not exact at the middle group"
+    return None
+
+
+def cellwise(cols, k: int) -> list[list[int]]:
+    """Each coefficient vector of ``cols`` on each of k cells, in generator-
+    major coordinates of L^k: entry j*k + s is cols[j] on cell s."""
+    return [[col[i // k] if i % k == s else 0 for i in range(len(col) * k)]
+            for col in cols for s in range(k)]
+
+
+def cech_induced(x, h: Homomorphism, p: int) -> Homomorphism:
+    """The dense cochain-level map I_k (x) h: C^p(X, source) -> C^p(X, target)
+    of a coefficient homomorphism h, its columns placed on each cell."""
+    src, tgt = cech_complex(x, h.source).group(p), cech_complex(x, h.target).group(p)
+    cols = cellwise(h.columns(), len(x.cells(p)))
+    return Homomorphism(src, tgt, _intlin.columns_to_matrix(cols, tgt.ngens))
+
+
+def degreewise_failure(x, iota: Homomorphism, pi: Homomorphism, p: int):
+    """The first node at which 0 -> C^p(X; A) -> C^p(X; B) -> C^p(X; C) -> 0
+    fails to be exact, named as by ``ses_failure``, or None: the kernel of
+    I_k (x) iota and the cokernel of I_k (x) pi by ``hom_invariants``, then
+    ``is_exact_at`` of the pair, all on the dense cochain-level maps."""
+    iota_p = cech_induced(x, iota, p)
+    pi_p = cech_induced(x, pi, p)
+    if not hom_invariants(iota_p).kernel.is_trivial:
+        return "iota is not injective"
+    if not hom_invariants(pi_p).cokernel.is_trivial:
+        return "pi is not surjective"
+    if not is_exact_at(iota_p, pi_p).ok:
         return "not exact at the middle group"
     return None
 

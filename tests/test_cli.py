@@ -11,7 +11,7 @@ from cechtower.abelian import cyclic_group
 from cechtower.cli import Options, Request, execute, main
 from cechtower.cochain import cech_complex, cohomology, suspension
 
-from .conftest import RP2_FACETS
+from .conftest import RP2_FACETS, grid_torus_facets
 
 RP2_DOC = {"vertex_count": 6, "facets": [list(f) for f in RP2_FACETS]}
 Z2_DOC = {"free_rank": 0, "torsion": [2]}
@@ -20,6 +20,14 @@ Z_DOC = {"free_rank": 1, "torsion": []}
 TRIVIAL_DOC = {"free_rank": 0, "torsion": []}
 BOCKSTEIN_DOC = {"A": Z2_DOC, "B": {"free_rank": 0, "torsion": [4]},
                  "C": Z2_DOC, "iota": [[2]], "pi": [[1]]}
+
+
+def isolated_vertices_doc(n: int) -> dict:
+    return {"vertex_count": n, "facets": [[v] for v in range(n)]}
+
+
+def grid_torus_doc(n: int) -> dict:
+    return {"vertex_count": n * n, "facets": [list(f) for f in grid_torus_facets(n)]}
 
 
 def run_cli(args, payload, **kwargs):
@@ -61,6 +69,16 @@ class TestCohomologyCommand:
         assert proc.returncode == 2
         assert b"payload.complex.facets" in proc.stderr
         assert b"repeated vertex 0" in proc.stderr
+
+    def test_mixed_coefficients_on_the_17x17_torus(self):
+        # Once refused (exit 4) for a dense coboundary of 1734 x 2601 entries
+        # that the cyclic-factor path never builds.
+        payload = {"complex": grid_torus_doc(17),
+                   "group": {"free_rank": 1, "torsion": [2, 4]}, "degree": "all"}
+        out = execute(Request("cohomology", payload, Options(verify=True)))
+        assert out == {"H0": "Z x Z/2 x Z/4", "H1": "Z^2 x Z/2 x Z/2 x Z/4 x Z/4",
+                       "H2": "Z x Z/2 x Z/4",
+                       "verify": {"representatives_project_to_generators": True}}
 
     def test_bad_group_exits_2(self):
         payload = {"complex": RP2_DOC,
@@ -228,6 +246,37 @@ class TestOtherCommands:
         assert proc.returncode == 4
         assert proc.stdout == b""
         assert b"budget exceeded" in proc.stderr and b"2100 x 2100" in proc.stderr
+
+    @pytest.mark.parametrize("payload,refusal", [
+        # 2 x 10^8 cochain generators, once listed by power_group first.
+        ({"complex": isolated_vertices_doc(2000),
+          "group": {"free_rank": 0, "torsion": [2] * 100000}, "degree": "all"},
+         b"cochain group 0 would have 200000000 generators"),
+        # 65,536 generators, within the cap, and as many cyclic summands,
+        # whose representatives were once built before their SNF was checked.
+        ({"complex": isolated_vertices_doc(2048),
+          "group": {"free_rank": 32, "torsion": []}, "degree": "all"},
+         b"65536 cyclic summands of degree 0 would need a 65536 x 65536 matrix"),
+        ({"complex": isolated_vertices_doc(2000),
+          "group": {"free_rank": 3000, "torsion": []}, "degree": "all"},
+         b"cochain group 0 would have 6000000 generators"),
+        # Both torus requests were refused by a dense-coboundary check that
+        # is gone; with Z^54 every cochain group is within the cap, and
+        # degree 1 has 108 summands on 64,800 generators.
+        ({"complex": grid_torus_doc(20),
+          "group": {"free_rank": 700, "torsion": []}, "degree": "all"},
+         b"cochain group 0 would have 280000 generators"),
+        ({"complex": grid_torus_doc(20),
+          "group": {"free_rank": 54, "torsion": []}, "degree": "all"},
+         b"108 cyclic summands of degree 1 would need a 108 x 64800 matrix"),
+    ], ids=["wide_torsion", "square_summands", "wide_free", "torus_z700", "torus_z54"])
+    def test_oversized_cochain_data_refused_before_allocation(self, payload, refusal):
+        proc = run_cli(["cohomology"], payload, timeout=120,
+                       preexec_fn=_cap_address_space)
+        assert proc.returncode == 4
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        assert b"budget exceeded" in proc.stderr and refusal in proc.stderr
 
     @pytest.mark.parametrize("command,payload", [
         ("cohomology", {"complex": RP2_DOC, "group": Z2_DOC, "degree": "all"}),

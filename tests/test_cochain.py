@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechtower import _intlin
+from cechtower import _intlin, cochain
 from cechtower.abelian import FgAbGroup, GroupElement, cyclic_group, free_group
 from cechtower.cochain import (
     Cochain,
@@ -86,6 +86,19 @@ class TestCechComplex:
 
     def test_memoized_instance(self, rp2):
         assert cech_complex(rp2, Z2) is cech_complex(rp2, Z2)
+
+    def test_oversized_dense_view_refused_before_building(self, monkeypatch):
+        # The 14-vertex simplex over Z/2 has at most 3,432 cochain generators
+        # per degree, within the cap, but its d_6 as a dense matrix would be
+        # 3003 x 3432.
+        comp = cech_complex(build_complex_from_facets(14, [range(14)]), Z2)
+
+        def no_rows(*args):
+            raise AssertionError("a dense row was built")
+
+        monkeypatch.setattr(cochain, "_coboundary_rows", no_rows)
+        with pytest.raises(BudgetExceededError, match="coboundary 6 .* 3003 x 3432"):
+            comp.differential(6)
 
 
 class TestCoboundary:

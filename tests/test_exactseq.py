@@ -17,6 +17,7 @@ from cechtower.abelian import (
     is_exact_at,
 )
 from cechtower.cochain import (
+    build_complex_from_facets,
     cech_complex,
     class_of,
     coboundary,
@@ -32,7 +33,9 @@ from cechtower.exactseq import (
     validate_ses,
 )
 
-from .oracles import coboundary_set, ses_failure
+from .conftest import RP2_FACETS
+from .oracles import cech_induced, coboundary_set, degreewise_failure, ses_failure
+from .test_uct import sites
 
 Z = free_group(1)
 Z2 = cyclic_group(2)
@@ -306,17 +309,39 @@ class TestLongExactSequence:
             incoming = outgoing
 
 
+CIRCLE = build_complex_from_facets(3, [(0, 1), (0, 2), (1, 2)])
+
+
+@settings(max_examples=200)
+@given(sites(), candidate_sequences())
+@example(build_complex_from_facets(6, RP2_FACETS),
+         (Homomorphism(Z2, Z4, ((2,),)), Homomorphism(Z4, Z2, ((1,),))))
+@example(build_complex_from_facets(6, RP2_FACETS),
+         (Homomorphism(Z, Z, ((4,),)), Homomorphism(Z, Z4, ((1,),))))
+@example(CIRCLE, (Homomorphism(Z2, Z4, ((0,),)), Homomorphism(Z4, Z2, ((1,),))))
+@example(CIRCLE, (Homomorphism(Z2, Z4, ((2,),)), Homomorphism(Z4, Z4, ((2,),))))
+@example(CIRCLE, (Homomorphism(Z2, Z22, ((1,), (0,))), Homomorphism(Z22, Z2, ((1, 0),))))
+def test_cochain_level_sequence_has_the_coefficient_verdict(x, maps):
+    # C^p(X; A) -> C^p(X; B) -> C^p(X; C) is k copies of the coefficient
+    # sequence, so the dense cochain-level check that connecting once ran in
+    # every degree fails at the same node as the coefficient-level one, and
+    # exactly when it does.
+    iota, pi = maps
+    expected = ses_failure(iota, pi)
+    for p in range(x.dim + 1):
+        assert degreewise_failure(x, iota, pi, p) == expected
+
+
 class TestInducedMapsAreValidated:
     def test_degreewise_checks_run(self, rp2, bockstein_222):
-        # smoke: the cochain-level sequence verification is reachable and
-        # passes for a legitimate SES
+        # smoke: connecting trusts the sequence checked at construction and
+        # maps a generator of H^1(RP^2; Z/2) to degree 2
         comp = cech_complex(rp2, Z2)
         gen = cohomology(comp, 1).representatives[0]
         out = connecting(rp2, bockstein_222, gen)
         assert out.degree == 2
 
     def test_hom_invariants_of_induced(self, rp2, bockstein_222):
-        from cechtower.cochain import cech_induced
         iota1 = cech_induced(rp2, bockstein_222.iota, 1)
         pi1 = cech_induced(rp2, bockstein_222.pi, 1)
         assert hom_invariants(iota1).kernel.is_trivial

@@ -9,7 +9,6 @@ from cechtower.cochain import (
     build_complex_from_facets,
     cech_coboundary,
     cech_complex,
-    cech_induced,
     cohomology,
     suspension,
 )
@@ -22,7 +21,7 @@ from cechtower.spectral import (
 )
 
 from .conftest import RP2_FACETS, grid_torus_facets
-from .oracles import MembershipTerms
+from .oracles import MembershipTerms, cech_induced
 from .test_uct import sites
 
 Z = free_group(1)
