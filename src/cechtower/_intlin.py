@@ -1,7 +1,10 @@
 """Exact integer linear algebra on top of the SNF kernel.
 
 Everything here works with plain Python ints: matrices are lists of rows,
-lattices are handled through generator/basis column vectors in some Z^n.
+lattices are handled through generator/basis vectors in some Z^n.  A list
+of vectors goes to the kernel as the rows of its input G; with U G V == D,
+the span of the rows is that of d_i times the rows of V^-1, coordinates are
+read off V's columns, and the rows of U past the rank span {z : z G = 0}.
 Subgroups of a finitely generated abelian group with coordinate orders
 ``o`` are represented by integer lattices containing the relation lattice
 spanned by ``o_i * e_i``; quotients of such lattices are turned into
@@ -58,21 +61,20 @@ def columns_to_matrix(cols: Sequence[Sequence[int]], n: int) -> Mat:
 
 
 # Transforms each kind of caller reads; the kernel skips the others.
-LATTICE = ("U", "Uinv")  # basis from Uinv, coordinates from U
-NULLSPACE = ("V",)
-SOLVE = ("U", "V")
+LATTICE = ("V", "Vinv")  # basis from the rows of Vinv, coordinates from V's columns
+NULLSPACE = ("U",)  # the rows of U past the rank: z G = 0
+SOLVE = ("U", "V")  # z G = y through y V and the rows of U
 COBOUNDARY = ("V", "Vinv")  # kernel from V, V-coordinates of cochains from Vinv
 
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U*A*V == D; diag is the diagonal of D.  Transforms that were not
-    asked for are empty lists."""
+    """U*A*V == D; diag is the diagonal of D and ``V_cols`` the columns of
+    V.  Transforms that were not asked for are empty lists."""
 
     U: Mat
-    Uinv: Mat
     D: Mat
-    V: Mat
+    V_cols: Mat
     Vinv: Mat
     m: int
     n: int
@@ -83,37 +85,31 @@ class SnfResult:
 def snf(A: Sequence[Sequence[int]], m: int, n: int,
         transforms: Collection[str]) -> SnfResult:
     """SNF of the m x n matrix A, computing only ``transforms``."""
-    U, Uinv, D, V, Vinv = smith_with_transforms(A if m else [], transforms)
+    U, D, V_cols, Vinv = smith_with_transforms(A if m else [], transforms)
     if not m:
         D = []
-        V = identity_matrix(n) if "V" in transforms else []
+        V_cols = identity_matrix(n) if "V" in transforms else []
         Vinv = identity_matrix(n) if "Vinv" in transforms else []
     diag = tuple(D[i][i] for i in range(min(m, n)))
     rank = sum(1 for d in diag if d != 0)
-    return SnfResult(U, Uinv, D, V, Vinv, m, n, diag, rank)
+    return SnfResult(U, D, V_cols, Vinv, m, n, diag, rank)
 
 
 def solve_linear(res: SnfResult, y: Sequence[int]) -> Optional[Vec]:
-    """One solution of A x = y over Z (zero homogeneous part), or None.
+    """One solution z of z A = y over Z (zero homogeneous part), or None.
 
-    Needs U and V in ``res``.
+    With u = y V, w_i = u_i / d_i below the rank and z = sum w_i U[i]; u
+    must vanish from the rank on.  Needs U and V in ``res``.
     """
-    u = mat_vec(res.U, y)
-    z = [0] * res.n
-    for i in range(res.m):
-        if i < res.rank:
-            d = res.diag[i]
-            if u[i] % d != 0:
-                return None
-            z[i] = u[i] // d
-        elif u[i] != 0:
+    u = mat_vec(res.V_cols, y)
+    if any(u[res.rank:]):
+        return None
+    w = []
+    for ui, d in zip(u, res.diag[:res.rank]):
+        if ui % d:
             return None
-    return mat_vec(res.V, z)
-
-
-def kernel_columns(res: SnfResult) -> list[Vec]:
-    """Basis of {x : A x = 0}: the V-columns past the rank."""
-    return [[res.V[i][j] for i in range(res.n)] for j in range(res.rank, res.n)]
+        w.append(ui // d)
+    return lin_comb(res.U, w, res.m)
 
 
 def relation_columns(orders: Sequence[int]) -> list[Vec]:
@@ -133,18 +129,17 @@ class Lattice:
 
     The basis is the deterministic function of the generator list produced
     by the SNF transforms, so equal generator lists give equal bases.  With
-    U * G * V == D for the generator matrix G, the basis vectors are
-    b_i = d_i * Uinv e_i, so U b_i == d_i e_i: coordinates come from U and
-    the diagonal, and no second SNF is needed.
+    U * G * V == D for the generators as the rows of G, the basis vectors
+    are the rows b_i = d_i * Vinv[i], so b_i V == d_i e_i: coordinates come
+    from V's columns and the diagonal, and no second SNF is needed.
     """
 
     def __init__(self, n: int, gens: Sequence[Sequence[int]]):
         self.n = n
-        res = snf(columns_to_matrix(gens, n), n, len(gens), LATTICE)
+        res = snf(gens, len(gens), n, LATTICE)
         self._diag = res.diag[:res.rank]
-        self._U = res.U
-        self.basis = [[d * row[i] for row in res.Uinv]
-                      for i, d in enumerate(self._diag)]
+        self._V_cols = res.V_cols
+        self.basis = [[d * v for v in row] for d, row in zip(self._diag, res.Vinv)]
 
     @property
     def rank(self) -> int:
@@ -153,10 +148,10 @@ class Lattice:
     def coords_of(self, v: Sequence[int]) -> Optional[Vec]:
         """Coefficients of v in the basis, or None when v is outside.
 
-        v = sum c_i b_i exactly when u = U v has u_i == c_i * d_i below the
+        v = sum c_i b_i exactly when u = v V has u_i == c_i * d_i below the
         rank and u_i == 0 from the rank on.
         """
-        u = mat_vec(self._U, v)
+        u = mat_vec(self._V_cols, v)
         coords = []
         for ui, d in zip(u, self._diag):
             if ui % d:
@@ -175,23 +170,23 @@ class Lattice:
 
 def preimage_snf(map_cols: Sequence[Sequence[int]], m: int, w_gens: Sequence[Sequence[int]],
                  transforms: Collection[str]) -> SnfResult:
-    """SNF of the block [cols | -W]: ``map_cols`` and ``w_gens`` are column
-    vectors in Z^m.  A solution w of [cols | -W] w == y gives
-    sum_j w_j * col_j == y modulo lattice(w_gens)."""
-    cols = [*map_cols, *([-x for x in w] for w in w_gens)]
-    return snf(columns_to_matrix(cols, m), m, len(cols), transforms)
+    """SNF of the rows [cols; -W]: ``map_cols`` and ``w_gens`` are vectors
+    in Z^m.  A solution z of z [cols; -W] == y gives sum_j z_j * col_j == y
+    modulo lattice(w_gens)."""
+    rows = [*map_cols, *([-x for x in w] for w in w_gens)]
+    return snf(rows, len(rows), m, transforms)
 
 
 def lattice_preimage_gens(map_cols: Sequence[Sequence[int]], m: int,
                           w_gens: Sequence[Sequence[int]]) -> list[Vec]:
     """Generators of {y in Z^g : sum_j y_j * col_j lies in lattice(w_gens)}.
 
-    ``map_cols`` are g column vectors in Z^m.  Computed as the projection
-    of the kernel of the block matrix [cols | -W]; with W the relation
-    columns of a target group this is the kernel of a homomorphism.
+    ``map_cols`` are g vectors in Z^m.  Computed as the projection of the
+    left kernel of [cols; -W], the rows of U past the rank; with W the
+    relation columns of a target group this is the kernel of a homomorphism.
     """
     res = preimage_snf(map_cols, m, w_gens, NULLSPACE)
-    return [col[:len(map_cols)] for col in kernel_columns(res)]
+    return [row[:len(map_cols)] for row in res.U[res.rank:]]
 
 
 @dataclass
@@ -211,16 +206,16 @@ class Presentation:
     project: Callable[[Sequence[int]], Vec] = field(repr=False)
 
 
-def present_cokernel(n: int, cols: Sequence[Sequence[int]]) -> Presentation:
-    """Present Z^n modulo the span of ``cols`` with one SNF U*C*V == D of
-    the column matrix: rows of U project, columns of Uinv lift."""
-    res = snf(columns_to_matrix(cols, n), n, len(cols), LATTICE)
+def present_cokernel(n: int, vecs: Sequence[Sequence[int]]) -> Presentation:
+    """Present Z^n modulo the span of ``vecs`` with one SNF U*G*V == D of
+    the vectors as the rows of G: V's columns project, rows of Vinv lift."""
+    res = snf(vecs, len(vecs), n, LATTICE)
     kept_torsion = [i for i in range(res.rank) if res.diag[i] > 1]
     free_idx = list(range(res.rank, n))
     kept = kept_torsion + free_idx
     orders = [res.diag[i] for i in kept_torsion] + [0] * len(free_idx)
-    lift_cols = [[row[i] for row in res.Uinv] for i in kept]
-    rows = [res.U[i] for i in kept]
+    lift_cols = [res.Vinv[i] for i in kept]
+    rows = [res.V_cols[i] for i in kept]
 
     def project(v: Sequence[int]) -> Vec:
         return [y % o if o else y for y, o in zip(mat_vec(rows, v), orders)]

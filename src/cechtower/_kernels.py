@@ -18,18 +18,18 @@ not the size of the matrix (Dumas, Saunders & Villard, J. Symb. Comput. 32,
 scans row tails with builtins, stops at a row whose minimum is 1 and skips
 rows already found zero.  Clearing the column touches only the rows with a
 nonzero in it, each at the support of the pivot row (and U's pivot row);
-clearing the row touches only the nonzero column entries, and V^T at the
-support of its pivot row.  The accumulating transforms, Uinv^T and Vinv,
-are sparse rows during the elimination, where rows past k are still mostly
-unit rows, and dense only on return.  A unit pivot skips the divisor-chain
-scan.  The operations and their order are those of the dense kernel kept
-as ``tests/oracles.reference_smith``, and the output equals its output
-entry for entry.
+clearing the row touches only the nonzero column entries, and the columns
+of V at the support of its pivot column.  Vinv accumulates as sparse rows
+during the elimination, where rows past k are still mostly unit rows, and
+is dense only on return.  A unit pivot skips the divisor-chain scan.  The
+operations and their order are those of the dense kernel kept as
+``tests/oracles.reference_smith``, and the output equals its output entry
+for entry, V read as its columns.
 
 Only the transforms a caller asks for are updated.  The pivot sequence
 depends on the working matrix alone, so D and every tracked transform are
-the same whichever subset is tracked.  Column operations on Uinv and V are
-applied to their transposes, so every transform update is a row operation.
+the same whichever subset is tracked.  V is kept as its list of columns,
+so every transform update is a row operation, and it is returned so.
 
 BACKEND names the implementation (reported as ``cechtower.KERNEL_BACKEND``).
 """
@@ -38,7 +38,7 @@ from itertools import compress
 
 BACKEND = "python"
 
-ALL_TRANSFORMS = frozenset(("U", "Uinv", "V", "Vinv"))
+ALL_TRANSFORMS = frozenset(("U", "V", "Vinv"))
 
 
 def identity_matrix(n):
@@ -46,10 +46,6 @@ def identity_matrix(n):
     for i, row in enumerate(rows):
         row[i] = 1
     return rows
-
-
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]
 
 
 def _dense(rows, n):
@@ -78,30 +74,28 @@ def smith_with_transforms(mat, transforms=ALL_TRANSFORMS):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Takes a list of m rows (each a list of n ints) and returns
-    ``(U, Uinv, D, V, Vinv)`` as lists of lists with
+    ``(U, D, V_cols, Vinv)`` as lists of lists with
 
-        U * mat * V == D,    U * Uinv == I_m,    V * Vinv == I_n,
+        U * mat * V == D,    V * Vinv == I_n,
 
     where D is diagonal, non-negative, and each diagonal entry divides the
-    next.  U and V are unimodular (|det| == 1).  Total on every matrix,
-    including ones with zero rows or columns.
+    next, and ``V_cols`` lists the n columns of V.  U and V are unimodular
+    (|det| == 1).  Total on every matrix, including ones with zero rows or
+    columns.
 
     ``transforms`` names the transforms to compute (any container of
-    "U", "Uinv", "V", "Vinv"); the others come back as ``[]``.
+    "U", "V", "Vinv"); the others come back as ``[]``.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     A = [list(row) for row in mat]
 
     track_u = "U" in transforms
-    track_ui = "Uinv" in transforms
     track_v = "V" in transforms
     track_vi = "Vinv" in transforms
     U = identity_matrix(m) if track_u else []
-    VT = identity_matrix(n) if track_v else []  # V transposed
-    # Accumulating transforms, as sparse rows until the return.
-    UiT = [{i: 1} for i in range(m)] if track_ui else []  # Uinv transposed
-    Vinv = [{j: 1} for j in range(n)] if track_vi else []
+    V_cols = identity_matrix(n) if track_v else []
+    Vinv = [{j: 1} for j in range(n)] if track_vi else []  # sparse until the return
 
     # Rows found zero from column k on: no row operation ever touches them
     # again, so they stay zero and the pivot search skips them.
@@ -134,14 +128,12 @@ def smith_with_transforms(mat, transforms=ALL_TRANSFORMS):
             A[k], A[pi] = A[pi], A[k]
             if track_u:
                 U[k], U[pi] = U[pi], U[k]
-            if track_ui:
-                UiT[k], UiT[pi] = UiT[pi], UiT[k]
         if pj != k:
             for t in range(k, m):  # rows above k are zero from column k on
                 rowt = A[t]
                 rowt[k], rowt[pj] = rowt[pj], rowt[k]
             if track_v:
-                VT[k], VT[pj] = VT[pj], VT[k]
+                V_cols[k], V_cols[pj] = V_cols[pj], V_cols[k]
             if track_vi:
                 Vinv[k], Vinv[pj] = Vinv[pj], Vinv[k]
         Ak = A[k]
@@ -149,8 +141,6 @@ def smith_with_transforms(mat, transforms=ALL_TRANSFORMS):
             Ak = A[k] = [-x for x in Ak]
             if track_u:
                 U[k] = [-x for x in U[k]]
-            if track_ui:
-                UiT[k] = {j: -v for j, v in UiT[k].items()}
 
         a = Ak[k]
         dirty = False
@@ -173,26 +163,24 @@ def smith_with_transforms(mat, transforms=ALL_TRANSFORMS):
                         Ui = U[i]
                         for j, y in pivot_u:
                             Ui[j] -= q * y
-                    if track_ui:
-                        _add_sparse(UiT[k], q, UiT[i])
                 if Ai[k] != 0:
                     dirty = True
 
-        # Clear row k right of the pivot.  Column k and V^T[k] stay fixed
+        # Clear row k right of the pivot.  Column k of A and of V stay fixed
         # here, so each column update runs over their supports only.
         right = list(compress(range(k + 1, n), Ak[k + 1:]))
         if right:
             pivot_col = [(A[t], A[t][k]) for t in [k] + below if A[t][k] != 0]
-            pivot_v = _entries(VT[k], 0) if track_v else ()
+            pivot_v = _entries(V_cols[k], 0) if track_v else ()
             for j in right:
                 q = Ak[j] // a
                 if q != 0:
                     for rowt, y in pivot_col:
                         rowt[j] -= q * y
                     if track_v:
-                        VTj = VT[j]
+                        Vj = V_cols[j]
                         for c, y in pivot_v:
-                            VTj[c] -= q * y
+                            Vj[c] -= q * y
                     if track_vi:
                         _add_sparse(Vinv[k], q, Vinv[j])
                 if Ak[j] != 0:
@@ -213,10 +201,8 @@ def smith_with_transforms(mat, transforms=ALL_TRANSFORMS):
                 A[k] = [x + y for x, y in zip(Ak, A[fix])]
                 if track_u:
                     U[k] = [x + y for x, y in zip(U[k], U[fix])]
-                if track_ui:
-                    _add_sparse(UiT[fix], -1, UiT[k])
                 continue
 
         k += 1
 
-    return U, _transpose(_dense(UiT, m)), A, _transpose(VT), _dense(Vinv, n)
+    return U, A, V_cols, _dense(Vinv, n)

@@ -305,7 +305,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     n = len(matrix[0]) if m else 0
     res = _intlin.snf(matrix, m, n, _intlin.SOLVE)
     to_t = lambda rows: tuple(tuple(r) for r in rows)
-    return to_t(res.U), to_t(res.D), to_t(res.V)
+    return to_t(res.U), to_t(res.D), tuple(zip(*res.V_cols))
 
 
 def presentation_group(p: _intlin.Presentation) -> FgAbGroup:

@@ -33,7 +33,7 @@ from cechtower.errors import (
 )
 from cechtower.exactseq import connecting, long_exact_sequence
 from cechtower.liftgerbe import LIFT_SEARCH_BUDGET, brute_force_lift, lifting_obstruction
-from cechtower.spectral import check_degeneration, filtered_terms, grid_points
+from cechtower.spectral import check_degeneration, spectral_grid
 from cechtower.tower import compare_towers, tower_classes, verify_tower
 
 _RELIFT_SEED = 0x5EC710
@@ -158,7 +158,7 @@ def _cmd_tower(payload: Any, options: Options) -> dict:
          "representative": jsonio.cochain_to_doc(cl.representative)}
         for cl in classes.stages]}
     if options.verify:
-        report = verify_tower(spec)
+        report = verify_tower(classes)
         rng = random.Random(_RELIFT_SEED)
         base = spec.c2.complex
         perturb = coboundary(Cochain(base, 1, _random_element(rng, base.group(1)).coords))
@@ -177,16 +177,13 @@ def _cmd_spectral(payload: Any, options: Options) -> dict:
     r_max = options.max_degree if options.max_degree is not None else 3
     if r_max < 1:
         raise SchemaError("options.max_degree", "page bound must be >= 1")
-    grid = {}
-    for r, p, q in grid_points(f, r_max):
-        terms = filtered_terms(f, r, p, q)
-        key = f"{'inf' if r is None else r}/{p}/{q}"
-        grid[key] = {"Z": jsonio.group_to_doc(terms.z_group),
-                     "B": jsonio.group_to_doc(terms.b_group),
-                     "E": jsonio.group_to_doc(terms.e_group)}
-    result = {"grid": grid}
+    grid = spectral_grid(f, r_max)
+    result = {"grid": {f"{'inf' if t.r is None else t.r}/{t.p}/{t.q}":
+                       {"Z": jsonio.group_to_doc(t.z_group),
+                        "B": jsonio.group_to_doc(t.b_group),
+                        "E": jsonio.group_to_doc(t.e_group)} for t in grid}}
     if options.verify:
-        result["verify"] = {"degeneration_ok": check_degeneration(f, r_max).ok}
+        result["verify"] = {"degeneration_ok": check_degeneration(f, grid).ok}
     return result
 
 

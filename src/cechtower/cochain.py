@@ -501,8 +501,10 @@ def _lattice_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentat
     """ker d_p / (im d_{p-1} + relations) as one lattice quotient: the path
     for complexes without a site, and the reference for the tests."""
     amb, d = complex_.group(p), complex_.differential(p)
-    ker_gens = _intlin.lattice_preimage_gens(d.columns(), d.target.ngens,
-                                             _intlin.relation_columns(d.target.orders))
+    rel = _intlin.relation_columns(d.target.orders)
+    size = amb.ngens + len(rel)
+    check_dense_budget(f"the kernel SNF transform of differential {p}", size, size)
+    ker_gens = _intlin.lattice_preimage_gens(d.columns(), d.target.ngens, rel)
     img_gens = (complex_.differential(p - 1).columns()
                 + _intlin.relation_columns(amb.orders))
     return _intlin.present_quotient(_intlin.Lattice(amb.ngens, ker_gens), img_gens)
@@ -551,8 +553,7 @@ def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
     free = res.n - res.rank
     image_rows = [_pull_back(x, p, row) for row in res.Vinv[res.rank:]]
     pres = _intlin.present_cokernel(free, [list(col) for col in zip(*image_rows)])
-    return _IntegralDegree(res.diag[:res.rank], [list(col) for col in zip(*res.V)],
-                           res.Vinv, pres)
+    return _IntegralDegree(res.diag[:res.rank], res.V_cols, res.Vinv, pres)
 
 
 def _cyclic_factor(h: _IntegralDegree, m: int, k: int):
@@ -690,15 +691,16 @@ def trivial_action(group, module: FgAbGroup) -> GroupAction:
     return GroupAction(group, module, (ident,) * group.order)
 
 
-def bar_complex(group, action: GroupAction, max_degree: int,
-                budget: int = GENERATOR_BUDGET) -> CochainComplex:
+def bar_complex(group, action: GroupAction, max_degree: int) -> CochainComplex:
     """Unnormalized inhomogeneous bar complex of a finite group.
 
     C^p = Maps(H^p, M) with the action twisting the leading face:
     (df)(h_1,..,h_{p+1}) = h_1·f(h_2,..) + sum_i (-1)^i f(..,h_i h_{i+1},..)
     + (-1)^{p+1} f(h_1,..,h_p).  One extra degree beyond ``max_degree`` is
     stored so cohomology at ``max_degree`` is computed against the true
-    outgoing differential.
+    outgoing differential.  The generators of the top degree and every
+    dense differential are checked against their budgets before any cell
+    is listed.
     """
     if action.group is not group and action.group != group:
         raise ValidationError("action does not belong to the given group")
@@ -706,10 +708,12 @@ def bar_complex(group, action: GroupAction, max_degree: int,
     module = action.module
     ng = module.ngens
     top = max_degree + 1
-    if m ** top * max(ng, 1) > budget:
+    if m ** top * max(ng, 1) > GENERATOR_BUDGET:
         raise BudgetExceededError(
             f"bar complex needs {m ** top * max(ng, 1)} generators at degree "
-            f"{top}, budget is {budget}")
+            f"{top}, budget is {GENERATOR_BUDGET}")
+    for p in range(top):
+        check_dense_budget(f"bar differential {p}", ng * m ** (p + 1), ng * m ** p)
 
     cells = tuple(tuple(itertools.product(range(m), repeat=p))
                   for p in range(top + 1))

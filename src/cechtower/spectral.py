@@ -183,30 +183,28 @@ class DegenerationReport:
         return all(e.ok for e in self.entries)
 
 
-def grid_points(f: FilteredComplex, r_max: int) -> list[tuple[Optional[int], int, int]]:
-    """(r, p, q) for pages 1..r_max and then the limit page, p over the
-    filtration and p+q over 0..dim+1.  A grid of more than
-    ``GENERATOR_BUDGET`` points is refused before any is listed."""
+def spectral_grid(f: FilteredComplex, r_max: int) -> list[SpectralTerms]:
+    """The terms at (r, p, q) for pages 1..r_max and then the limit page, p
+    over the filtration and p+q over 0..dim+1.  A grid of more than
+    ``GENERATOR_BUDGET`` points is refused before any term is computed."""
     size = (r_max + 1) * f.depth * (f.site.dim + 2)
     if size > GENERATOR_BUDGET:
         raise BudgetExceededError(
             f"spectral grid up to page {r_max} has {size} points, budget is "
             f"{GENERATOR_BUDGET}")
     pages: list[Optional[int]] = [*range(1, r_max + 1), None]
-    return [(r, p, n - p) for r in pages for p in range(1, f.depth + 1)
+    return [filtered_terms(f, r, p, n - p) for r in pages for p in range(1, f.depth + 1)
             for n in range(f.site.dim + 2)]
 
 
-def check_degeneration(f: FilteredComplex, r_max: int) -> DegenerationReport:
-    """Assert E_r^{pq} is the summand cohomology H^{p+q}(X, L_p) for every
-    page r <= r_max and for the limit page."""
-    entries = []
+def check_degeneration(f: FilteredComplex, grid: list[SpectralTerms]) -> DegenerationReport:
+    """Assert each E_r^{pq} of ``grid`` is the summand cohomology
+    H^{p+q}(X, L_p)."""
     complexes = [cech_complex(f.site, s) for s in f.summands]
-    for r, p, q in grid_points(f, r_max):
-        expected = cohomology(complexes[p - 1], p + q).group
-        got = filtered_terms(f, r, p, q).e_group
-        entries.append(DegenerationEntry(r, p, q, expected, got))
-    return DegenerationReport(tuple(entries))
+    return DegenerationReport(tuple(
+        DegenerationEntry(t.r, t.p, t.q, cohomology(complexes[t.p - 1], t.p + t.q).group,
+                          t.e_group)
+        for t in grid))
 
 
 @dataclass(frozen=True)

@@ -107,10 +107,9 @@ class TowerReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_tower(spec: TowerSpec) -> TowerReport:
-    """Re-check the cocycle condition of every stage representative and
-    that vanishing propagates up the tower."""
-    result = tower_classes(spec)
+def verify_tower(result: TowerClasses) -> TowerReport:
+    """Re-check the cocycle condition of every stage representative of a
+    computed tower and that vanishing propagates up the tower."""
     checks = []
     for cls in result.stages:
         d = coboundary(cls.representative)

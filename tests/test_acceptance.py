@@ -32,7 +32,12 @@ from cechtower.liftgerbe import (
     transition_from_values,
     validate_extension,
 )
-from cechtower.spectral import FilteredComplex, check_degeneration, les_direct_sum
+from cechtower.spectral import (
+    FilteredComplex,
+    check_degeneration,
+    les_direct_sum,
+    spectral_grid,
+)
 from cechtower.tower import TowerSpec, compare_towers, tower_classes, verify_tower
 
 from .conftest import RP2_FACETS, TORUS_FACETS
@@ -193,7 +198,7 @@ def test_criterion_5_tower_suite():
         assert result.stage(4).is_zero
         for cls in result.stages:
             assert coboundary(cls.representative).is_zero
-        report = verify_tower(spec)
+        report = verify_tower(result)
         assert report.ok
         rng = random.Random(12)
         for _ in range(3):
@@ -205,7 +210,7 @@ def test_criterion_5_tower_suite():
         low = TowerSpec(rp2, cohomology(cech_complex(rp2, Z2),
                                         2).representatives[0],
                         (ses, ses, ses))
-        low_report = verify_tower(low)
+        low_report = verify_tower(tower_classes(low))
         assert low_report.ok
         assert all(cls.is_zero for cls in low_report.classes.stages[1:])
         assert time.perf_counter() - start < 30.0
@@ -222,7 +227,7 @@ def test_criterion_6_spectral_suite():
         ]
         assert len(fixtures) >= 3
         for f in fixtures:
-            assert check_degeneration(f, 3).ok
+            assert check_degeneration(f, spectral_grid(f, 3)).ok
         assert les_direct_sum(fresh("circle"), Z2, Z3, 2, 2).ok
         assert les_direct_sum(fresh("rp2"), Z, Z2, 2, 3).ok
 

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from cechtower.errors import BudgetExceededError, ValidationError
 from cechtower.liftgerbe import cyclic_table
 
 from .oracles import brute_cohomology, coboundary_set
+from .test_cli import _cap_address_space
 from .test_uct import coefficient_groups, sites
 
 Z = free_group(1)
@@ -31,6 +34,25 @@ Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
 Z6 = cyclic_group(6)
+
+# Prints the seconds taken by the call that refuses the bar complex of Z/2
+# on Z/2 up to degree argv[1], or its cohomology in that degree.
+BAR_REFUSAL = """
+import sys, time
+from cechtower.abelian import cyclic_group
+from cechtower.cochain import bar_complex, cohomology, trivial_action
+from cechtower.errors import BudgetExceededError
+from cechtower.liftgerbe import cyclic_table
+degree = int(sys.argv[1])
+h = cyclic_table(2)
+start = time.perf_counter()
+try:
+    c = bar_complex(h, trivial_action(h, cyclic_group(2)), degree)
+    start = time.perf_counter()
+    cohomology(c, degree)
+except BudgetExceededError:
+    print(time.perf_counter() - start)
+"""
 
 
 class TestBuildComplex:
@@ -279,6 +301,20 @@ class TestBarComplex:
         h = cyclic_table(3)
         with pytest.raises(BudgetExceededError):
             bar_complex(h, trivial_action(h, Z2), 12)
+
+    @pytest.mark.parametrize("degree", [
+        14,  # differential 14 is 32,768 x 16,384
+        10,  # the kernel SNF of differential 10 has a 3,072 x 3,072 transform
+    ], ids=["differential", "kernel-snf"])
+    def test_oversized_matrices_refused_before_allocation(self, degree):
+        # Within the memory cap, a refusal in under 5 s shows that no row
+        # of the matrix was built and no elimination ran first.
+        proc = subprocess.run(
+            [sys.executable, "-c", BAR_REFUSAL, str(degree)],
+            capture_output=True, timeout=60, preexec_fn=_cap_address_space)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout, "no BudgetExceededError"
+        assert float(proc.stdout) < 5.0
 
     def test_action_must_be_automorphisms(self):
         h = cyclic_table(2)

@@ -18,6 +18,7 @@ from cechtower.spectral import (
     check_degeneration,
     filtered_terms,
     les_direct_sum,
+    spectral_grid,
 )
 
 from .conftest import RP2_FACETS, grid_torus_facets
@@ -209,7 +210,7 @@ def test_terms_equal_the_membership_reference(f):
                 assert boundary_closed_form_holds(ref, r, p, n)
                 assert cycle_recursion_holds(ref, r, p, n)
                 assert cycle_direct_determination_holds(ref, r, p, n)
-    assert check_degeneration(f, f.depth + 2).ok
+    assert check_degeneration(f, spectral_grid(f, f.depth + 2)).ok
 
 
 def induced_v_gens(f: MembershipTerms, p: int, n: int):
@@ -270,14 +271,14 @@ def test_cycles_with_target_at_most_p_are_v_p(f):
 class TestDegeneration:
     def test_circle_two_summands(self, circle):
         f = FilteredComplex(circle, (Z2, Z3))
-        report = check_degeneration(f, 3)
+        report = check_degeneration(f, spectral_grid(f, 3))
         assert report.ok
         by_key = {(e.r, e.p, e.q): e for e in report.entries}
         assert by_key[(2, 2, -1)].got == Z3  # H^1(circle, Z/3) on every page
 
     def test_single_summand_is_plain_cohomology(self, rp2):
         f = FilteredComplex(rp2, (Z4,))
-        report = check_degeneration(f, 2)
+        report = check_degeneration(f, spectral_grid(f, 2))
         assert report.ok
         comp = cech_complex(rp2, Z4)
         for e in report.entries:
@@ -285,7 +286,7 @@ class TestDegeneration:
 
     def test_rp2_three_summands_full_grid(self, rp2):
         f = FilteredComplex(rp2, (Z2, Z4, Z))
-        report = check_degeneration(f, 2)
+        report = check_degeneration(f, spectral_grid(f, 2))
         assert report.ok
 
     def test_page_stability(self, rp2):

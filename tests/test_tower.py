@@ -131,13 +131,13 @@ class TestStageFunctoriality:
 class TestVerifyTower:
     def test_valid_spec_passes_all_checks(self, srp2):
         spec = TowerSpec(srp2, h2_generator(srp2), (bockstein(), bockstein()))
-        report = verify_tower(spec)
+        report = verify_tower(tower_classes(spec))
         assert report.ok
         assert len(report.checks) == 4  # 3 cocycle checks + propagation
 
     def test_vanishing_propagation_on_low_dimensional_base(self, rp2):
         spec = TowerSpec(rp2, h2_generator(rp2), (bockstein(), bockstein()))
-        report = verify_tower(spec)
+        report = verify_tower(tower_classes(spec))
         assert report.ok
         assert report.classes.stage(3).is_zero
         assert report.classes.stage(4).is_zero
@@ -146,7 +146,7 @@ class TestVerifyTower:
         comp = cech_complex(octahedron, Z2)
         spec = TowerSpec(octahedron, cohomology(comp, 2).representatives[0],
                          (bockstein(),))
-        report = verify_tower(spec)
+        report = verify_tower(tower_classes(spec))
         direct = tower_classes(spec)
         assert compare_towers(report.classes, direct).equal
 
