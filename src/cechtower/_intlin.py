@@ -64,7 +64,6 @@ def columns_to_matrix(cols: Sequence[Sequence[int]], n: int) -> Mat:
 LATTICE = ("V", "Vinv")  # basis from the rows of Vinv, coordinates from V's columns
 NULLSPACE = ("U",)  # the rows of U past the rank: z G = 0
 SOLVE = ("U", "V")  # z G = y through y V and the rows of U
-COBOUNDARY = ("V", "Vinv")  # kernel from V, V-coordinates of cochains from Vinv
 
 
 @dataclass(frozen=True)

@@ -270,9 +270,6 @@ class Homomorphism:
         return GroupElement(self.target,
                             tuple(_intlin.mat_vec(self.matrix, x.coords)))
 
-    def column(self, j: int) -> list[int]:
-        return [row[j] for row in self.matrix]
-
     def columns(self) -> list[list[int]]:
         return [[row[j] for row in self.matrix] for j in range(self.source.ngens)]
 

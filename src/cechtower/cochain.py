@@ -1,9 +1,12 @@
-"""Finite simplicial sites and their cochain complexes.
+"""Finite simplicial sites, nerves of finite groups, and their cochain
+complexes.
 
 A site is the nerve of a covering family: vertices are cover indices and a
 p-simplex records a nonempty (p+1)-fold intersection.  Cochains live on
 strictly increasing vertex tuples with the alternating-sign coboundary;
-coefficients are constant (one finitely generated abelian group).
+coefficients are constant (one finitely generated abelian group).  The bar
+complex of a finite group is the cochain complex of the group's nerve,
+whose face 0 an action may twist.
 
 Coordinate layout of a cochain group C^p = L^k (k cells in degree p):
 generator-major, i.e. coordinate g*k + s holds the g-th L-coordinate of
@@ -11,11 +14,11 @@ the value on cell number s.  This keeps C^p in invariant-factor form with
 no reshuffling, because repeating each invariant factor k times preserves
 the divisor chain.
 
-The site's face table (``SimplicialComplex.faces``) is the only Cech
-coboundary data: (df)(tau) = sum_j (-1)^j f(tau without vertex j), applied
-to the block of each coefficient generator by ``cech_coboundary``.  A Cech
-complex stores no coboundary matrix; ``differential(p)`` builds a dense
-view from the table when a caller needs one.
+The base's face table (``faces``) is the only coboundary data:
+(df)(tau) = sum_j (-1)^j f(face j of tau), applied to the block of each
+coefficient generator by ``cech_coboundary``.  No complex stores a
+coboundary matrix; ``differential(p)`` builds a dense view from the table
+when a caller needs one.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ from cechtower.abelian import (
 )
 from cechtower.errors import BudgetExceededError, ValidationError, VerificationError
 
-# Cap on the cells of a site, on the generators of each cochain group of a
-# Cech complex (g*k_p) and on the bar complex's generators in its top
-# degree, checked before any of them is enumerated.
+# Cap on the cells of a site, on the words of a group nerve in its top
+# degree and on the generators of each cochain group (g*k_p), checked
+# before any of them is enumerated.
 GENERATOR_BUDGET = 1 << 16
 # Cap on the entries of one dense matrix, checked where it is built: the
 # integral coboundary (k_{p+1} x k_p) and its SNF transforms (k_p x k_p),
-# the dense view ``differential(p)`` of a Cech coboundary, and the
+# the dense view ``differential(p)`` of a coboundary, and the
 # representatives and lift columns of a degree's s cyclic summands (s x
 # g*k_p, which bounds the s x s SNF that sums them).
 COBOUNDARY_ENTRY_BUDGET = 1 << 22
@@ -54,9 +57,32 @@ COBOUNDARY_ENTRY_BUDGET = 1 << 22
 # degree past the dimension still costs about 0.4 ms and 10 kB of memo.
 DEGREE_BUDGET = 1 << 12
 
+class _FaceTable:
+    """Cells by degree, their positions and their face table, read the same
+    way on a site and on the nerve of a group.  Degrees outside 0..dim have
+    no cells."""
+
+    @property
+    def dim(self) -> int:
+        return len(self._cells) - 1
+
+    def cells(self, p: int) -> tuple[tuple[int, ...], ...]:
+        return self._cells[p] if 0 <= p <= self.dim else ()
+
+    def cell_indices(self, p: int) -> Mapping[tuple[int, ...], int]:
+        """Cell -> position among the degree-p cells (empty outside 0..dim)."""
+        return self._index[p] if 0 <= p <= self.dim else {}
+
+    def faces(self, p: int) -> tuple[tuple[int, ...], ...]:
+        """Per degree-p cell, the positions among the (p-1)-cells of its
+        faces; face j has sign (-1)^j, and a 0-cell has no faces."""
+        return self._faces[p] if 0 <= p <= self.dim else ()
+
+
 @dataclass(frozen=True)
-class SimplicialComplex:
-    """Simplices grouped by dimension, each a strictly increasing tuple.
+class SimplicialComplex(_FaceTable):
+    """Simplices grouped by dimension, each a strictly increasing tuple;
+    face j of a simplex leaves out vertex j.
 
     Hashed once, on construction: every memo lookup on a site hashes it."""
 
@@ -93,6 +119,7 @@ class SimplicialComplex:
                     row.append(index[p - 1][face])
                 rows.append(tuple(row))
             faces.append(tuple(rows))
+        object.__setattr__(self, "_cells", self.simplices)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_faces", tuple(faces))
         object.__setattr__(self, "_hash", hash((self.vertex_count, self.simplices)))
@@ -100,27 +127,8 @@ class SimplicialComplex:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def dim(self) -> int:
-        return len(self.simplices) - 1
-
-    def cells(self, p: int) -> tuple[tuple[int, ...], ...]:
-        if 0 <= p <= self.dim:
-            return self.simplices[p]
-        return ()
-
     def cell_index(self, p: int, s: tuple[int, ...]) -> int:
         return self._index[p][s]
-
-    def cell_indices(self, p: int) -> Mapping[tuple[int, ...], int]:
-        """Cell -> position among the degree-p cells (empty outside 0..dim)."""
-        return self._index[p] if 0 <= p <= self.dim else {}
-
-    def faces(self, p: int) -> tuple[tuple[int, ...], ...]:
-        """Per degree-p cell, the positions among the (p-1)-cells of its
-        faces; face j leaves out vertex j and has sign (-1)^j.  A vertex
-        has no faces, and degrees outside 0..dim have no cells."""
-        return self._faces[p] if 0 <= p <= self.dim else ()
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(level) for p, level in enumerate(self.simplices))
@@ -132,6 +140,47 @@ class SimplicialComplex:
             covered = {i for row in self.faces(p + 1) for i in row}
             out.extend(s for i, s in enumerate(level) if i not in covered)
         return tuple(out)
+
+
+@dataclass(frozen=True)
+class GroupNerve(_FaceTable):
+    """The nerve of a finite group H up to degree ``top``: the base of its
+    inhomogeneous bar complex (Brown, Cohomology of Groups, I.5).
+
+    The p-cells are the words w in H^p, in lexicographic order.  Face 0 of
+    w drops w[0], face j (0 < j < p) multiplies w[j-1]·w[j], and face p
+    drops w[p-1].  A nerve of more than ``GENERATOR_BUDGET`` words in its
+    top degree is refused before any word is listed.  Hashed once, on
+    construction."""
+
+    group: object  # liftgerbe.FiniteGroup (duck-typed to avoid an import cycle)
+    top: int
+
+    def __post_init__(self):
+        m, table = self.group.order, self.group.table
+        if m ** self.top > GENERATOR_BUDGET:
+            raise BudgetExceededError(
+                f"the nerve of a group of order {m} has {m ** self.top} cells in "
+                f"degree {self.top}, budget is {GENERATOR_BUDGET}")
+        cells = tuple(tuple(itertools.product(range(m), repeat=p))
+                      for p in range(self.top + 1))
+        index = tuple({w: i for i, w in enumerate(level)} for level in cells)
+        faces = [((),)] if cells else []
+        for p in range(1, len(cells)):
+            below = index[p - 1]
+            faces.append(tuple(
+                (below[w[1:]],)
+                + tuple(below[w[:j - 1] + (table[w[j - 1]][w[j]],) + w[j + 1:]]
+                        for j in range(1, p))
+                + (below[w[:-1]],)
+                for w in cells[p]))
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_faces", tuple(faces))
+        object.__setattr__(self, "_hash", hash((self.group, self.top)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def build_complex_from_facets(vertex_count: int,
@@ -195,101 +244,83 @@ def power_group(coefficients: FgAbGroup, k: int) -> FgAbGroup:
 
 @dataclass(frozen=True, eq=False)
 class CochainComplex:
-    """Graded groups with differentials composing to zero.
+    """The cochains of a face table with coefficients in one finitely
+    generated abelian group L: C^p = L^k, k the p-cells of ``base``, which is
+    a site (the Cech complex) or the nerve of a finite group (the bar
+    complex).  Degrees outside 0..dim are zero groups.
 
-    ``cells``/``coefficients`` carry the per-cell structure for complexes
-    built from a site or a bar construction; plain graded complexes may
-    leave them unset.  Degrees outside the stored range behave as zero
-    groups with zero maps.  A Cech complex (``base`` set) stores no
-    differentials: they come from the site's face table, and d∘d = 0
-    holds by the simplicial identity.  Other complexes store one matrix per
-    adjacent degree pair, checked to compose to zero.
+    No complex stores a coboundary matrix: ``cech_coboundary`` applies the
+    base's face table to the block of each coefficient generator, and d∘d =
+    0 holds by the simplicial identities.  ``action`` is set only for a
+    nontrivial action of the nerve's group on L, one matrix rho(h) per
+    element h; face 0 of a word w then carries rho(w[0]) instead of the
+    identity, and ``differential(p)`` is where that correction is applied.
+    A cochain group of more than ``GENERATOR_BUDGET`` generators (g*k_p) is
+    refused before any group is built.
 
-    A Cech complex is a value: it compares and hashes by (site,
-    coefficients), which determine everything else it holds, so complexes
-    built from equal inputs share cochains, memo entries and class
-    coordinates.  Complexes without a site compare by identity.
+    A complex is a value: it compares and hashes by (base, coefficients,
+    action), which determine everything else it holds, so complexes built
+    from equal inputs share cochains, memo entries and class coordinates.
     """
 
-    groups: tuple[FgAbGroup, ...]
-    diffs: tuple[Homomorphism, ...]
-    coefficients: Optional[FgAbGroup] = None
-    cells: Optional[tuple[tuple, ...]] = None
-    base: Optional[SimplicialComplex] = None
+    base: _FaceTable
+    coefficients: FgAbGroup
+    action: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.base is not None and self.diffs:
-            raise ValidationError("a Cech complex takes its differentials from the site")
-        if self.base is None and len(self.diffs) != max(len(self.groups) - 1, 0):
-            raise ValidationError("need exactly one differential per adjacent degree pair")
-        for p, d in enumerate(self.diffs):
-            if d.source != self.groups[p] or d.target != self.groups[p + 1]:
-                raise ValidationError(f"differential {p} does not match the graded groups")
-        for p in range(len(self.diffs) - 1):
-            if not self.diffs[p + 1].compose(self.diffs[p]).is_zero:
-                raise ValidationError(f"d∘d != 0 between degrees {p} and {p + 2}")
-        if self.cells is not None and len(self.cells) != len(self.groups):
-            raise ValidationError("cell table must cover every stored degree")
-        object.__setattr__(self, "_cell_index", {})
-        object.__setattr__(self, "_hash", object.__hash__(self) if self.base is None
-                           else hash((self.base, self.coefficients)))
+        if self.action is not None and not (
+                isinstance(self.base, GroupNerve)
+                and len(self.action) == self.base.group.order):
+            raise ValidationError("an action needs one matrix per element of the nerve's group")
+        sizes = [len(self.base.cells(p)) for p in range(self.base.dim + 1)]
+        for p, k in enumerate(sizes):
+            n = self.coefficients.ngens * k
+            if n > GENERATOR_BUDGET:
+                raise BudgetExceededError(
+                    f"cochain group {p} would have {n} generators, budget is "
+                    f"{GENERATOR_BUDGET}")
+        object.__setattr__(self, "_groups",
+                           tuple(power_group(self.coefficients, k) for k in sizes))
+        object.__setattr__(self, "_hash", hash((self.base, self.coefficients, self.action)))
 
     def __eq__(self, other) -> bool:
         return self is other or (
-            isinstance(other, CochainComplex) and self.base is not None
-            and self._hash == other._hash
-            and (self.base, self.coefficients) == (other.base, other.coefficients))
+            isinstance(other, CochainComplex) and self._hash == other._hash
+            and (self.base, self.coefficients, self.action)
+            == (other.base, other.coefficients, other.action))
 
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def max_degree(self) -> int:
-        return len(self.groups) - 1
-
     def group(self, p: int) -> FgAbGroup:
-        if 0 <= p <= self.max_degree:
-            return self.groups[p]
-        return trivial_group()
+        return self._groups[p] if 0 <= p < len(self._groups) else trivial_group()
 
     def differential(self, p: int) -> Homomorphism:
-        """d_p as a matrix.  On a Cech complex this is a dense view of the
-        face table, built on each call and never stored, and refused before
-        any row is built when it would pass ``COBOUNDARY_ENTRY_BUDGET``;
-        code that only applies d_p uses ``coboundary``/``cech_coboundary``
-        instead."""
-        if self.base is None:
-            if 0 <= p < self.max_degree:
-                return self.diffs[p]
-            return zero_hom(self.group(p), self.group(p + 1))
-        src, k = self.group(p), len(self.base.cells(p))
-        check_dense_budget(f"coboundary {p}", self.group(p + 1).ngens, src.ngens)
-        rows = [row for g in range(self.coefficients.ngens)
+        """d_p as a dense matrix, built from the face table on each call and
+        never stored, and refused before any row is built when it would pass
+        ``COBOUNDARY_ENTRY_BUDGET``.  Under an action, face 0 of each word w
+        adds rho(w[0]) - I to the identity block the face table gives there.
+        Code that only applies an untwisted d_p uses ``coboundary``."""
+        src, tgt = self.group(p), self.group(p + 1)
+        check_dense_budget(f"coboundary {p}", tgt.ngens, src.ngens)
+        ng, k, k1 = self.coefficients.ngens, self.ncells(p), self.ncells(p + 1)
+        rows = [row for g in range(ng)
                 for row in _coboundary_rows(self.base, p, src.ngens, g * k)]
-        return Homomorphism(src, self.group(p + 1), rows)
+        if self.action is not None and p >= 0:
+            for t, (w, faces) in enumerate(zip(self.base.cells(p + 1), self.base.faces(p + 1))):
+                rho = self.action[w[0]]
+                for i in range(ng):
+                    for j in range(ng):
+                        rows[i * k1 + t][j * k + faces[0]] += rho[i][j] - (i == j)
+        return Homomorphism(src, tgt, rows)
 
     def ncells(self, p: int) -> int:
-        if self.cells is None:
-            raise ValidationError("complex carries no cell structure")
-        return len(self.cells[p]) if 0 <= p <= self.max_degree else 0
-
-    def cell_list(self, p: int) -> tuple:
-        if self.cells is None:
-            raise ValidationError("complex carries no cell structure")
-        return self.cells[p] if 0 <= p <= self.max_degree else ()
+        return len(self.base.cells(p))
 
     def cell_position(self, p: int, cell: tuple) -> int:
-        """Position of ``cell`` among the degree-p cells, by dict lookup: the
-        site's index for a Cech complex, one dict per degree otherwise."""
-        if self.base is not None:
-            index = self.base.cell_indices(p)
-        else:
-            index = self._cell_index.get(p)
-            if index is None:
-                index = {c: i for i, c in enumerate(self.cell_list(p))}
-                self._cell_index[p] = index
+        """Position of ``cell`` among the degree-p cells, by the base's index."""
         try:
-            return index[cell]
+            return self.base.cell_indices(p)[cell]
         except KeyError:
             raise ValidationError(f"{cell} is not a cell of degree {p}") from None
 
@@ -335,12 +366,9 @@ class Cochain:
 
     def value_at(self, cell) -> GroupElement:
         """The coefficient-group value on one cell (generator-major strides)."""
-        coeff = self.complex.coefficients
-        if coeff is None:
-            raise ValidationError("complex carries no cell structure")
         k = self.complex.ncells(self.degree)
         s = self.complex.cell_position(self.degree, tuple(cell))
-        return GroupElement(coeff, self.coords[s::k])
+        return GroupElement(self.complex.coefficients, self.coords[s::k])
 
 
 def zero_cochain(complex_: CochainComplex, degree: int) -> Cochain:
@@ -351,8 +379,6 @@ def cochain_from_values(complex_: CochainComplex, degree: int,
                         values: Mapping[tuple[int, ...], Sequence[int]]) -> Cochain:
     """Assemble a cochain from per-cell coefficient coordinates."""
     coeff = complex_.coefficients
-    if coeff is None:
-        raise ValidationError("complex carries no cell structure")
     k = complex_.ncells(degree)
     coords = [0] * (coeff.ngens * k)
     for cell, val in values.items():
@@ -369,24 +395,13 @@ def cochain_from_values(complex_: CochainComplex, degree: int,
 def cech_complex(x: SimplicialComplex, coefficients: FgAbGroup) -> CochainComplex:
     """The Cech complex of the site with constant coefficients.
 
-    Stored degrees run to dim+1 (the top group is trivial) so that the top
-    nontrivial degree still has an outgoing differential.  The complex
-    keeps only groups and cells; its coboundary is the site's face table
-    (``cech_coboundary``).  A complex with a cochain group of more than
-    ``GENERATOR_BUDGET`` generators is refused before any is listed.  The
-    complex equals every other one built from an equal (site, coefficients)
-    pair, so the bounded memo only saves rebuilding it: a cochain of an
-    evicted instance still belongs to the rebuilt one.
+    The complex keeps only its groups; its coboundary is the site's face
+    table (``cech_coboundary``).  It equals every other one built from an
+    equal (site, coefficients) pair, so the bounded memo only saves
+    rebuilding it: a cochain of an evicted instance still belongs to the
+    rebuilt one.
     """
-    for p in range(x.dim + 1):
-        n = coefficients.ngens * len(x.cells(p))
-        if n > GENERATOR_BUDGET:
-            raise BudgetExceededError(
-                f"cochain group {p} would have {n} generators, budget is "
-                f"{GENERATOR_BUDGET}")
-    cells = tuple(x.cells(p) for p in range(x.dim + 1)) + ((),)
-    groups = tuple(power_group(coefficients, len(c)) for c in cells)
-    return CochainComplex(groups, (), coefficients, cells, x)
+    return CochainComplex(x, coefficients)
 
 
 def check_dense_budget(what: str, rows: int, cols: int) -> None:
@@ -399,9 +414,9 @@ def check_dense_budget(what: str, rows: int, cols: int) -> None:
 
 
 def _check_coboundary_budget(x: SimplicialComplex) -> None:
-    """Refuse a site whose dense integral coboundaries (k_{p+1} x k_p), or
-    the k_p x k_p transforms of their SNFs (built even when d_p has no
-    rows), would pass the budget."""
+    """Refuse a site or nerve whose dense integral coboundaries (k_{p+1} x
+    k_p), or the k_p x k_p transforms of their SNFs (built even when d_p
+    has no rows), would pass the budget."""
     for p in range(x.dim + 1):
         k = len(x.cells(p))
         check_dense_budget(f"coboundary {p}", len(x.cells(p + 1)), k)
@@ -410,12 +425,13 @@ def _check_coboundary_budget(x: SimplicialComplex) -> None:
 
 def _coboundary_rows(x: SimplicialComplex, p: int, width: int, offset: int = 0) -> list:
     """The integral d_p as dense rows of ``width`` ints, one per (p+1)-cell,
-    with the p-cell f at column offset + f.  Face j has sign (-1)^j."""
+    with the p-cell f at column offset + f.  Face j has sign (-1)^j; faces
+    at one position add up, since faces of a group nerve's word may coincide."""
     rows = []
     for faces in x.faces(p + 1):
         row = [0] * width
         for j, f in enumerate(faces):
-            row[offset + f] = -1 if j % 2 else 1
+            row[offset + f] += -1 if j % 2 else 1
         rows.append(row)
     return rows
 
@@ -435,9 +451,10 @@ def cech_coboundary(x: SimplicialComplex, p: int, coords: Sequence[int],
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """Apply the differential; degrees past the top land in the zero group."""
+    """Apply the differential; degrees past the top land in the zero group.
+    A twisted complex applies its dense ``differential``."""
     comp = c.complex
-    if comp.base is not None:
+    if comp.action is None:
         image = cech_coboundary(comp.base, c.degree, c.coords, comp.coefficients.ngens)
     else:
         image = _intlin.mat_vec(comp.differential(c.degree).matrix, c.coords)
@@ -445,24 +462,17 @@ def coboundary(c: Cochain) -> Cochain:
 
 
 def _violated_cell(c: Cochain, image_coords: Sequence[int]):
-    k = None
-    if c.complex.cells is not None:
-        k = c.complex.ncells(c.degree + 1)
-    for idx, v in enumerate(image_coords):
-        if v != 0:
-            if k:
-                return c.complex.cell_list(c.degree + 1)[idx % k]
-            return idx
-    return None
+    cells = c.complex.base.cells(c.degree + 1)
+    return next((cells[i % len(cells)] for i, v in enumerate(image_coords) if v), None)
 
 
 @dataclass(frozen=True)
 class Cohomology:
     """H^p with chosen representatives and the fixed projection.
 
-    The projection is deterministic for the complex it was computed on;
-    for a Cech complex that is its (site, coefficients) pair, so
-    coordinates are comparable across equal complexes.
+    The projection is deterministic for the complex it was computed on,
+    that is for its (base, coefficients, action), so coordinates are
+    comparable across equal complexes.
     """
 
     degree: int
@@ -483,12 +493,13 @@ class Cohomology:
 def cohomology(complex_: CochainComplex, p: int) -> Cohomology:
     """Kernel/image quotient at degree p in invariant-factor form.
 
-    A Cech complex is computed from its site's integral data, one cyclic
-    factor of the coefficients at a time (``_site_presentation``); other
-    complexes present ker/im as one lattice quotient.  Memoized on
-    (complex, p): Cech complexes by value, others by identity.
+    An untwisted complex (a Cech complex, or a bar complex under a trivial
+    action) is computed from its base's integral data, one cyclic factor of
+    the coefficients at a time (``_site_presentation``); a twisted bar
+    complex presents ker/im of its dense differentials as one lattice
+    quotient.  Memoized on (complex, p), by value.
     """
-    if complex_.base is not None:
+    if complex_.action is None:
         pres = _site_presentation(complex_, p)
     else:
         pres = _lattice_presentation(complex_, p)
@@ -499,11 +510,12 @@ def cohomology(complex_: CochainComplex, p: int) -> Cohomology:
 
 def _lattice_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation:
     """ker d_p / (im d_{p-1} + relations) as one lattice quotient: the path
-    for complexes without a site, and the reference for the tests."""
-    amb, d = complex_.group(p), complex_.differential(p)
-    rel = _intlin.relation_columns(d.target.orders)
+    for twisted complexes, and the reference for the tests."""
+    amb, tgt = complex_.group(p), complex_.group(p + 1)
+    rel = _intlin.relation_columns(tgt.orders)
     size = amb.ngens + len(rel)
     check_dense_budget(f"the kernel SNF transform of differential {p}", size, size)
+    d = complex_.differential(p)
     ker_gens = _intlin.lattice_preimage_gens(d.columns(), d.target.ngens, rel)
     img_gens = (complex_.differential(p - 1).columns()
                 + _intlin.relation_columns(amb.orders))
@@ -543,13 +555,13 @@ def coboundary_diagonal(x: SimplicialComplex, p: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
-    """Degree-p integral data of the site, memoized on (site, p): one SNF of
-    d_p.  im d_{p-1} in V-coordinates is V^-1 d_{p-1}; its rows below the
-    rank vanish, and the columns of the others present H^p(X; Z)."""
+    """Degree-p integral data of a site or nerve, memoized on (x, p): one
+    SNF of d_p.  im d_{p-1} in V-coordinates is V^-1 d_{p-1}; its rows
+    below the rank vanish, and the columns of the others present H^p(X; Z)."""
     _check_coboundary_budget(x)
     k = len(x.cells(p))
     res = _intlin.snf(_coboundary_rows(x, p, k), len(x.cells(p + 1)), k,
-                      _intlin.COBOUNDARY)
+                      _intlin.LATTICE)
     free = res.n - res.rank
     image_rows = [_pull_back(x, p, row) for row in res.Vinv[res.rank:]]
     pres = _intlin.present_cokernel(free, [list(col) for col in zip(*image_rows)])
@@ -591,7 +603,7 @@ def _cyclic_factor(h: _IntegralDegree, m: int, k: int):
 
 
 def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation:
-    """H^p(X; L) from the site's integral data, L = sum of cyclic factors.
+    """H^p(X; L) from the base's integral data, L = sum of cyclic factors.
 
     Each generator-major block of C^p(X; L) is C^p(X; Z/o) for one
     coefficient order o (o = 0: Z).  The factors' cyclic summands are
@@ -682,9 +694,6 @@ class GroupAction:
                     raise ValidationError(
                         f"action is not a homomorphism at the pair ({a}, {b})")
 
-    def matrix_of(self, i: int) -> tuple[tuple[int, ...], ...]:
-        return self.action[i]
-
 
 def trivial_action(group, module: FgAbGroup) -> GroupAction:
     ident = tuple(map(tuple, _intlin.identity_matrix(module.ngens)))
@@ -694,58 +703,21 @@ def trivial_action(group, module: FgAbGroup) -> GroupAction:
 def bar_complex(group, action: GroupAction, max_degree: int) -> CochainComplex:
     """Unnormalized inhomogeneous bar complex of a finite group.
 
-    C^p = Maps(H^p, M) with the action twisting the leading face:
+    C^p = Maps(H^p, M) is the cochain complex of the nerve of H
+    (``GroupNerve``), with the action twisting face 0:
     (df)(h_1,..,h_{p+1}) = h_1·f(h_2,..) + sum_i (-1)^i f(..,h_i h_{i+1},..)
-    + (-1)^{p+1} f(h_1,..,h_p).  One extra degree beyond ``max_degree`` is
-    stored so cohomology at ``max_degree`` is computed against the true
-    outgoing differential.  The generators of the top degree and every
-    dense differential are checked against their budgets before any cell
-    is listed.
+    + (-1)^{p+1} f(h_1,..,h_p).  The nerve runs one degree beyond
+    ``max_degree`` so that cohomology at ``max_degree`` is computed against
+    the true outgoing differential.  An action whose every matrix is the
+    identity is not stored, so the complex takes the face-table path of a
+    Cech complex.  The words of the top degree, and then the generators of
+    each cochain group, are checked against their budgets.
     """
     if action.group is not group and action.group != group:
         raise ValidationError("action does not belong to the given group")
-    m = group.order
-    module = action.module
-    ng = module.ngens
-    top = max_degree + 1
-    if m ** top * max(ng, 1) > GENERATOR_BUDGET:
-        raise BudgetExceededError(
-            f"bar complex needs {m ** top * max(ng, 1)} generators at degree "
-            f"{top}, budget is {GENERATOR_BUDGET}")
-    for p in range(top):
-        check_dense_budget(f"bar differential {p}", ng * m ** (p + 1), ng * m ** p)
-
-    cells = tuple(tuple(itertools.product(range(m), repeat=p))
-                  for p in range(top + 1))
-    groups = tuple(power_group(module, len(c)) for c in cells)
-    index = [{cell: i for i, cell in enumerate(level)} for level in cells]
-    table = group.table
-
-    diffs = []
-    for p in range(top):
-        src, tgt = cells[p], cells[p + 1]
-        k0, k1 = len(src), len(tgt)
-        rows = [[0] * (ng * k0) for _ in range(ng * k1)]
-        for ti, w in enumerate(tgt):
-            rho = action.matrix_of(w[0])
-            si = index[p][w[1:]]
-            for gt in range(ng):
-                row = rows[gt * k1 + ti]
-                for gs in range(ng):
-                    row[gs * k0 + si] += rho[gt][gs]
-            for i in range(1, p + 1):
-                merged = w[:i - 1] + (table[w[i - 1]][w[i]],) + w[i + 1:]
-                si = index[p][merged]
-                sign = -1 if i % 2 else 1
-                for g in range(ng):
-                    rows[g * k1 + ti][g * k0 + si] += sign
-            si = index[p][w[:p]]
-            sign = -1 if (p + 1) % 2 else 1
-            for g in range(ng):
-                rows[g * k1 + ti][g * k0 + si] += sign
-        diffs.append(Homomorphism(groups[p], groups[p + 1],
-                                  tuple(tuple(r) for r in rows)))
-    return CochainComplex(groups, tuple(diffs), module, cells, None)
+    ident = tuple(map(tuple, _intlin.identity_matrix(action.module.ngens)))
+    twist = None if all(rho == ident for rho in action.action) else action.action
+    return CochainComplex(GroupNerve(group, max_degree + 1), action.module, twist)
 
 
 def apply_cellwise(matrix: Sequence[Sequence[int]], coords: Sequence[int],

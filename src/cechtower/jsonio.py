@@ -148,7 +148,7 @@ def parse_cochain(doc: Any, complex_: CochainComplex, path: str) -> Cochain:
 
 def cochain_to_doc(c: Cochain) -> dict:
     k = c.complex.ncells(c.degree)
-    cells = c.complex.cell_list(c.degree)
+    cells = c.complex.base.cells(c.degree)
     ng = c.complex.coefficients.ngens
     values = {}
     for s, cell in enumerate(cells):

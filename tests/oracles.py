@@ -4,8 +4,11 @@ Nothing here touches the package's SNF/lattice path: determinants come
 from fraction-free elimination, cohomology from exhaustive enumeration
 with the group structure reconstructed by order counting, solves from
 brute-force search.  These are the second route of every dual-route check.
-Four exceptions are earlier versions kept as references for the ones the
-package uses now: ``ses_failure``, the earlier criterion for a short exact
+Five exceptions are earlier versions kept as references for the ones the
+package uses now: ``reference_bar_differential``, the dense bar
+differential the bar complex once stored, which the face table of the
+group's nerve and its twisted face 0 must reproduce entry for entry;
+``ses_failure``, the earlier criterion for a short exact
 sequence; ``degreewise_failure``, the same criterion applied to the dense
 cochain-level maps I_k (x) h (``cech_induced``), which ``connecting`` once
 re-checked in every degree and which must reach the coefficient-level
@@ -245,7 +248,7 @@ def brute_connecting(comp_a, comp_b, comp_c, iota: Homomorphism,
     through the dense coboundary of the middle complex, and each cell value
     of the image is pulled back through iota by search.  Finite groups only.
     """
-    k, k1 = len(comp_c.cell_list(p)), len(comp_c.cell_list(p + 1))
+    k, k1 = comp_c.ncells(p), comp_c.ncells(p + 1)
     na, nb, nc = iota.source.ngens, pi.source.ngens, pi.target.ngens
     lift = [0] * (nb * k)
     for s in range(k):
@@ -264,6 +267,34 @@ def brute_connecting(comp_a, comp_b, comp_c, iota: Homomorphism,
         for g in range(na):
             out[g * k1 + s] = back.coords[g]
     return comp_a.group(p + 1).normalize(out)
+
+
+def reference_bar_differential(action, p: int) -> list[list[int]]:
+    """The dense d_p of the unnormalized bar complex of ``action``, built
+    word by word: rho(w[0]) on the word w[1:], (-1)^i on w with letters i
+    and i+1 (counted from 1) multiplied, and (-1)^(p+1) on w[:p].  Rows run
+    over the words of length p+1 and columns over those of length p, both
+    in lexicographic order and generator-major."""
+    table, ng = action.group.table, action.module.ngens
+    src, tgt = (list(itertools.product(range(action.group.order), repeat=n))
+                for n in (p, p + 1))
+    index = {w: i for i, w in enumerate(src)}
+    k0, k1 = len(src), len(tgt)
+    rows = [[0] * (ng * k0) for _ in range(ng * k1)]
+    for ti, w in enumerate(tgt):
+        rho = action.action[w[0]]
+        si = index[w[1:]]
+        for gt in range(ng):
+            for gs in range(ng):
+                rows[gt * k1 + ti][gs * k0 + si] += rho[gt][gs]
+        for i in range(1, p + 1):
+            si = index[w[:i - 1] + (table[w[i - 1]][w[i]],) + w[i + 1:]]
+            for g in range(ng):
+                rows[g * k1 + ti][g * k0 + si] += -1 if i % 2 else 1
+        si = index[w[:p]]
+        for g in range(ng):
+            rows[g * k1 + ti][g * k0 + si] += -1 if (p + 1) % 2 else 1
+    return rows
 
 
 def ses_failure(iota: Homomorphism, pi: Homomorphism):

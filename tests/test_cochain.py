@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechtower import _intlin, cochain
-from cechtower.abelian import FgAbGroup, GroupElement, cyclic_group, free_group
+from cechtower.abelian import FgAbGroup, Homomorphism, cyclic_group, free_group
 from cechtower.cochain import (
     Cochain,
     GroupAction,
@@ -23,9 +23,9 @@ from cechtower.cochain import (
     zero_cochain,
 )
 from cechtower.errors import BudgetExceededError, ValidationError
-from cechtower.liftgerbe import cyclic_table
+from cechtower.liftgerbe import cyclic_table, symmetric_group
 
-from .oracles import brute_cohomology, coboundary_set
+from .oracles import brute_cohomology, coboundary_set, reference_bar_differential
 from .test_cli import _cap_address_space
 from .test_uct import coefficient_groups, sites
 
@@ -35,24 +35,54 @@ Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
 Z6 = cyclic_group(6)
 
-# Prints the seconds taken by the call that refuses the bar complex of Z/2
-# on Z/2 up to degree argv[1], or its cohomology in that degree.
-BAR_REFUSAL = """
+# Prints the cohomology in degree argv[1] of the bar complex of Z/2 acting
+# trivially on Z/2 (argv[2] == "trivial") or by sign on Z/3, or "refused",
+# then the seconds taken by the call that computed or refused it.
+BAR_RUN = """
 import sys, time
 from cechtower.abelian import cyclic_group
-from cechtower.cochain import bar_complex, cohomology, trivial_action
+from cechtower.cochain import GroupAction, bar_complex, cohomology, trivial_action
 from cechtower.errors import BudgetExceededError
 from cechtower.liftgerbe import cyclic_table
-degree = int(sys.argv[1])
-h = cyclic_table(2)
+degree, h = int(sys.argv[1]), cyclic_table(2)
+if sys.argv[2] == "trivial":
+    action = trivial_action(h, cyclic_group(2))
+else:
+    action = GroupAction(h, cyclic_group(3), (((1,),), ((2,),)))
 start = time.perf_counter()
 try:
-    c = bar_complex(h, trivial_action(h, cyclic_group(2)), degree)
+    c = bar_complex(h, action, degree)
     start = time.perf_counter()
-    cohomology(c, degree)
+    out = cohomology(c, degree).group.label()
 except BudgetExceededError:
-    print(time.perf_counter() - start)
+    out = "refused"
+print(out, time.perf_counter() - start)
 """
+
+# Actions of finite groups, each with the degree of its bar complex.
+BAR_ACTIONS = [
+    pytest.param(GroupAction(cyclic_table(2), Z3, (((1,),), ((2,),))), 4,
+                 id="Z2-sign-on-Z3"),
+    pytest.param(GroupAction(cyclic_table(2), Z, (((1,),), ((-1,),))), 4,
+                 id="Z2-sign-on-Z"),
+    pytest.param(GroupAction(cyclic_table(3), cyclic_group(7), (((1,),), ((2,),), ((4,),))),
+                 3, id="Z3-doubling-on-Z7"),
+    pytest.param(GroupAction(cyclic_table(2), free_group(2), (((1, 0), (0, 1)), ((0, 1), (1, 0)))),
+                 3, id="Z2-swap-on-Z2"),
+    pytest.param(trivial_action(symmetric_group(3), Z), 2, id="S3-trivial-on-Z"),
+    pytest.param(trivial_action(cyclic_table(2), FgAbGroup(0, (2, 4))), 4,
+                 id="Z2-trivial-on-Z2xZ4"),
+]
+
+
+def run_bar(degree, action):
+    """``BAR_RUN`` in a subprocess under the memory cap: (output, seconds)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", BAR_RUN, str(degree), action],
+        capture_output=True, timeout=60, preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    out, seconds = proc.stdout.decode().split()
+    return out, float(seconds)
 
 
 class TestBuildComplex:
@@ -302,19 +332,45 @@ class TestBarComplex:
         with pytest.raises(BudgetExceededError):
             bar_complex(h, trivial_action(h, Z2), 12)
 
-    @pytest.mark.parametrize("degree", [
-        14,  # differential 14 is 32,768 x 16,384
-        10,  # the kernel SNF of differential 10 has a 3,072 x 3,072 transform
+    @pytest.mark.parametrize("degree, action", [
+        # From degree 11 on, the integral coboundary of the nerve passes the
+        # entry budget (4,096 x 2,048), and _check_coboundary_budget refuses
+        # the nerve before its first SNF.
+        (14, "trivial"),
+        # The twisted differential 10 is 2,048 x 1,024, but the kernel SNF
+        # of it has a 3,072 x 3,072 transform.
+        (10, "sign"),
     ], ids=["differential", "kernel-snf"])
-    def test_oversized_matrices_refused_before_allocation(self, degree):
+    def test_oversized_matrices_refused_before_allocation(self, degree, action):
         # Within the memory cap, a refusal in under 5 s shows that no row
         # of the matrix was built and no elimination ran first.
-        proc = subprocess.run(
-            [sys.executable, "-c", BAR_REFUSAL, str(degree)],
-            capture_output=True, timeout=60, preexec_fn=_cap_address_space)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout, "no BudgetExceededError"
-        assert float(proc.stdout) < 5.0
+        out, seconds = run_bar(degree, action)
+        assert out == "refused" and seconds < 5.0
+
+    def test_trivial_action_in_degree_nine_within_seconds(self):
+        # A trivial action takes the integral nerve's SNF and universal
+        # coefficients; the lattice path on the dense 1,024 x 512
+        # differential takes about 30 s.
+        out, seconds = run_bar(9, "trivial")
+        assert out == "Z/2" and seconds < 5.0
+
+    def test_symmetric_group_integral(self):
+        h = symmetric_group(3)
+        c = bar_complex(h, trivial_action(h, Z), 2)
+        assert [cohomology(c, p).group.label() for p in range(3)] == ["Z", "0", "Z/2"]
+
+    @pytest.mark.parametrize("action, degree", BAR_ACTIONS)
+    def test_face_table_matches_the_reference_differential(self, action, degree):
+        c = bar_complex(action.group, action, degree)
+        assert (c.action is None) == (action == trivial_action(action.group, action.module))
+        for p in range(degree + 1):
+            assert c.differential(p) == Homomorphism(
+                c.group(p), c.group(p + 1), reference_bar_differential(action, p))
+
+    @pytest.mark.parametrize("action, degree", BAR_ACTIONS)
+    def test_coboundary_matches_the_dense_view(self, action, degree):
+        check_coboundary_against_dense_view(
+            bar_complex(action.group, action, degree), random.Random(degree))
 
     def test_action_must_be_automorphisms(self):
         h = cyclic_table(2)
@@ -328,29 +384,6 @@ class TestBarComplex:
         h = cyclic_table(2)
         with pytest.raises(ValidationError, match="not a homomorphism"):
             GroupAction(h, Z3, (((2,),), ((1,),)))  # rho(e) != id
-
-
-class TestDirectComplex:
-    def test_user_supplied_complex(self):
-        from cechtower.abelian import Homomorphism
-        from cechtower.cochain import CochainComplex
-        # 0 -> Z -(x2)-> Z -> 0 as a bare graded complex
-        c = CochainComplex((Z, Z), (Homomorphism(Z, Z, ((2,),)),))
-        assert cohomology(c, 0).group.is_trivial
-        assert cohomology(c, 1).group == Z2
-
-    def test_dd_nonzero_rejected(self):
-        from cechtower.abelian import Homomorphism
-        from cechtower.cochain import CochainComplex
-        ident = Homomorphism(Z, Z, ((1,),))
-        with pytest.raises(ValidationError, match="d∘d"):
-            CochainComplex((Z, Z, Z), (ident, ident))
-
-    def test_mismatched_differential_rejected(self):
-        from cechtower.abelian import Homomorphism
-        from cechtower.cochain import CochainComplex
-        with pytest.raises(ValidationError):
-            CochainComplex((Z, Z2), (Homomorphism(Z, Z, ((1,),)),))
 
 
 class TestSuspension:
@@ -386,16 +419,13 @@ class TestSuspension:
             assert cohomology(cs, p + 1).group == cohomology(cx, p).group
 
 
-@settings(max_examples=100)
-@given(sites(), coefficient_groups(), st.randoms(use_true_random=False))
-def test_face_table_coboundary_matches_the_dense_view(x, coeff, rng):
-    # A Cech complex stores no coboundary matrix: coboundary() applies the
-    # site's face table per coefficient generator.  It must agree with the
-    # dense differential(p) built on demand, and d∘d = 0, which Cech
-    # construction no longer checks, must hold for that dense view.
-    comp = cech_complex(x, coeff)
-    assert comp.diffs == ()
-    for p in range(x.dim + 2):
+def check_coboundary_against_dense_view(comp, rng):
+    # No complex stores a coboundary matrix: coboundary() applies the
+    # face table per coefficient generator, or the dense view under an
+    # action.  It must agree with the dense differential(p) built on
+    # demand, and d∘d = 0, which no construction checks, must hold for
+    # that dense view.
+    for p in range(comp.base.dim + 2):
         d = comp.differential(p)
         assert (d.source, d.target) == (comp.group(p), comp.group(p + 1))
         assert comp.differential(p + 1).compose(d).is_zero
@@ -403,3 +433,9 @@ def test_face_table_coboundary_matches_the_dense_view(x, coeff, rng):
                        for o in comp.group(p).orders)
         dense = _intlin.mat_vec(d.matrix, coords)
         assert coboundary(Cochain(comp, p, coords)).coords == d.target.normalize(dense)
+
+
+@settings(max_examples=100)
+@given(sites(), coefficient_groups(), st.randoms(use_true_random=False))
+def test_face_table_coboundary_matches_the_dense_view(x, coeff, rng):
+    check_coboundary_against_dense_view(cech_complex(x, coeff), rng)

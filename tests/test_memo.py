@@ -12,10 +12,11 @@ import itertools
 import pytest
 from hypothesis import example, given, settings
 
-from cechtower.abelian import FgAbGroup, Homomorphism, cyclic_group, free_group
+from cechtower.abelian import FgAbGroup, cyclic_group, free_group
 from cechtower.cochain import (
-    CochainComplex,
+    GroupAction,
     _integral_degree,
+    bar_complex,
     build_complex_from_facets,
     cech_complex,
     class_of,
@@ -23,6 +24,7 @@ from cechtower.cochain import (
     zero_cochain,
 )
 from cechtower.exactseq import connecting
+from cechtower.liftgerbe import cyclic_table
 from cechtower.tower import TowerSpec, tower_classes
 
 from .conftest import RP2_FACETS
@@ -139,9 +141,18 @@ def test_other_coefficients_and_sites_stay_apart(coefficients):
     assert comp != cech_complex(circle, coefficients)
 
 
-def test_complexes_without_a_site_keep_identity():
-    z = free_group(1)
-    one, two = (CochainComplex((z, z), (Homomorphism(z, z, ((2,),)),)) for _ in range(2))
-    assert one == one and one != two
-    assert cohomology(one, 1) is cohomology(one, 1)
-    assert cohomology(one, 1) is not cohomology(two, 1)
+@pytest.mark.parametrize("twisted", [False, True], ids=["trivial", "sign"])
+def test_equal_bar_complexes_share_one_memo_entry(twisted):
+    # Z/2 on Z/3, trivially or by sign: a bar complex built twice from
+    # equal inputs is equal to the first and finds its cohomology memoized.
+    def build():
+        h = cyclic_table(2)
+        sign = ((2,),) if twisted else ((1,),)
+        return bar_complex(h, GroupAction(h, cyclic_group(3), (((1,),), sign)), 3)
+
+    one, two = build(), build()
+    assert one is not two and one == two and hash(one) == hash(two)
+    clear_memos()
+    for p in range(4):
+        assert cohomology(one, p) is cohomology(two, p)
+    assert cohomology.cache_info().hits == 4

@@ -1,10 +1,12 @@
-"""Cech cohomology by universal coefficients, against the oracles.
+"""Cohomology by universal coefficients, against the oracles.
 
-``cohomology`` of a Cech complex is assembled from the site's integral
-SNF one cyclic coefficient factor at a time.  These tests compare it with
-exhaustive enumeration (``oracles.brute_cohomology``) and with the lattice
-path that presents ker/im of the whole coefficient complex in one piece,
-and check that representatives and the projection agree with each other.
+``cohomology`` of an untwisted complex, a Cech complex or the bar complex
+of a trivial action, is assembled from the integral SNF of its base (a
+site or a group nerve) one cyclic coefficient factor at a time.  These
+tests compare it with exhaustive enumeration (``oracles.brute_cohomology``)
+and with the lattice path that presents ker/im of the whole coefficient
+complex in one piece, and check that representatives and the projection
+agree with each other.
 The integral data the assembly reads (the V-coordinates of one SNF of
 each coboundary) is checked against dense matrices.
 """
@@ -22,12 +24,15 @@ from cechtower.cochain import (
     _integral_degree,
     _lattice_presentation,
     _pull_back,
+    bar_complex,
     build_complex_from_facets,
     cech_complex,
     coboundary,
     cohomology,
     suspension,
+    trivial_action,
 )
+from cechtower.liftgerbe import cyclic_table, symmetric_group
 
 from .conftest import RP2_FACETS, grid_torus_facets
 from .oracles import brute_cohomology
@@ -102,6 +107,25 @@ def check_degree(comp, p, rng):
 def test_random_sites_and_coefficients(x, coeff, rng):
     comp = cech_complex(x, coeff)
     for p in range(x.dim + 2):
+        check_degree(comp, p, rng)
+
+
+# Finite groups, each with the top degree its bar complexes are checked to.
+BAR_GROUPS = [(cyclic_table(1), 3), (cyclic_table(2), 4), (cyclic_table(3), 2),
+              (cyclic_table(4), 2), (symmetric_group(3), 1)]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(BAR_GROUPS), coefficient_groups(), st.randoms(use_true_random=False))
+def test_trivial_action_bar_complexes(group_degree, coeff, rng):
+    # A trivial action is not stored, so cohomology takes the universal-
+    # coefficient path over the group's nerve; it must match the lattice
+    # path on the dense differentials and, where it can enumerate, the
+    # brute-force oracle.
+    group, degree = group_degree
+    comp = bar_complex(group, trivial_action(group, coeff), degree)
+    assert comp.action is None
+    for p in range(degree + 1):
         check_degree(comp, p, rng)
 
 
