@@ -413,13 +413,14 @@ def check_dense_budget(what: str, rows: int, cols: int) -> None:
             f"{COBOUNDARY_ENTRY_BUDGET} entries")
 
 
-def _check_coboundary_budget(x: SimplicialComplex) -> None:
-    """Refuse a site or nerve whose dense integral coboundaries (k_{p+1} x
-    k_p), or the k_p x k_p transforms of their SNFs (built even when d_p
-    has no rows), would pass the budget."""
-    for p in range(x.dim + 1):
-        k = len(x.cells(p))
-        check_dense_budget(f"coboundary {p}", len(x.cells(p + 1)), k)
+def _check_coboundary_budget(counts: Iterable[int]) -> None:
+    """Refuse a site or nerve with k_p cells in degree p (``counts``, from
+    degree 0 to the top) whose dense integral coboundaries (k_{p+1} x k_p),
+    or the k_p x k_p transforms of their SNFs (built even when d_p has no
+    rows), would pass the budget.  ``counts`` is read only up to the first
+    refusal."""
+    for p, (k, above) in enumerate(itertools.pairwise(itertools.chain(counts, [0]))):
+        check_dense_budget(f"coboundary {p}", above, k)
         check_dense_budget(f"the SNF transforms of integral coboundary {p}", k, k)
 
 
@@ -558,7 +559,7 @@ def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
     """Degree-p integral data of a site or nerve, memoized on (x, p): one
     SNF of d_p.  im d_{p-1} in V-coordinates is V^-1 d_{p-1}; its rows
     below the rank vanish, and the columns of the others present H^p(X; Z)."""
-    _check_coboundary_budget(x)
+    _check_coboundary_budget(len(x.cells(d)) for d in range(x.dim + 1))
     k = len(x.cells(p))
     res = _intlin.snf(_coboundary_rows(x, p, k), len(x.cells(p + 1)), k,
                       _intlin.LATTICE)
@@ -710,14 +711,19 @@ def bar_complex(group, action: GroupAction, max_degree: int) -> CochainComplex:
     ``max_degree`` so that cohomology at ``max_degree`` is computed against
     the true outgoing differential.  An action whose every matrix is the
     identity is not stored, so the complex takes the face-table path of a
-    Cech complex.  The words of the top degree, and then the generators of
-    each cochain group, are checked against their budgets.
+    Cech complex; its integral coboundaries, |H|^{p+1} x |H|^p, are then
+    checked against the entry budget before the nerve lists any word.  The
+    words of the top degree, and then the generators of each cochain group,
+    are checked against their budgets.
     """
     if action.group is not group and action.group != group:
         raise ValidationError("action does not belong to the given group")
     ident = tuple(map(tuple, _intlin.identity_matrix(action.module.ngens)))
     twist = None if all(rho == ident for rho in action.action) else action.action
-    return CochainComplex(GroupNerve(group, max_degree + 1), action.module, twist)
+    top = max_degree + 1
+    if twist is None:
+        _check_coboundary_budget(group.order ** p for p in range(top + 1))
+    return CochainComplex(GroupNerve(group, top), action.module, twist)
 
 
 def apply_cellwise(matrix: Sequence[Sequence[int]], coords: Sequence[int],

@@ -27,12 +27,21 @@ t = D+1 and s = 1.  E_r divides a piece's Z_r by that piece's B_{r-1} +
 Z_{r-1}^{p+1,q-1}.  The page r enters only through t and s.  The closed
 forms (E_r^{pq} equals the summand cohomology, page stability) are what
 ``check_degeneration`` verifies, never a shortcut taken here.
+
+A piece's Z, B and E groups depend on the summands, its kind, a, p and the
+clamped indices alone, never on a site, degree or page beyond those, so
+they are presented once per process in an LRU cache of 256 entries keyed
+by those values (``_piece_groups``), next to the W bases keyed by the
+summands (``_filtration``).  Every page r >= max(p, D+1-p) reads the limit
+page's entries, and sites with the same summands share entries.  A term
+sums its pieces' cached groups with ``cyclic_sum``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from cechtower import _intlin
@@ -57,9 +66,12 @@ from cechtower.exactseq import LesReport, long_exact_sequence, validate_ses
 @dataclass(frozen=True, eq=False)
 class FilteredComplex:
     """A site and a direct sum of coefficient groups with the summand-index
-    filtration.  It keeps the summands, their embeddings into the sum and a
-    basis of each coefficient lattice W_1 ⊃ ... ⊃ W_{D+1} = R in Z^g; the
-    terms are computed on request from the site's integral data, and no
+    filtration.  It keeps the summands and their embeddings into the sum.
+    The embeddings and a basis of each coefficient lattice W_1 ⊃ ... ⊃
+    W_{D+1} = R in Z^g are memoized per process on the summands alone
+    (``_filtration``).  The terms are computed on request from the site's
+    integral data and the pieces' memo, whose keys hold the summands but
+    never this object, which compares by identity, or its site.  No
     cochain group of the sum is built.
     """
 
@@ -69,29 +81,32 @@ class FilteredComplex:
     def __post_init__(self):
         if not self.summands:
             raise ValidationError("need at least one summand")
-        g = sum(s.ngens for s in self.summands)
-        check_dense_budget(f"direct sum of {g} generators", g, g)
-        total, embeddings, _ = direct_sum_with_maps(self.summands)
-        rel = _intlin.relation_columns(total.orders)
-        w_bases = tuple(
-            _intlin.Lattice(total.ngens, [col for emb in embeddings[i:]
-                                          for col in emb.columns()] + rel).basis
-            for i in range(len(embeddings) + 1))
-        object.__setattr__(self, "embeddings", tuple(embeddings))
-        object.__setattr__(self, "w_bases", w_bases)
+        object.__setattr__(self, "summands", tuple(self.summands))
+        object.__setattr__(self, "embeddings", _filtration(self.summands)[0])
 
     @property
     def depth(self) -> int:
         return len(self.summands)
 
-    @property
-    def ngens(self) -> int:
-        """g, the generators of the direct sum."""
-        return self.embeddings[0].target.ngens
 
-    def w_basis(self, p: int) -> list[list[int]]:
-        """A basis of W_p (1-based; p <= 1 is Z^g, p > depth is R)."""
-        return self.w_bases[min(max(p, 1), self.depth + 1) - 1]
+@lru_cache(maxsize=256)
+def _filtration(summands: tuple[FgAbGroup, ...]) -> tuple[tuple, tuple]:
+    """The embeddings of the summands into their direct sum Z^g/R, and a
+    basis of W_p for p = 1..D+1, memoized on the summands."""
+    g = sum(s.ngens for s in summands)
+    check_dense_budget(f"direct sum of {g} generators", g, g)
+    total, embeddings, _ = direct_sum_with_maps(summands)
+    rel = _intlin.relation_columns(total.orders)
+    w_bases = tuple(
+        _intlin.Lattice(total.ngens, [col for emb in embeddings[i:]
+                                      for col in emb.columns()] + rel).basis
+        for i in range(len(embeddings) + 1))
+    return tuple(embeddings), w_bases
+
+
+def _w_basis(w_bases: tuple, p: int) -> list[list[int]]:
+    """A basis of W_p (1-based; p <= 1 is Z^g, p > depth is R)."""
+    return w_bases[min(max(p, 1), len(w_bases)) - 1]
 
 
 @dataclass(frozen=True)
@@ -120,45 +135,58 @@ def filtered_terms(f: FilteredComplex, r: Optional[int], p: int, q: int) -> Spec
     # target index t as Z_r^{pq}, and B_{r-1}^{pq} the source index s_prev.
     t = top if r is None else min(p + r, top)
     s, s_prev = (1, 1) if r is None else (max(p - r, 1), max(p - r + 1, 1))
-    w_p, w_next = f.w_basis(p), f.w_basis(p + 1)
     sources = Counter(coboundary_diagonal(f.site, n))
     targets = Counter(coboundary_diagonal(f.site, n - 1))
     free = len(f.site.cells(n)) - sum(sources.values()) - sum(targets.values())
-    pieces = [(_piece_groups(f, w_p, [], w_next), free)] if free else []
-    for a, count in sources.items():
-        pieces.append((_piece_groups(f, _preimage(f, a, p, t), [],
-                                     _preimage(f, a, p + 1, t)), count))
-    for a, count in targets.items():
-        boundaries = [_scaled(a, _preimage(f, a, i, p)) for i in (s, s_prev)]
-        pieces.append((_piece_groups(f, w_p, boundaries[0], boundaries[1] + w_next),
-                       count))
-    z, b, e = (cyclic_sum((o, count) for groups, count in pieces
-                          for o in groups[i].orders) for i in range(3))
+    pieces = ([(("free", 0, p, 0, 0), free)]
+              + [(("source", a, p, t, 0), count) for a, count in sources.items()]
+              + [(("target", a, p, s, s_prev), count) for a, count in targets.items()])
+    groups = [(_piece_groups(f.summands, *key), count) for key, count in pieces if count]
+    z, b, e = (cyclic_sum((o, count) for piece, count in groups
+                          for o in piece[i].orders) for i in range(3))
     return SpectralTerms(r, p, q, z, b, e)
+
+
+@lru_cache(maxsize=256)
+def _piece_groups(summands: tuple[FgAbGroup, ...], kind: str, a: int, p: int,
+                  i: int, j: int) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
+    """Z/R, B/R and E = Z/(E's denominator) of one elementary piece of the
+    filtration of ``summands``: a free piece, or a source or target piece
+    of the diagonal entry a, at filtration index p.  i is the clamped
+    target index t of a source piece, and (i, j) the clamped source
+    indices (s, s_prev) of a target piece.  A pure function of its values,
+    so every site, degree and page that reaches the same key shares one
+    entry."""
+    w_bases = _filtration(summands)[1]
+    w_p, w_next = _w_basis(w_bases, p), _w_basis(w_bases, p + 1)
+    if kind == "free":
+        z_gens, b_gens, e_gens = w_p, [], w_next
+    elif kind == "source":
+        z_gens, b_gens = _preimage(w_bases, a, p, i), []
+        e_gens = _preimage(w_bases, a, p + 1, i)
+    else:
+        z_gens = w_p
+        b_gens, e_gens = (_scaled(a, _preimage(w_bases, a, s, p)) for s in (i, j))
+        e_gens = e_gens + w_next
+    g, rel = len(w_bases[0]), w_bases[-1]
+    z_lat = _intlin.Lattice(g, z_gens)
+    b_lat = _intlin.Lattice(g, b_gens + rel)
+    if not z_lat.contains_lattice(b_lat):
+        raise VerificationError("boundary term escaped the cycle term")
+    return tuple(presentation_group(_intlin.present_quotient(num, den))
+                 for num, den in ((z_lat, rel), (b_lat, rel), (z_lat, e_gens + rel)))
 
 
 def _scaled(a: int, vectors: list[list[int]]) -> list[list[int]]:
     return [[a * v for v in vec] for vec in vectors]
 
 
-def _preimage(f: FilteredComplex, a: int, i: int, j: int) -> list[list[int]]:
+def _preimage(w_bases: tuple, a: int, i: int, j: int) -> list[list[int]]:
     """Generators of {x in W_i : ax in W_j}."""
-    w_i, g = f.w_basis(i), f.ngens
-    coeffs = _intlin.lattice_preimage_gens(_scaled(a, w_i), g, f.w_basis(j))
+    w_i = _w_basis(w_bases, i)
+    g = len(w_bases[0])
+    coeffs = _intlin.lattice_preimage_gens(_scaled(a, w_i), g, _w_basis(w_bases, j))
     return [_intlin.lin_comb(w_i, c, g) for c in coeffs]
-
-
-def _piece_groups(f: FilteredComplex, z_gens: list[list[int]], b_gens: list[list[int]],
-                  e_gens: list[list[int]]) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
-    """Z/R, B/R and E = Z/(E's denominator) of one piece, from generators
-    of its Z_r, and of its B_r and E's denominator without R."""
-    rel = f.w_basis(f.depth + 1)
-    z_lat = _intlin.Lattice(f.ngens, z_gens)
-    b_lat = _intlin.Lattice(f.ngens, b_gens + rel)
-    if not z_lat.contains_lattice(b_lat):
-        raise VerificationError("boundary term escaped the cycle term")
-    return tuple(presentation_group(_intlin.present_quotient(num, den))
-                 for num, den in ((z_lat, rel), (b_lat, rel), (z_lat, e_gens + rel)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import pytest
 
 from cechtower.abelian import Homomorphism, cyclic_group, free_group
 from cechtower.cochain import (
-    _integral_degree,
     build_complex_from_facets,
     cech_complex,
     class_of,
@@ -42,6 +41,7 @@ from cechtower.tower import TowerSpec, compare_towers, tower_classes, verify_tow
 
 from .conftest import RP2_FACETS, TORUS_FACETS
 from .oracles import brute_cohomology
+from .test_memo import clear_memos
 
 Z = free_group(1)
 Z2 = cyclic_group(2)
@@ -93,8 +93,7 @@ def test_criterion_1_fixture_cohomology():
     with criterion(1, "fixture cohomology exact, each fixture under 1 s"):
         # Cohomology is memoized by value, so equal fixtures built by an
         # earlier test would be timed warm unless every memo starts empty.
-        for memo in (cech_complex, cohomology, _integral_degree):
-            memo.cache_clear()
+        clear_memos()
         expectations = [
             ("circle", Z, ["Z", "Z"]),
             ("triangle", Z, ["Z", "0", "0"]),

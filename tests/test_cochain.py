@@ -334,8 +334,8 @@ class TestBarComplex:
 
     @pytest.mark.parametrize("degree, action", [
         # From degree 11 on, the integral coboundary of the nerve passes the
-        # entry budget (4,096 x 2,048), and _check_coboundary_budget refuses
-        # the nerve before its first SNF.
+        # entry budget (4,096 x 2,048), and bar_complex refuses the nerve
+        # before it lists a word.
         (14, "trivial"),
         # The twisted differential 10 is 2,048 x 1,024, but the kernel SNF
         # of it has a 3,072 x 3,072 transform.
@@ -346,6 +346,20 @@ class TestBarComplex:
         # of the matrix was built and no elimination ran first.
         out, seconds = run_bar(degree, action)
         assert out == "refused" and seconds < 5.0
+
+    def test_trivial_nerve_past_the_entry_budget_never_listed(self, monkeypatch):
+        # The 32,768 words of Z/2's nerve in degree 15 are within the word
+        # budget, but its integral coboundary 11 is not: the trivial-action
+        # complex is refused from the cell counts |H|^p, with the message
+        # the integral SNF's check gives, before any nerve is constructed.
+        def construct(*args):
+            raise AssertionError("GroupNerve was constructed")
+
+        monkeypatch.setattr(cochain, "GroupNerve", construct)
+        h = cyclic_table(2)
+        with pytest.raises(BudgetExceededError,
+                           match="coboundary 11 would need a 4096 x 2048 matrix"):
+            bar_complex(h, trivial_action(h, Z2), 14)
 
     def test_trivial_action_in_degree_nine_within_seconds(self):
         # A trivial action takes the integral nerve's SNF and universal

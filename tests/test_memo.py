@@ -1,17 +1,27 @@
-"""The cohomology memos are bounded and keyed by value.
+"""The memos are bounded and keyed by value.
 
-``cech_complex``, ``cohomology`` and ``_integral_degree`` are LRU caches
-of fixed size.  A Cech complex compares and hashes by its (site,
-coefficients) pair, so a complex rebuilt after an eviction equals the old
-one, and a cochain of the old one keeps working: same groups, same
-representatives, same class coordinates.
+Every ``functools`` LRU cache a ``cechtower`` module defines is found by
+``discovered_memos``: each must have a finite size, and ``clear_memos``
+empties all of them, so a new memo can neither grow without bound nor stay
+warm before a cold timing.  The cohomology memos (``cech_complex``,
+``cohomology``, ``_integral_degree``) are keyed by value: a Cech complex
+compares and hashes by its (site, coefficients) pair, so a complex rebuilt
+after an eviction equals the old one, and a cochain of the old one keeps
+working: same groups, same representatives, same class coordinates.  The
+spectral pieces' groups (``spectral._piece_groups``) are keyed by the
+summands and clamped indices alone, never by a site.
 """
 
+import functools
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 from hypothesis import example, given, settings
 
+import cechtower
+from cechtower import abelian, exactseq, spectral
 from cechtower.abelian import FgAbGroup, cyclic_group, free_group
 from cechtower.cochain import (
     GroupAction,
@@ -25,15 +35,29 @@ from cechtower.cochain import (
 )
 from cechtower.exactseq import connecting
 from cechtower.liftgerbe import cyclic_table
+from cechtower.spectral import FilteredComplex, filtered_terms
 from cechtower.tower import TowerSpec, tower_classes
 
 from .conftest import RP2_FACETS
 from .test_les_properties import _cyclic_extension, sequences
 from .test_uct import coefficient_groups, sites
 
-MEMOS = (cech_complex, cohomology, _integral_degree)
 RP2 = build_complex_from_facets(6, RP2_FACETS)
 Z2 = cyclic_group(2)
+
+
+def discovered_memos() -> list:
+    """Every LRU cache defined in a ``cechtower`` module, each once."""
+    memos = []
+    for info in pkgutil.iter_modules(cechtower.__path__):
+        module = importlib.import_module(f"cechtower.{info.name}")
+        memos.extend(obj for obj in vars(module).values()
+                     if isinstance(obj, functools._lru_cache_wrapper)
+                     and obj.__module__ == module.__name__)
+    return memos
+
+
+MEMOS = tuple(discovered_memos())
 
 
 def clear_memos():
@@ -76,6 +100,12 @@ def held_cochains(x, ses):
     return reps + [zero_cochain(comp_c, 2)]
 
 
+def test_every_memo_is_discovered():
+    known = {cech_complex, cohomology, _integral_degree, abelian._hom_solver,
+             exactseq._section_matrix, spectral._filtration, spectral._piece_groups}
+    assert known <= set(MEMOS)
+
+
 def test_memos_are_bounded():
     ses = _cyclic_extension(2, 2)
     held = held_cochains(RP2, ses)
@@ -93,6 +123,20 @@ def test_memos_are_bounded():
     assert cech_complex(RP2, Z2) is not held[0].complex
     assert cech_complex(RP2, Z2) == held[0].complex
     assert held_results(RP2, ses, held) == before
+
+
+def test_spectral_memos_are_bounded():
+    # Each Z/m makes new keys for both spectral memos, two pieces in degree
+    # 0 of the circle: more than either holds.  They stay within their
+    # size, and each term is still H^0(circle; Z/m).
+    circle = build_complex_from_facets(3, [(0, 1), (0, 2), (1, 2)])
+    clear_memos()
+    for m in range(2, spectral._piece_groups.cache_info().maxsize + 3):
+        f = FilteredComplex(circle, (cyclic_group(m),))
+        assert filtered_terms(f, 1, 1, -1).e_group == cyclic_group(m)
+    for memo in (spectral._filtration, spectral._piece_groups):
+        info = memo.cache_info()
+        assert info.misses > info.maxsize >= info.currsize
 
 
 @settings(max_examples=40)

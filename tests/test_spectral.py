@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cechtower import _intlin
+from cechtower import _intlin, spectral
 from cechtower.abelian import cyclic_group, direct_sum_with_maps, free_group
 from cechtower.cochain import (
     apply_cellwise,
@@ -21,8 +21,9 @@ from cechtower.spectral import (
     spectral_grid,
 )
 
-from .conftest import RP2_FACETS, grid_torus_facets
+from .conftest import RP2_FACETS, TORUS_FACETS, grid_torus_facets
 from .oracles import MembershipTerms, cech_induced
+from .test_memo import clear_memos
 from .test_uct import sites
 
 Z = free_group(1)
@@ -211,6 +212,55 @@ def test_terms_equal_the_membership_reference(f):
                 assert cycle_recursion_holds(ref, r, p, n)
                 assert cycle_direct_determination_holds(ref, r, p, n)
     assert check_degeneration(f, spectral_grid(f, f.depth + 2)).ok
+
+
+_TORUS7 = build_complex_from_facets(7, TORUS_FACETS)
+
+
+@settings(max_examples=EXAMPLES)
+@given(filtered_complexes(), sites())
+@example(FilteredComplex(_RP2, (Z2, Z3)), _TORUS7)
+@example(FilteredComplex(_RP2, (Z2, Z4, Z)), suspension(_RP2))
+def test_memo_is_keyed_by_value(f, other):
+    # A piece's groups depend on the summands and clamped indices alone:
+    # the grid read through entries another site with the same summands
+    # left equals the cold grid and the membership reference, at every
+    # page up to depth+2 and the limit page.
+    assume(other != f.site)
+    r_max = f.depth + 2
+    clear_memos()
+    cold = spectral_grid(f, r_max)
+    clear_memos()
+    spectral_grid(FilteredComplex(other, f.summands), r_max)
+    warm = spectral_grid(f, r_max)
+    ref = MembershipTerms(f)
+    assert warm == cold == [ref.terms(t.r, t.p, t.q) for t in cold]
+
+
+def test_rp2_and_torus_share_piece_entries():
+    # With (Z/2, Z/3) the two sites reach common pieces, so the torus grid
+    # computes fewer pieces after RP^2's than cold; each grid still gives
+    # its own E_r^{pq} = H^{p+q}(X; L_p), and the zero group in degree 3.
+    closed_forms = {
+        _RP2: {1: ["Z/2", "Z/2", "Z/2"], 2: ["Z/3", "0", "0"]},
+        _TORUS7: {1: ["Z/2", "Z/2 x Z/2", "Z/2"], 2: ["Z/3", "Z/3 x Z/3", "Z/3"]},
+    }
+    memo = spectral._piece_groups
+    clear_memos()
+    spectral_grid(FilteredComplex(_TORUS7, (Z2, Z3)), 3)
+    cold_misses = memo.cache_info().misses
+    clear_memos()
+    grids = {}
+    for x in (_RP2, _TORUS7):
+        before = memo.cache_info()
+        grids[x] = spectral_grid(FilteredComplex(x, (Z2, Z3)), 3)
+    after = memo.cache_info()
+    assert after.hits > before.hits
+    assert after.misses - before.misses < cold_misses
+    for x, grid in grids.items():
+        for t in grid:
+            labels = closed_forms[x][t.p] + ["0"]
+            assert t.e_group.label() == labels[t.p + t.q]
 
 
 def induced_v_gens(f: MembershipTerms, p: int, n: int):
