@@ -24,6 +24,7 @@ when a caller needs one.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -413,15 +414,12 @@ def check_dense_budget(what: str, rows: int, cols: int) -> None:
             f"{COBOUNDARY_ENTRY_BUDGET} entries")
 
 
-def _check_coboundary_budget(counts: Iterable[int]) -> None:
-    """Refuse a site or nerve with k_p cells in degree p (``counts``, from
-    degree 0 to the top) whose dense integral coboundaries (k_{p+1} x k_p),
-    or the k_p x k_p transforms of their SNFs (built even when d_p has no
-    rows), would pass the budget.  ``counts`` is read only up to the first
-    refusal."""
-    for p, (k, above) in enumerate(itertools.pairwise(itertools.chain(counts, [0]))):
-        check_dense_budget(f"coboundary {p}", above, k)
-        check_dense_budget(f"the SNF transforms of integral coboundary {p}", k, k)
+def _check_coboundary_budget(critical: Sequence[int]) -> None:
+    """Refuse a reduced complex with m_p critical cells in degree p
+    (``critical``, from degree 0 to the top) whose dense Morse coboundaries
+    (m_{p+1} x m_p) would pass the budget."""
+    for p, (m, above) in enumerate(itertools.pairwise([*critical, 0])):
+        check_dense_budget(f"reduced coboundary {p}", above, m)
 
 
 def _coboundary_rows(x: SimplicialComplex, p: int, width: int, offset: int = 0) -> list:
@@ -523,12 +521,162 @@ def _lattice_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentat
     return _intlin.present_quotient(_intlin.Lattice(amb.ngens, ker_gens), img_gens)
 
 
+class _Reduction:
+    """A coreduction of the integral cochain complex of a site or nerve and
+    its Morse complex (Mrozek & Batko, "Coreduction homology algorithm",
+    DCG 2009; Harker, Mischaikow, Mrozek & Nanda, FoCM 2014).
+
+    A p-cell s is matched with a (p+1)-cell t when s is the only face of t
+    left and their summed incidence [t : s] is +-1 (faces of a nerve's word
+    may coincide, so incidences are summed per face first).  The cells
+    left over are critical.  The matching is acyclic, so the path sums of
+    its gradient graph give the Morse coboundaries dM_p between critical
+    cells and two integral cochain maps R: C^p -> M^p and E: M^p -> C^p
+    with R E = id, R d = dM R and d E = E dM, which induce inverse
+    isomorphisms on cohomology, with any coefficients.
+
+    Per degree p in 0..dim: ``critical(p)`` lists the positions of the
+    critical p-cells, ``pairs(p)`` counts the pairs matched between degrees
+    p and p+1, ``morse(p)`` is dM_p as dense rows (critical (p+1)-cells x
+    critical p-cells), and ``restrict(p)`` and ``extend(p)`` give, per
+    p-cell x, column x of R_p and row x of E_p as {critical index: entry}.
+    """
+
+    def __init__(self, x: _FaceTable):
+        dim = x.dim
+        counts = [len(x.cells(p)) for p in range(dim + 1)]
+        # faces[p][t]: face -> nonzero summed incidence of the p-cell t;
+        # cofaces[p][s]: (t, [t : s]) over the (p+1)-cells t, t ascending.
+        faces = [[{} for _ in range(counts[0])]]
+        for p in range(1, dim + 1):
+            level = []
+            for row in x.faces(p):
+                inc = {}
+                for j, f in enumerate(row):
+                    inc[f] = inc.get(f, 0) + (-1 if j & 1 else 1)
+                level.append(inc if len(inc) == len(row)
+                             else {f: v for f, v in inc.items() if v})
+            faces.append(level)
+        cofaces = [[[] for _ in range(k)] for k in counts]
+        for p in range(1, dim + 1):
+            below = cofaces[p - 1]
+            for t, inc in enumerate(faces[p]):
+                for f, v in inc.items():
+                    below[f].append((t, v))
+
+        # Coreduction: a cell whose faces are all gone but one, s, with a
+        # unit incidence is matched with s.  When none is left, the first
+        # remaining cell of lowest degree, which has no face left, becomes
+        # critical.  ``pairs`` lists (p, s, t, [t : s]) in the order of
+        # removal.
+        left = [[len(inc) for inc in level] for level in faces]
+        gone = [bytearray(k) for k in counts]
+        queue = deque((p, t) for p in range(1, dim + 1)
+                      for t, n in enumerate(left[p]) if n == 1)
+        pairs = []
+        critical = [[] for _ in counts]
+        restrict = [[{} for _ in range(k)] for k in counts]
+        extend = [[{} for _ in range(k)] for k in counts]
+
+        def remove(p: int, s: int) -> None:
+            if p < dim:
+                above = left[p + 1]
+                for t, _ in cofaces[p][s]:
+                    above[t] -= 1
+                    if above[t] == 1:
+                        queue.append((p + 1, t))
+
+        def drain() -> None:
+            while queue:
+                p, t = queue.popleft()
+                if gone[p][t] or left[p][t] != 1:
+                    continue
+                s, v = next((f, v) for f, v in faces[p][t].items() if not gone[p - 1][f])
+                if v in (1, -1):
+                    gone[p - 1][s] = gone[p][t] = 1
+                    pairs.append((p - 1, s, t, v))
+                    remove(p - 1, s)
+                    remove(p, t)
+
+        drain()
+        for p, k in enumerate(counts):
+            for s in range(k):
+                if not gone[p][s]:
+                    gone[p][s] = 1
+                    restrict[p][s] = extend[p][s] = {len(critical[p]): 1}
+                    critical[p].append(s)
+                    remove(p, s)
+                    drain()
+        _check_coboundary_budget([len(c) for c in critical])
+
+        # Path sums.  Column x of R is x for a critical x, 0 for a cell
+        # matched upward, and for t matched down with s: -[t:s] times the
+        # sum of [t':s] R(t') over the other cofaces t' of s, all removed
+        # after t.  Row x of E is x for a critical x, 0 for a cell matched
+        # down, and for s matched up with t: -[t:s] times the sum of
+        # [t:s'] E(s') over the other faces s' of t, all removed before s.
+        for p, s, t, v in pairs:
+            extend[p][s] = _path_sum(faces[p + 1][t].items(), s, -v, extend[p])
+        for p, s, t, v in reversed(pairs):
+            restrict[p + 1][t] = _path_sum(cofaces[p][s], t, -v, restrict[p + 1])
+        morse = []
+        for p, crit in enumerate(critical):
+            rows = [[0] * len(crit) for _ in critical[p + 1]] if p < dim else []
+            for i, s in enumerate(crit):
+                for t, w in cofaces[p][s]:
+                    for j, a in restrict[p + 1][t].items():
+                        rows[j][i] += w * a
+            morse.append(rows)
+        self._critical = tuple(tuple(c) for c in critical)
+        self._pairs = tuple(sum(1 for q, *_ in pairs if q == p) for p in range(dim + 1))
+        self._morse = tuple(morse)
+        self._restrict = tuple(restrict)
+        self._extend = tuple(extend)
+
+    def critical(self, p: int) -> tuple[int, ...]:
+        return self._critical[p] if 0 <= p < len(self._critical) else ()
+
+    def pairs(self, p: int) -> int:
+        return self._pairs[p] if 0 <= p < len(self._pairs) else 0
+
+    def morse(self, p: int) -> list:
+        if 0 <= p < len(self._morse):
+            return self._morse[p]
+        return [[] for _ in self.critical(p + 1)]
+
+    def restrict(self, p: int) -> list:
+        return self._restrict[p] if 0 <= p < len(self._restrict) else []
+
+    def extend(self, p: int) -> list:
+        return self._extend[p] if 0 <= p < len(self._extend) else []
+
+
+def _path_sum(neighbours: Iterable, skip: int, scale: int, sums: list) -> dict:
+    """scale * sum of w * sums[n] over the (n, w) in ``neighbours`` with
+    n != skip, as a sparse {critical index: entry} with no zero entry."""
+    acc = {}
+    for n, w in neighbours:
+        if n != skip:
+            for i, a in sums[n].items():
+                acc[i] = acc.get(i, 0) + scale * w * a
+    return {i: a for i, a in acc.items() if a}
+
+
+@lru_cache(maxsize=256)
+def _reduction(x: _FaceTable) -> _Reduction:
+    """The coreduction of a site or nerve, memoized on x.  Its dense Morse
+    coboundaries are checked against the budget once the critical cells
+    are counted, before any is built."""
+    return _Reduction(x)
+
+
 @dataclass(frozen=True)
 class _IntegralDegree:
-    """The SNF U d_p V = D of the integral coboundary: the nonzero diagonal
-    a_i, the columns of V and the rows of V^-1.  In the V-coordinates
-    y = V^-1 c, ker d_p is y[:rank] = 0, and ``pres`` presents H^p(X; Z) on
-    y[rank:] (lift columns and ``project`` live there, not in C^p)."""
+    """The SNF U' dM_p V' = D' of the Morse coboundary, pulled back to C^p:
+    the nonzero diagonal a_i of D', the columns of E V' and the rows of
+    V'^-1 R.  In the coordinates y = V'^-1 R c, a cocycle c has
+    y[:rank] = 0, and ``pres`` presents H^p(X; Z) on y[rank:] (lift columns
+    and ``project`` live there, not in C^p)."""
 
     diag: tuple[int, ...]
     v_cols: list
@@ -536,37 +684,46 @@ class _IntegralDegree:
     pres: _intlin.Presentation
 
 
-def _pull_back(x: SimplicialComplex, p: int, w: Sequence[int]) -> list[int]:
-    """The row w d_{p-1}, for a row w on C^p(X; Z), from the face table."""
-    out = [0] * len(x.cells(p - 1))
-    for wt, faces in zip(w, x.faces(p)):
-        if wt:
-            for f in faces[::2]:
-                out[f] += wt
-            for f in faces[1::2]:
-                out[f] -= wt
+def coboundary_diagonal(x: _FaceTable, p: int) -> tuple[int, ...]:
+    """The nonzero SNF diagonal of the integral d_p: a 1 per pair matched
+    between degrees p and p+1, then the nonzero diagonal of D'.  Each pair
+    splits a unit off d_p, so this is the invariant-factor chain of d_p.
+    Empty outside degrees 0..dim."""
+    if not 0 <= p <= x.dim:
+        return ()
+    return (1,) * _reduction(x).pairs(p) + _integral_degree(x, p).diag
+
+
+def _through(maps: Sequence[Mapping[int, int]], vectors: Sequence[Sequence[int]],
+             k: int) -> list[list[int]]:
+    """For each vector v over the critical cells, the k entries
+    sum_c maps[x][c] * v[c], one per cell x: a row of V'^-1 R from a row
+    of V'^-1, or a column of E V' from a column of V'."""
+    by_index = [[(i, v[c]) for i, v in enumerate(vectors) if v[c]]
+                for c in range(len(vectors))]
+    out = [[0] * k for _ in vectors]
+    for x, row in enumerate(maps):
+        for c, a in row.items():
+            for i, b in by_index[c]:
+                out[i][x] += a * b
     return out
 
 
-def coboundary_diagonal(x: SimplicialComplex, p: int) -> tuple[int, ...]:
-    """The nonzero SNF diagonal a_1 | a_2 | ... of the integral d_p, read
-    from the memoized SNF; empty outside degrees 0..dim."""
-    return _integral_degree(x, p).diag if 0 <= p <= x.dim else ()
-
-
 @lru_cache(maxsize=256)
-def _integral_degree(x: SimplicialComplex, p: int) -> _IntegralDegree:
+def _integral_degree(x: _FaceTable, p: int) -> _IntegralDegree:
     """Degree-p integral data of a site or nerve, memoized on (x, p): one
-    SNF of d_p.  im d_{p-1} in V-coordinates is V^-1 d_{p-1}; its rows
-    below the rank vanish, and the columns of the others present H^p(X; Z)."""
-    _check_coboundary_budget(len(x.cells(d)) for d in range(x.dim + 1))
-    k = len(x.cells(p))
-    res = _intlin.snf(_coboundary_rows(x, p, k), len(x.cells(p + 1)), k,
-                      _intlin.LATTICE)
-    free = res.n - res.rank
-    image_rows = [_pull_back(x, p, row) for row in res.Vinv[res.rank:]]
-    pres = _intlin.present_cokernel(free, [list(col) for col in zip(*image_rows)])
-    return _IntegralDegree(res.diag[:res.rank], res.V_cols, res.Vinv, pres)
+    SNF of the Morse coboundary dM_p.  im dM_{p-1} in V'-coordinates is
+    V'^-1 dM_{p-1}; its rows below the rank vanish, and the columns of the
+    others present H^p(X; Z)."""
+    red = _reduction(x)
+    m, k = len(red.critical(p)), len(x.cells(p))
+    check_dense_budget(f"the SNF transforms of reduced coboundary {p}", m, m)
+    check_dense_budget(f"the reduction maps of degree {p}", m, k)
+    res = _intlin.snf(red.morse(p), len(red.critical(p + 1)), m, _intlin.LATTICE)
+    image_rows = _intlin.mat_mul(res.Vinv[res.rank:], red.morse(p - 1))
+    pres = _intlin.present_cokernel(m - res.rank, [list(col) for col in zip(*image_rows)])
+    return _IntegralDegree(res.diag[:res.rank], _through(red.extend(p), res.V_cols, k),
+                           _through(red.restrict(p), res.Vinv, k), pres)
 
 
 def _cyclic_factor(h: _IntegralDegree, m: int, k: int):
@@ -575,11 +732,12 @@ def _cyclic_factor(h: _IntegralDegree, m: int, k: int):
     Returns (orders, reps, coords): ``reps()`` builds the representatives
     in Z^k, so a caller can size them from ``orders`` first, and ``coords``
     maps a cocycle of the factor to its coordinates in the summands, read
-    off y = V^-1 c.  The summands are H^p(Z) (x) Z/m, the integral
+    off y = V'^-1 R c.  The summands are H^p(Z) (x) Z/m, the integral
     representatives of order gcd(t_j, m), projected from y[rank:]; then
-    Tor(H^{p+1}(Z), Z/m), the cochains (m/g_i) V e_i of order
+    Tor(H^{p+1}(Z), Z/m), the cochains (m/g_i) E V' e_i of order
     g_i = gcd(a_i, m) (none for m == 0), read from y_i.  Summands of order
-    1 are left out.  c is a cocycle mod m exactly when m | a_i y_i.
+    1 are left out.  A cocycle mod m has m | a_i y_i, since R commutes
+    with the coboundaries.
     """
     pres, rank = h.pres, len(h.diag)
     h_orders = pres.torsion + (0,) * pres.free_rank
@@ -711,19 +869,14 @@ def bar_complex(group, action: GroupAction, max_degree: int) -> CochainComplex:
     ``max_degree`` so that cohomology at ``max_degree`` is computed against
     the true outgoing differential.  An action whose every matrix is the
     identity is not stored, so the complex takes the face-table path of a
-    Cech complex; its integral coboundaries, |H|^{p+1} x |H|^p, are then
-    checked against the entry budget before the nerve lists any word.  The
-    words of the top degree, and then the generators of each cochain group,
-    are checked against their budgets.
+    Cech complex.  The words of the top degree, and then the generators of
+    each cochain group, are checked against their budgets.
     """
     if action.group is not group and action.group != group:
         raise ValidationError("action does not belong to the given group")
     ident = tuple(map(tuple, _intlin.identity_matrix(action.module.ngens)))
     twist = None if all(rho == ident for rho in action.action) else action.action
-    top = max_degree + 1
-    if twist is None:
-        _check_coboundary_budget(group.order ** p for p in range(top + 1))
-    return CochainComplex(GroupNerve(group, top), action.module, twist)
+    return CochainComplex(GroupNerve(group, max_degree + 1), action.module, twist)
 
 
 def apply_cellwise(matrix: Sequence[Sequence[int]], coords: Sequence[int],

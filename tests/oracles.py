@@ -4,7 +4,7 @@ Nothing here touches the package's SNF/lattice path: determinants come
 from fraction-free elimination, cohomology from exhaustive enumeration
 with the group structure reconstructed by order counting, solves from
 brute-force search.  These are the second route of every dual-route check.
-Five exceptions are earlier versions kept as references for the ones the
+Six exceptions are earlier versions kept as references for the ones the
 package uses now: ``reference_bar_differential``, the dense bar
 differential the bar complex once stored, which the face table of the
 group's nerve and its twisted face 0 must reproduce entry for entry;
@@ -13,7 +13,10 @@ sequence; ``degreewise_failure``, the same criterion applied to the dense
 cochain-level maps I_k (x) h (``cech_induced``), which ``connecting`` once
 re-checked in every degree and which must reach the coefficient-level
 verdict; ``reference_smith``, the dense SNF kernel whose output the sparse
-one must reproduce bit for bit; and ``MembershipTerms``, the spectral terms
+one must reproduce bit for bit; ``reference_integral_degree``, one SNF of
+the whole integral coboundary of a site or nerve, which the SNF of its
+coreduced Morse complex must reproduce in groups, diagonal and class
+coordinates up to an automorphism; and ``MembershipTerms``, the spectral terms
 solved as lattices in the total cochain group, which the sums over
 elementary pieces must match group for group.
 """
@@ -32,7 +35,13 @@ from cechtower.abelian import (
     is_exact_at,
     presentation_group,
 )
-from cechtower.cochain import cech_coboundary, cech_complex
+from cechtower.cochain import (
+    _coboundary_rows,
+    _IntegralDegree,
+    cech_coboundary,
+    cech_complex,
+    check_dense_budget,
+)
 from cechtower.errors import VerificationError
 from cechtower.spectral import SpectralTerms
 
@@ -490,6 +499,41 @@ def reference_smith(mat, transforms=ALL_TRANSFORMS):
         k += 1
 
     return U, _transpose(UiT), A, _transpose(VT), Vinv
+
+
+# The integral data of one degree from one SNF of the whole integral
+# coboundary: the reference `cechtower.cochain._integral_degree`, which runs
+# its SNF on the critical cells of a coreduction, must agree with.
+
+def reference_pull_back(x, p: int, w) -> list[int]:
+    """The row w d_{p-1}, for a row w on C^p(X; Z), from the face table."""
+    out = [0] * len(x.cells(p - 1))
+    for wt, faces in zip(w, x.faces(p)):
+        if wt:
+            for f in faces[::2]:
+                out[f] += wt
+            for f in faces[1::2]:
+                out[f] -= wt
+    return out
+
+
+def reference_integral_degree(x, p: int) -> _IntegralDegree:
+    """Degree-p integral data of a site or nerve: one SNF U d_p V = D of
+    the integral coboundary, with every dense integral coboundary
+    (k_{p+1} x k_p) and SNF transform (k_p x k_p) of the site within the
+    entry budget.  im d_{p-1} in V-coordinates is V^-1 d_{p-1}; its rows
+    below the rank vanish, and the columns of the others present H^p(X; Z)."""
+    counts = [len(x.cells(d)) for d in range(x.dim + 1)]
+    for d, (k, above) in enumerate(itertools.pairwise(counts + [0])):
+        check_dense_budget(f"coboundary {d}", above, k)
+        check_dense_budget(f"the SNF transforms of integral coboundary {d}", k, k)
+    k = len(x.cells(p))
+    res = _intlin.snf(_coboundary_rows(x, p, k), len(x.cells(p + 1)), k,
+                      _intlin.LATTICE)
+    free = res.n - res.rank
+    image_rows = [reference_pull_back(x, p, row) for row in res.Vinv[res.rank:]]
+    pres = _intlin.present_cokernel(free, [list(col) for col in zip(*image_rows)])
+    return _IntegralDegree(res.diag[:res.rank], res.V_cols, res.Vinv, pres)
 
 
 # The spectral terms from their membership definitions, solved in the total

@@ -30,6 +30,13 @@ def grid_torus_doc(n: int) -> dict:
     return {"vertex_count": n * n, "facets": [list(f) for f in grid_torus_facets(n)]}
 
 
+def hollow_triangles_doc(n: int) -> dict:
+    """n triangle boundaries (three edges, no 2-cell) sharing vertex 0."""
+    return {"vertex_count": 2 * n + 1,
+            "facets": [list(e) for i in range(n)
+                       for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))]}
+
+
 def run_cli(args, payload, **kwargs):
     proc = subprocess.run(
         [sys.executable, "-m", "cechtower.cli", *args],
@@ -210,26 +217,43 @@ class TestOtherCommands:
         assert b"budget exceeded" in proc.stderr
 
     def test_oversized_coboundary_refused_before_allocation(self):
-        # One 14-vertex facet has 16,397 cells, under GENERATOR_BUDGET, but
-        # its coboundary from degree 6 to 7 is 3003 x 3432.  Exit code 4
-        # within the memory cap shows no dense row was built first.
+        # 2,100 hollow triangles sharing vertex 0 have 10,501 cells, under
+        # GENERATOR_BUDGET, and coreduce to one vertex and 2,100 critical
+        # edges, so the SNF of the reduced coboundary 1 would need 2,100 x
+        # 2,100 transforms.  Exit code 4 within the memory cap shows no
+        # dense row was built first.
+        payload = {"complex": hollow_triangles_doc(2100), "group": Z2_DOC,
+                   "degree": "all"}
+        proc = run_cli(["cohomology"], payload, timeout=60,
+                       preexec_fn=_cap_address_space)
+        assert proc.returncode == 4
+        assert b"Traceback" not in proc.stderr
+        assert b"coboundary" in proc.stderr and b"budget" in proc.stderr
+
+    def test_oversized_integral_coboundary_refused_before_allocation(self):
+        # The same triangles with trivial coefficients: every Cech
+        # coboundary is empty, so only the integral data that cohomology
+        # reads passes the budget, and it too must be refused before it is
+        # built.
+        payload = {"complex": hollow_triangles_doc(2100), "group": TRIVIAL_DOC,
+                   "degree": "all"}
+        proc = run_cli(["cohomology"], payload, timeout=60,
+                       preexec_fn=_cap_address_space)
+        assert proc.returncode == 4
+        assert b"Traceback" not in proc.stderr
+        assert b"coboundary" in proc.stderr and b"budget" in proc.stderr
+
+    def test_simplex_of_fourteen_vertices_coreduces_to_a_point(self):
+        # Its 16,383 cells coreduce to one critical vertex, so no Morse
+        # coboundary has an entry: H^0 = Z/2 and every higher degree is 0,
+        # within the memory cap.
         payload = {"complex": {"vertex_count": 14, "facets": [list(range(14))]},
                    "group": Z2_DOC, "degree": "all"}
         proc = run_cli(["cohomology"], payload, timeout=60,
                        preexec_fn=_cap_address_space)
-        assert proc.returncode == 4
-        assert b"coboundary" in proc.stderr and b"budget" in proc.stderr
-
-    def test_oversized_integral_coboundary_refused_before_allocation(self):
-        # The same facet with trivial coefficients: every Cech coboundary is
-        # empty, so only the integral coboundary that cohomology reads
-        # passes the budget, and it too must be refused before it is built.
-        payload = {"complex": {"vertex_count": 14, "facets": [list(range(14))]},
-                   "group": TRIVIAL_DOC, "degree": "all"}
-        proc = run_cli(["cohomology"], payload, timeout=60,
-                       preexec_fn=_cap_address_space)
-        assert proc.returncode == 4
-        assert b"coboundary" in proc.stderr and b"budget" in proc.stderr
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {f"H{p}": "Z/2" if p == 0 else "0"
+                                           for p in range(14)}
 
     @pytest.mark.parametrize("payload", [
         # d_0 has no rows, so the integral SNF would build 2,100 x 2,100

@@ -26,6 +26,7 @@ from cechtower.abelian import FgAbGroup, cyclic_group, free_group
 from cechtower.cochain import (
     GroupAction,
     _integral_degree,
+    _reduction,
     bar_complex,
     build_complex_from_facets,
     cech_complex,
@@ -101,7 +102,8 @@ def held_cochains(x, ses):
 
 
 def test_every_memo_is_discovered():
-    known = {cech_complex, cohomology, _integral_degree, abelian._hom_solver,
+    known = {cech_complex, cohomology, _integral_degree, _reduction,
+             abelian._hom_solver,
              exactseq._section_matrix, spectral._filtration, spectral._piece_groups}
     assert known <= set(MEMOS)
 
