@@ -13,10 +13,10 @@ invariant-factor presentations by ``present_quotient``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Collection, Optional, Sequence
+from collections.abc import Callable, Collection, Sequence
 
 from cechtower._kernels import identity_matrix, smith_with_transforms
+from cechtower._record import Record
 from cechtower.errors import VerificationError
 
 Vec = list[int]
@@ -66,19 +66,22 @@ NULLSPACE = ("U",)  # the rows of U past the rank: z G = 0
 SOLVE = ("U", "V")  # z G = y through y V and the rows of U
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """U*A*V == D; diag is the diagonal of D and ``V_cols`` the columns of
     V.  Transforms that were not asked for are empty lists."""
 
-    U: Mat
-    D: Mat
-    V_cols: Mat
-    Vinv: Mat
-    m: int
-    n: int
-    diag: tuple[int, ...]
-    rank: int
+    _fields = ("U", "D", "V_cols", "Vinv", "m", "n", "diag", "rank")
+
+    def __init__(self, U: Mat, D: Mat, V_cols: Mat, Vinv: Mat, m: int, n: int,
+                 diag: tuple[int, ...], rank: int):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V_cols", V_cols)
+        object.__setattr__(self, "Vinv", Vinv)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "rank", rank)
 
 
 def snf(A: Sequence[Sequence[int]], m: int, n: int,
@@ -94,7 +97,7 @@ def snf(A: Sequence[Sequence[int]], m: int, n: int,
     return SnfResult(U, D, V_cols, Vinv, m, n, diag, rank)
 
 
-def solve_linear(res: SnfResult, y: Sequence[int]) -> Optional[Vec]:
+def solve_linear(res: SnfResult, y: Sequence[int]) -> Vec | None:
     """One solution z of z A = y over Z (zero homogeneous part), or None.
 
     With u = y V, w_i = u_i / d_i below the rank and z = sum w_i U[i]; u
@@ -144,7 +147,7 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def coords_of(self, v: Sequence[int]) -> Optional[Vec]:
+    def coords_of(self, v: Sequence[int]) -> Vec | None:
         """Coefficients of v in the basis, or None when v is outside.
 
         v = sum c_i b_i exactly when u = v V has u_i == c_i * d_i below the
@@ -188,21 +191,28 @@ def lattice_preimage_gens(map_cols: Sequence[Sequence[int]], m: int,
     return [row[:len(map_cols)] for row in res.U[res.rank:]]
 
 
-@dataclass
-class Presentation:
+class Presentation(Record):
     """Invariant-factor presentation of S/T for lattices T <= S <= Z^n.
 
     torsion/free_rank describe the quotient; ``lift_cols[k]`` is an ambient
     vector mapping onto the k-th generator (torsion generators first, then
     free ones); ``project`` sends any ambient vector inside S to normalized
-    quotient coordinates.
+    quotient coordinates.  Unlike other records it is mutable and unhashable.
     """
 
-    n: int
-    torsion: tuple[int, ...]
-    free_rank: int
-    lift_cols: list[Vec]
-    project: Callable[[Sequence[int]], Vec] = field(repr=False)
+    _fields = ("n", "torsion", "free_rank", "lift_cols", "project")
+    _hidden = ("project",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, n: int, torsion: tuple[int, ...], free_rank: int,
+                 lift_cols: list[Vec], project: Callable[[Sequence[int]], Vec]):
+        self.n = n
+        self.torsion = torsion
+        self.free_rank = free_rank
+        self.lift_cols = lift_cols
+        self.project = project
 
 
 def present_cokernel(n: int, vecs: Sequence[Sequence[int]]) -> Presentation:

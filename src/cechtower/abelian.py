@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
 
 from cechtower import _intlin
 from cechtower._intlin import (
@@ -27,28 +26,39 @@ from cechtower._intlin import (
     present_quotient,
     relation_columns,
 )
+from cechtower._record import Record
 from cechtower.errors import ValidationError
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Record):
     """Z^free_rank plus one cyclic factor Z/d per torsion entry."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        torsion = tuple(int(d) for d in torsion)
+        if free_rank < 0:
             raise ValidationError("free_rank must be non-negative")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValidationError(f"torsion entry {d} is not >= 2")
             if prev is not None and d % prev != 0:
                 raise ValidationError(
                     f"torsion entries {prev}, {d} break the divisibility chain")
             prev = d
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.free_rank == other.free_rank and self.torsion == other.torsion
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.free_rank, self.torsion))
 
     @property
     def ngens(self) -> int:
@@ -63,7 +73,7 @@ class FgAbGroup:
     def is_trivial(self) -> bool:
         return self.ngens == 0
 
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         """Group order, or None when infinite."""
         if self.free_rank:
             return None
@@ -181,13 +191,12 @@ def _merge_copies(chain: list[tuple[int, int]], order: int,
     return out
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: FgAbGroup
-    coords: tuple[int, ...]
+class GroupElement(Record):
+    _fields = ("group", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", self.group.normalize(self.coords))
+    def __init__(self, group: FgAbGroup, coords: tuple[int, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", group.normalize(coords))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if other.group != self.group:
@@ -209,11 +218,13 @@ class GroupElement:
         return all(c == 0 for c in self.coords)
 
 
-@dataclass(frozen=True)
-class HomReport:
-    ok: bool
-    column: Optional[int] = None
-    message: str = ""
+class HomReport(Record):
+    _fields = ("ok", "column", "message")
+
+    def __init__(self, ok: bool, column: int | None = None, message: str = ""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "message", message)
 
 
 def hom_validate(source: FgAbGroup, target: FgAbGroup,
@@ -246,23 +257,34 @@ def hom_validate(source: FgAbGroup, target: FgAbGroup,
     return HomReport(True)
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     """Matrix columns are images of source generators in target coordinates."""
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: tuple[tuple[int, ...], ...]
+    _fields = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        matrix = tuple(tuple(int(v) for v in row) for row in self.matrix)
-        report = hom_validate(self.source, self.target, matrix)
+    def __init__(self, source: FgAbGroup, target: FgAbGroup,
+                 matrix: tuple[tuple[int, ...], ...]):
+        matrix = tuple(tuple(int(v) for v in row) for row in matrix)
+        report = hom_validate(source, target, matrix)
         if not report.ok:
             raise ValidationError(f"ill-defined homomorphism: {report.message}")
         norm = tuple(
             tuple(v % o if o else v for v in row)
-            for row, o in zip(matrix, self.target.orders))
+            for row, o in zip(matrix, target.orders))
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", norm)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return (self.source == other.source and self.target == other.target
+                    and self.matrix == other.matrix)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.matrix))
 
     def apply(self, x: GroupElement) -> GroupElement:
         if x.group != self.source:
@@ -315,14 +337,19 @@ def _inclusion_from_lifts(sub: FgAbGroup, ambient: FgAbGroup,
     return Homomorphism(sub, ambient, _intlin.columns_to_matrix(lift_cols, ambient.ngens))
 
 
-@dataclass(frozen=True)
-class HomInvariants:
-    kernel: FgAbGroup
-    kernel_inclusion: Homomorphism
-    image: FgAbGroup
-    image_inclusion: Homomorphism
-    cokernel: FgAbGroup
-    cokernel_projection: Homomorphism
+class HomInvariants(Record):
+    _fields = ("kernel", "kernel_inclusion", "image", "image_inclusion", "cokernel",
+               "cokernel_projection")
+
+    def __init__(self, kernel: FgAbGroup, kernel_inclusion: Homomorphism,
+                 image: FgAbGroup, image_inclusion: Homomorphism,
+                 cokernel: FgAbGroup, cokernel_projection: Homomorphism):
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "kernel_inclusion", kernel_inclusion)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "image_inclusion", image_inclusion)
+        object.__setattr__(self, "cokernel", cokernel)
+        object.__setattr__(self, "cokernel_projection", cokernel_projection)
 
 
 def hom_invariants(h: Homomorphism) -> HomInvariants:
@@ -355,7 +382,7 @@ def _hom_solver(h: Homomorphism) -> _intlin.SnfResult:
                                 relation_columns(h.target.orders), _intlin.SOLVE)
 
 
-def solve_in_group(h: Homomorphism, y: GroupElement) -> Optional[GroupElement]:
+def solve_in_group(h: Homomorphism, y: GroupElement) -> GroupElement | None:
     """Canonical x with h(x) == y, or None when y is outside the image.
 
     The solution is the SNF back-substitution with zero homogeneous part,
@@ -369,11 +396,13 @@ def solve_in_group(h: Homomorphism, y: GroupElement) -> Optional[GroupElement]:
     return GroupElement(h.source, tuple(w[:h.source.ngens]))
 
 
-@dataclass(frozen=True)
-class ExactnessResult:
-    ok: bool
-    witness: Optional[GroupElement] = None
-    side: str = ""
+class ExactnessResult(Record):
+    _fields = ("ok", "witness", "side")
+
+    def __init__(self, ok: bool, witness: GroupElement | None = None, side: str = ""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "side", side)
 
     def __bool__(self) -> bool:
         return self.ok

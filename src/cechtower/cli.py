@@ -12,10 +12,9 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
-from typing import Any, Optional
 
 from cechtower import jsonio
+from cechtower._record import Record
 from cechtower.abelian import GroupElement
 from cechtower.cochain import (
     cech_complex,
@@ -40,21 +39,26 @@ _RELIFT_SEED = 0x5EC710
 _RELIFT_COUNT = 20
 
 
-@dataclass(frozen=True)
-class Options:
-    max_degree: Optional[int] = None
-    budget: Optional[int] = None
-    verify: bool = False
+class Options(Record):
+    _fields = ("max_degree", "budget", "verify")
+
+    def __init__(self, max_degree: int | None = None, budget: int | None = None,
+                 verify: bool = False):
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "verify", verify)
 
 
-@dataclass(frozen=True)
-class Request:
-    command: str
-    payload: Any
-    options: Options = Options()
+class Request(Record):
+    _fields = ("command", "payload", "options")
+
+    def __init__(self, command: str, payload: object, options: Options = Options()):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "options", options)
 
 
-def _payload_dict(payload: Any) -> dict:
+def _payload_dict(payload: object) -> dict:
     if not isinstance(payload, dict):
         raise SchemaError("payload", "expected an object")
     return payload
@@ -76,7 +80,7 @@ def _bound(options: Options, name: str, default: int) -> int:
     return value
 
 
-def _cmd_cohomology(payload: Any, options: Options) -> dict:
+def _cmd_cohomology(payload: object, options: Options) -> dict:
     d = _payload_dict(payload)
     x = jsonio.parse_complex(jsonio._get(d, "complex", "payload"), "payload.complex")
     group = jsonio.parse_group(jsonio._get(d, "group", "payload"), "payload.group")
@@ -103,7 +107,7 @@ def _cmd_cohomology(payload: Any, options: Options) -> dict:
     return result
 
 
-def _parse_connecting_payload(payload: Any):
+def _parse_connecting_payload(payload: object):
     d = _payload_dict(payload)
     x = jsonio.parse_complex(jsonio._get(d, "complex", "payload"), "payload.complex")
     ses = jsonio.parse_ses(jsonio._get(d, "ses", "payload"), "payload.ses")
@@ -113,7 +117,7 @@ def _parse_connecting_payload(payload: Any):
     return x, ses, c
 
 
-def _cmd_connecting(payload: Any, options: Options) -> dict:
+def _cmd_connecting(payload: object, options: Options) -> dict:
     x, ses, c = _parse_connecting_payload(payload)
     try:
         out = connecting(x, ses, c)
@@ -136,7 +140,7 @@ def _cmd_connecting(payload: Any, options: Options) -> dict:
     return result
 
 
-def _cmd_les(payload: Any, options: Options) -> dict:
+def _cmd_les(payload: object, options: Options) -> dict:
     d = _payload_dict(payload)
     x = jsonio.parse_complex(jsonio._get(d, "complex", "payload"), "payload.complex")
     ses = jsonio.parse_ses(jsonio._get(d, "ses", "payload"), "payload.ses")
@@ -149,7 +153,7 @@ def _cmd_les(payload: Any, options: Options) -> dict:
     }
 
 
-def _cmd_tower(payload: Any, options: Options) -> dict:
+def _cmd_tower(payload: object, options: Options) -> dict:
     spec = jsonio.parse_tower_spec(payload, "payload")
     classes = tower_classes(spec)
     result = {"stages": [
@@ -172,7 +176,7 @@ def _cmd_tower(payload: Any, options: Options) -> dict:
     return result
 
 
-def _cmd_spectral(payload: Any, options: Options) -> dict:
+def _cmd_spectral(payload: object, options: Options) -> dict:
     f = jsonio.parse_filtered(payload, "payload")
     r_max = options.max_degree if options.max_degree is not None else 3
     if r_max < 1:
@@ -187,7 +191,7 @@ def _cmd_spectral(payload: Any, options: Options) -> dict:
     return result
 
 
-def _cmd_gerbe_lift(payload: Any, options: Options) -> dict:
+def _cmd_gerbe_lift(payload: object, options: Options) -> dict:
     d = _payload_dict(payload)
     x = jsonio.parse_complex(jsonio._get(d, "complex", "payload"), "payload.complex")
     ext = jsonio.parse_extension(jsonio._get(d, "extension", "payload"),
@@ -229,7 +233,7 @@ _VALIDATORS = {
 }
 
 
-def _cmd_validate(payload: Any, options: Options) -> dict:
+def _cmd_validate(payload: object, options: Options) -> dict:
     d = _payload_dict(payload)
     kind = jsonio._get(d, "kind", "payload")
     if not isinstance(kind, str) or kind not in _VALIDATORS:
@@ -258,7 +262,7 @@ def execute(request: Request) -> dict:
     return _COMMANDS[request.command](request.payload, request.options)
 
 
-def _read_payload(path: str) -> Any:
+def _read_payload(path: str) -> object:
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -275,7 +279,7 @@ def _read_payload(path: str) -> Any:
         raise SchemaError("input", "payload nests too deeply to parse") from None
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cechtower",
         description="Exact Cech cohomology engine: one JSON request per run.")

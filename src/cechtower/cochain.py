@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
 
 from cechtower import _intlin
+from cechtower._record import Record
 from cechtower.abelian import (
     FgAbGroup,
     GroupElement,
@@ -58,7 +58,7 @@ COBOUNDARY_ENTRY_BUDGET = 1 << 22
 # degree past the dimension still costs about 0.4 ms and 10 kB of memo.
 DEGREE_BUDGET = 1 << 12
 
-class _FaceTable:
+class _FaceTable(Record):
     """Cells by degree, their positions and their face table, read the same
     way on a site and on the nerve of a group.  Degrees outside 0..dim have
     no cells."""
@@ -80,20 +80,19 @@ class _FaceTable:
         return self._faces[p] if 0 <= p <= self.dim else ()
 
 
-@dataclass(frozen=True)
 class SimplicialComplex(_FaceTable):
     """Simplices grouped by dimension, each a strictly increasing tuple;
     face j of a simplex leaves out vertex j.
 
     Hashed once, on construction: every memo lookup on a site hashes it."""
 
-    vertex_count: int
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    _fields = ("vertex_count", "simplices")
 
-    def __post_init__(self):
-        if self.vertex_count <= 0:
+    def __init__(self, vertex_count: int,
+                 simplices: tuple[tuple[tuple[int, ...], ...], ...]):
+        if vertex_count <= 0:
             raise ValidationError("vertex_count must be positive")
-        for p, level in enumerate(self.simplices):
+        for p, level in enumerate(simplices):
             if tuple(sorted(level)) != tuple(level):
                 raise ValidationError(f"dimension {p} is not lexicographically sorted")
             for s in level:
@@ -101,16 +100,16 @@ class SimplicialComplex(_FaceTable):
                     raise ValidationError(f"simplex {s} listed in dimension {p}")
                 if any(a >= b for a, b in zip(s, s[1:])):
                     raise ValidationError(f"simplex {s} is not strictly increasing")
-                if s[0] < 0 or s[-1] >= self.vertex_count:
+                if s[0] < 0 or s[-1] >= vertex_count:
                     raise ValidationError(f"simplex {s} has a vertex out of range")
-        index = tuple({s: i for i, s in enumerate(level)} for level in self.simplices)
-        for v in range(self.vertex_count):
+        index = tuple({s: i for i, s in enumerate(level)} for level in simplices)
+        for v in range(vertex_count):
             if (v,) not in (index[0] if index else {}):
                 raise ValidationError(f"vertex {v} is missing from the 0-simplices")
         faces = [((),) * len(index[0])]
         for p in range(1, len(index)):
             rows = []
-            for s in self.simplices[p]:
+            for s in simplices[p]:
                 row = []
                 for j in range(p + 1):
                     face = s[:j] + s[j + 1:]
@@ -120,10 +119,12 @@ class SimplicialComplex(_FaceTable):
                     row.append(index[p - 1][face])
                 rows.append(tuple(row))
             faces.append(tuple(rows))
-        object.__setattr__(self, "_cells", self.simplices)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "simplices", simplices)
+        object.__setattr__(self, "_cells", simplices)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_faces", tuple(faces))
-        object.__setattr__(self, "_hash", hash((self.vertex_count, self.simplices)))
+        object.__setattr__(self, "_hash", hash((vertex_count, simplices)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -143,30 +144,31 @@ class SimplicialComplex(_FaceTable):
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class GroupNerve(_FaceTable):
     """The nerve of a finite group H up to degree ``top``: the base of its
     inhomogeneous bar complex (Brown, Cohomology of Groups, I.5).
 
     The p-cells are the words w in H^p, in lexicographic order.  Face 0 of
     w drops w[0], face j (0 < j < p) multiplies w[j-1]·w[j], and face p
-    drops w[p-1].  A nerve of more than ``GENERATOR_BUDGET`` words in its
-    top degree is refused before any word is listed.  Hashed once, on
+    drops w[p-1].  A negative ``top``, degrees 0..top past
+    ``DEGREE_BUDGET``, and more than ``GENERATOR_BUDGET`` words in the top
+    degree are refused before any word is listed.  Hashed once, on
     construction."""
 
-    group: object  # liftgerbe.FiniteGroup (duck-typed to avoid an import cycle)
-    top: int
+    _fields = ("group", "top")
 
-    def __post_init__(self):
-        m, table = self.group.order, self.group.table
-        if m ** self.top > GENERATOR_BUDGET:
+    # group is a liftgerbe.FiniteGroup (duck-typed to avoid an import cycle)
+    def __init__(self, group: object, top: int):
+        check_degree_bound(top)
+        m, table = group.order, group.table
+        if m ** top > GENERATOR_BUDGET:
             raise BudgetExceededError(
-                f"the nerve of a group of order {m} has {m ** self.top} cells in "
-                f"degree {self.top}, budget is {GENERATOR_BUDGET}")
+                f"the nerve of a group of order {m} has {m ** top} cells in "
+                f"degree {top}, budget is {GENERATOR_BUDGET}")
         cells = tuple(tuple(itertools.product(range(m), repeat=p))
-                      for p in range(self.top + 1))
+                      for p in range(top + 1))
         index = tuple({w: i for i, w in enumerate(level)} for level in cells)
-        faces = [((),)] if cells else []
+        faces = [((),)]
         for p in range(1, len(cells)):
             below = index[p - 1]
             faces.append(tuple(
@@ -175,10 +177,12 @@ class GroupNerve(_FaceTable):
                         for j in range(1, p))
                 + (below[w[:-1]],)
                 for w in cells[p]))
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "top", top)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_faces", tuple(faces))
-        object.__setattr__(self, "_hash", hash((self.group, self.top)))
+        object.__setattr__(self, "_hash", hash((group, top)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -243,8 +247,7 @@ def power_group(coefficients: FgAbGroup, k: int) -> FgAbGroup:
                      tuple(d for d in coefficients.torsion for _ in range(k)))
 
 
-@dataclass(frozen=True, eq=False)
-class CochainComplex:
+class CochainComplex(Record):
     """The cochains of a face table with coefficients in one finitely
     generated abelian group L: C^p = L^k, k the p-cells of ``base``, which is
     a site (the Cech complex) or the nerve of a finite group (the bar
@@ -264,25 +267,24 @@ class CochainComplex:
     from equal inputs share cochains, memo entries and class coordinates.
     """
 
-    base: _FaceTable
-    coefficients: FgAbGroup
-    action: Optional[tuple] = None
+    _fields = ("base", "coefficients", "action")
 
-    def __post_init__(self):
-        if self.action is not None and not (
-                isinstance(self.base, GroupNerve)
-                and len(self.action) == self.base.group.order):
+    def __init__(self, base: _FaceTable, coefficients: FgAbGroup, action: tuple | None = None):
+        if action is not None and not (
+                isinstance(base, GroupNerve) and len(action) == base.group.order):
             raise ValidationError("an action needs one matrix per element of the nerve's group")
-        sizes = [len(self.base.cells(p)) for p in range(self.base.dim + 1)]
+        sizes = [len(base.cells(p)) for p in range(base.dim + 1)]
         for p, k in enumerate(sizes):
-            n = self.coefficients.ngens * k
+            n = coefficients.ngens * k
             if n > GENERATOR_BUDGET:
                 raise BudgetExceededError(
                     f"cochain group {p} would have {n} generators, budget is "
                     f"{GENERATOR_BUDGET}")
-        object.__setattr__(self, "_groups",
-                           tuple(power_group(self.coefficients, k) for k in sizes))
-        object.__setattr__(self, "_hash", hash((self.base, self.coefficients, self.action)))
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "_groups", tuple(power_group(coefficients, k) for k in sizes))
+        object.__setattr__(self, "_hash", hash((base, coefficients, action)))
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -326,15 +328,15 @@ class CochainComplex:
             raise ValidationError(f"{cell} is not a cell of degree {p}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class Cochain:
-    complex: CochainComplex
-    degree: int
-    coords: tuple[int, ...]
+class Cochain(Record):
+    """A cochain of a complex in one degree; compares by value, unhashable."""
 
-    def __post_init__(self):
-        group = self.complex.group(self.degree)
-        object.__setattr__(self, "coords", group.normalize(self.coords))
+    _fields = ("complex", "degree", "coords")
+
+    def __init__(self, complex: CochainComplex, degree: int, coords: tuple[int, ...]):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coords", complex.group(degree).normalize(coords))
 
     @property
     def group(self) -> FgAbGroup:
@@ -465,8 +467,7 @@ def _violated_cell(c: Cochain, image_coords: Sequence[int]):
     return next((cells[i % len(cells)] for i, v in enumerate(image_coords) if v), None)
 
 
-@dataclass(frozen=True)
-class Cohomology:
+class Cohomology(Record):
     """H^p with chosen representatives and the fixed projection.
 
     The projection is deterministic for the complex it was computed on,
@@ -474,10 +475,15 @@ class Cohomology:
     comparable across equal complexes.
     """
 
-    degree: int
-    group: FgAbGroup
-    representatives: tuple[Cochain, ...]
-    _presentation: _intlin.Presentation = field(repr=False)
+    _fields = ("degree", "group", "representatives", "_presentation")
+    _hidden = ("_presentation",)
+
+    def __init__(self, degree: int, group: FgAbGroup, representatives: tuple[Cochain, ...],
+                 _presentation: _intlin.Presentation):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "_presentation", _presentation)
 
     def coords_of(self, c: Cochain) -> tuple[int, ...]:
         image = coboundary(c)
@@ -670,18 +676,21 @@ def _reduction(x: _FaceTable) -> _Reduction:
     return _Reduction(x)
 
 
-@dataclass(frozen=True)
-class _IntegralDegree:
+class _IntegralDegree(Record):
     """The SNF U' dM_p V' = D' of the Morse coboundary, pulled back to C^p:
     the nonzero diagonal a_i of D', the columns of E V' and the rows of
     V'^-1 R.  In the coordinates y = V'^-1 R c, a cocycle c has
     y[:rank] = 0, and ``pres`` presents H^p(X; Z) on y[rank:] (lift columns
     and ``project`` live there, not in C^p)."""
 
-    diag: tuple[int, ...]
-    v_cols: list
-    vinv_rows: list
-    pres: _intlin.Presentation
+    _fields = ("diag", "v_cols", "vinv_rows", "pres")
+
+    def __init__(self, diag: tuple[int, ...], v_cols: list, vinv_rows: list,
+                 pres: _intlin.Presentation):
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "v_cols", v_cols)
+        object.__setattr__(self, "vinv_rows", vinv_rows)
+        object.__setattr__(self, "pres", pres)
 
 
 def coboundary_diagonal(x: _FaceTable, p: int) -> tuple[int, ...]:
@@ -793,14 +802,27 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
         [_intlin.lin_comb(reps, col, n) for col in summed.lift_cols], project)
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
-    """Class equality is coordinate equality under the fixed projection."""
+class CohomologyClass(Record):
+    """Class equality is coordinate equality under the fixed projection:
+    the representative is neither compared nor hashed."""
 
-    degree: int
-    group: FgAbGroup
-    coords: tuple[int, ...]
-    representative: Cochain = field(compare=False)
+    _fields = ("degree", "group", "coords", "representative")
+
+    def __init__(self, degree: int, group: FgAbGroup, coords: tuple[int, ...],
+                 representative: Cochain):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "representative", representative)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.degree, self.group, self.coords)
+                    == (other.degree, other.group, other.coords))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.group, self.coords))
 
     @property
     def is_zero(self) -> bool:
@@ -815,43 +837,44 @@ def class_of(complex_: CochainComplex, c: Cochain) -> CohomologyClass:
     return CohomologyClass(c.degree, h.group, coords, c)
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(Record):
     """A finite group acting on a module by validated automorphisms.
 
     ``action[i]`` is the automorphism matrix attached to element i of the
     acting group; the assignment must respect every Cayley-table product.
     """
 
-    group: object  # liftgerbe.FiniteGroup (duck-typed to avoid an import cycle)
-    module: FgAbGroup
-    action: tuple[tuple[tuple[int, ...], ...], ...]
+    _fields = ("group", "module", "action")
 
-    def __post_init__(self):
-        m = self.group.order
-        if len(self.action) != m:
+    # group is a liftgerbe.FiniteGroup (duck-typed to avoid an import cycle)
+    def __init__(self, group: object, module: FgAbGroup,
+                 action: tuple[tuple[tuple[int, ...], ...], ...]):
+        m = group.order
+        if len(action) != m:
             raise ValidationError("need exactly one matrix per group element")
         homs = []
-        for i, mat in enumerate(self.action):
-            report = hom_validate(self.module, self.module, mat)
+        for i, mat in enumerate(action):
+            report = hom_validate(module, module, mat)
             if not report.ok:
                 raise ValidationError(f"action of element {i}: {report.message}")
-            homs.append(Homomorphism(self.module, self.module, mat))
-        object.__setattr__(self, "action", tuple(h.matrix for h in homs))
-        zero_in = zero_hom(trivial_group(), self.module)
-        zero_out = zero_hom(self.module, trivial_group())
+            homs.append(Homomorphism(module, module, mat))
+        zero_in = zero_hom(trivial_group(), module)
+        zero_out = zero_hom(module, trivial_group())
         for i, h in enumerate(homs):
             for verdict in (is_exact_at(zero_in, h), is_exact_at(h, zero_out)):
                 if not verdict.ok:
                     raise ValidationError(
                         f"action of element {i} is not an automorphism "
                         f"({verdict.side}): witness {verdict.witness.coords}")
-        table = self.group.table
+        table = group.table
         for a in range(m):
             for b in range(m):
                 if homs[a].compose(homs[b]).matrix != homs[table[a][b]].matrix:
                     raise ValidationError(
                         f"action is not a homomorphism at the pair ({a}, {b})")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "action", tuple(h.matrix for h in homs))
 
 
 def trivial_action(group, module: FgAbGroup) -> GroupAction:

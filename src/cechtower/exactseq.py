@@ -10,9 +10,8 @@ re-proves on every fixture rather than an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
 
 from cechtower.abelian import (
     FgAbGroup,
@@ -24,6 +23,7 @@ from cechtower.abelian import (
     zero_hom,
 )
 from cechtower._intlin import columns_to_matrix
+from cechtower._record import Record
 from cechtower.cochain import (
     Cochain,
     Cohomology,
@@ -40,30 +40,31 @@ from cechtower.cochain import (
 from cechtower.errors import ValidationError, VerificationError
 
 
-@dataclass(frozen=True)
-class ShortExactSequence:
+class ShortExactSequence(Record):
     """0 -> a -(iota)-> b -(pi)-> c -> 0, fully verified at construction:
     ``is_exact_at`` judges a, b and c in turn, the zero maps at the ends."""
 
-    a: FgAbGroup
-    b: FgAbGroup
-    c: FgAbGroup
-    iota: Homomorphism
-    pi: Homomorphism
+    _fields = ("a", "b", "c", "iota", "pi")
 
-    def __post_init__(self):
-        if self.iota.source != self.a or self.iota.target != self.b:
+    def __init__(self, a: FgAbGroup, b: FgAbGroup, c: FgAbGroup,
+                 iota: Homomorphism, pi: Homomorphism):
+        if iota.source != a or iota.target != b:
             raise ValidationError("iota must map the first group into the middle one")
-        if self.pi.source != self.b or self.pi.target != self.c:
+        if pi.source != b or pi.target != c:
             raise ValidationError("pi must map the middle group onto the last one")
-        nodes = (("iota is not injective", zero_hom(trivial_group(), self.a), self.iota),
-                 ("pi is not surjective", self.pi, zero_hom(self.c, trivial_group())),
-                 ("not exact at the middle group", self.iota, self.pi))
+        nodes = (("iota is not injective", zero_hom(trivial_group(), a), iota),
+                 ("pi is not surjective", pi, zero_hom(c, trivial_group())),
+                 ("not exact at the middle group", iota, pi))
         for refusal, f, g in nodes:
             verdict = is_exact_at(f, g)
             if not verdict.ok:
                 raise ValidationError(
                     f"{refusal} ({verdict.side}): witness {verdict.witness.coords}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "iota", iota)
+        object.__setattr__(self, "pi", pi)
 
 
 def validate_ses(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup,
@@ -89,7 +90,7 @@ def _section_matrix(ses: ShortExactSequence) -> tuple[tuple[int, ...], ...]:
 
 
 def connecting(x: SimplicialComplex, ses: ShortExactSequence, c: Cochain,
-               twist: Optional[Sequence[GroupElement]] = None) -> Cochain:
+               twist: Sequence[GroupElement] | None = None) -> Cochain:
     """The degree-raising image of a cocycle under the exact sequence.
 
     ``twist`` optionally perturbs the lift by one kernel element per cell
@@ -141,21 +142,24 @@ def connecting(x: SimplicialComplex, ses: ShortExactSequence, c: Cochain,
     return result
 
 
-@dataclass(frozen=True)
-class LesNode:
-    label: str
-    group: FgAbGroup
+class LesNode(Record):
+    _fields = ("label", "group")
+
+    def __init__(self, label: str, group: FgAbGroup):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "group", group)
 
 
-@dataclass(frozen=True)
-class LesExactness:
-    label: str
-    ok: bool
-    witness: Optional[tuple[int, ...]] = None
+class LesExactness(Record):
+    _fields = ("label", "ok", "witness")
+
+    def __init__(self, label: str, ok: bool, witness: tuple[int, ...] | None = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class LesReport:
+class LesReport(Record):
     """The materialized sequence ...-> H^p(A) -> H^p(B) -> H^p(C) -> ...
 
     ``maps[i]`` goes from ``nodes[i]`` to ``nodes[i+1]``; ``exact_at`` has
@@ -163,9 +167,13 @@ class LesReport:
     the final one, because a zero map leads in from the left).
     """
 
-    nodes: tuple[LesNode, ...]
-    maps: tuple[Homomorphism, ...]
-    exact_at: tuple[LesExactness, ...]
+    _fields = ("nodes", "maps", "exact_at")
+
+    def __init__(self, nodes: tuple[LesNode, ...], maps: tuple[Homomorphism, ...],
+                 exact_at: tuple[LesExactness, ...]):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "exact_at", exact_at)
 
     @property
     def ok(self) -> bool:

@@ -7,8 +7,6 @@ schemas (round-trip property).
 
 from __future__ import annotations
 
-from typing import Any
-
 from cechtower.abelian import FgAbGroup, Homomorphism
 from cechtower.cochain import (
     Cochain,
@@ -32,21 +30,21 @@ from cechtower.spectral import FilteredComplex
 from cechtower.tower import TowerSpec
 
 
-def _expect(doc: Any, path: str, kind: type, what: str):
+def _expect(doc: object, path: str, kind: type, what: str):
     if not isinstance(doc, kind) or (kind is int and isinstance(doc, bool)):
         raise SchemaError(path, f"expected {what}")
     return doc
 
 
-def _expect_int(doc: Any, path: str) -> int:
+def _expect_int(doc: object, path: str) -> int:
     return _expect(doc, path, int, "an integer")
 
 
-def _expect_list(doc: Any, path: str) -> list:
+def _expect_list(doc: object, path: str) -> list:
     return _expect(doc, path, list, "an array")
 
 
-def _expect_dict(doc: Any, path: str) -> dict:
+def _expect_dict(doc: object, path: str) -> dict:
     return _expect(doc, path, dict, "an object")
 
 
@@ -56,7 +54,7 @@ def _get(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def parse_group(doc: Any, path: str) -> FgAbGroup:
+def parse_group(doc: object, path: str) -> FgAbGroup:
     d = _expect_dict(doc, path)
     free_rank = _expect_int(_get(d, "free_rank", path), f"{path}.free_rank")
     torsion = _expect_list(_get(d, "torsion", path), f"{path}.torsion")
@@ -71,7 +69,7 @@ def group_to_doc(g: FgAbGroup) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
 
 
-def parse_matrix(doc: Any, path: str) -> tuple[tuple[int, ...], ...]:
+def parse_matrix(doc: object, path: str) -> tuple[tuple[int, ...], ...]:
     rows = _expect_list(doc, path)
     out = []
     for i, row in enumerate(rows):
@@ -81,7 +79,7 @@ def parse_matrix(doc: Any, path: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def parse_homomorphism(doc: Any, path: str) -> Homomorphism:
+def parse_homomorphism(doc: object, path: str) -> Homomorphism:
     d = _expect_dict(doc, path)
     source = parse_group(_get(d, "source", path), f"{path}.source")
     target = parse_group(_get(d, "target", path), f"{path}.target")
@@ -97,7 +95,7 @@ def homomorphism_to_doc(h: Homomorphism) -> dict:
             "matrix": [list(r) for r in h.matrix]}
 
 
-def parse_complex(doc: Any, path: str) -> SimplicialComplex:
+def parse_complex(doc: object, path: str) -> SimplicialComplex:
     d = _expect_dict(doc, path)
     vc = _expect_int(_get(d, "vertex_count", path), f"{path}.vertex_count")
     facets_doc = _expect_list(_get(d, "facets", path), f"{path}.facets")
@@ -128,7 +126,7 @@ def _parse_cell_key(key: str, path: str) -> tuple[int, ...]:
     return cell
 
 
-def parse_cochain(doc: Any, complex_: CochainComplex, path: str) -> Cochain:
+def parse_cochain(doc: object, complex_: CochainComplex, path: str) -> Cochain:
     d = _expect_dict(doc, path)
     degree = _expect_int(_get(d, "degree", path), f"{path}.degree")
     if degree < 0:
@@ -161,7 +159,7 @@ def class_to_doc(cl: CohomologyClass) -> dict:
             "coords": list(cl.coords)}
 
 
-def parse_ses(doc: Any, path: str) -> ShortExactSequence:
+def parse_ses(doc: object, path: str) -> ShortExactSequence:
     d = _expect_dict(doc, path)
     a = parse_group(_get(d, "A", path), f"{path}.A")
     b = parse_group(_get(d, "B", path), f"{path}.B")
@@ -188,7 +186,7 @@ def ses_to_doc(s: ShortExactSequence) -> dict:
             "pi": [list(r) for r in s.pi.matrix]}
 
 
-def parse_tower_spec(doc: Any, path: str) -> TowerSpec:
+def parse_tower_spec(doc: object, path: str) -> TowerSpec:
     d = _expect_dict(doc, path)
     x = parse_complex(_get(d, "complex", path), f"{path}.complex")
     seq_doc = _expect_list(_get(d, "sequences", path), f"{path}.sequences")
@@ -214,7 +212,7 @@ def parse_tower_spec(doc: Any, path: str) -> TowerSpec:
         raise SchemaError(path, str(e)) from None
 
 
-def parse_filtered(doc: Any, path: str) -> FilteredComplex:
+def parse_filtered(doc: object, path: str) -> FilteredComplex:
     d = _expect_dict(doc, path)
     x = parse_complex(_get(d, "complex", path), f"{path}.complex")
     summands_doc = _expect_list(_get(d, "summands", path), f"{path}.summands")
@@ -225,7 +223,7 @@ def parse_filtered(doc: Any, path: str) -> FilteredComplex:
     return FilteredComplex(x, summands)
 
 
-def parse_finite_group(doc: Any, path: str) -> FiniteGroup:
+def parse_finite_group(doc: object, path: str) -> FiniteGroup:
     d = _expect_dict(doc, path)
     order = _expect_int(_get(d, "order", path), f"{path}.order")
     table = parse_matrix(_get(d, "table", path), f"{path}.table")
@@ -241,7 +239,7 @@ def finite_group_to_doc(g: FiniteGroup) -> dict:
             "identity": g.identity}
 
 
-def parse_extension(doc: Any, path: str) -> CentralExtension:
+def parse_extension(doc: object, path: str) -> CentralExtension:
     d = _expect_dict(doc, path)
     g = parse_finite_group(_get(d, "G", path), f"{path}.G")
     lab = parse_group(_get(d, "L", path), f"{path}.L")
@@ -256,7 +254,7 @@ def parse_extension(doc: Any, path: str) -> CentralExtension:
         raise SchemaError(path, str(e)) from None
 
 
-def parse_transition(doc: Any, site: SimplicialComplex, quotient: FiniteGroup,
+def parse_transition(doc: object, site: SimplicialComplex, quotient: FiniteGroup,
                      path: str) -> TransitionCocycle:
     d = _expect_dict(doc, path)
     labels = {}

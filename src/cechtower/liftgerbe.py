@@ -14,9 +14,9 @@ canonical lift.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
 
+from cechtower._record import Record
 from cechtower.abelian import FgAbGroup, GroupElement
 from cechtower.cochain import (
     Cochain,
@@ -33,53 +33,53 @@ ASSOCIATIVITY_BUDGET = 1 << 21  # caps order**3 in the table check
 LIFT_SEARCH_BUDGET = 1 << 20
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """Multiplication table over element indices 0..order-1.
 
     All group laws are checked exhaustively at construction; the
     associativity scan is cubic in the order and budget-guarded.
     """
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
+    _fields = ("order", "table", "identity")
 
-    def __post_init__(self):
-        m = self.order
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], identity: int):
+        m = order
         if m <= 0:
             raise ValidationError("group order must be positive")
         if m ** 3 > ASSOCIATIVITY_BUDGET:
             raise BudgetExceededError(
                 f"refusing to check associativity for order {m} "
                 f"({m ** 3} triples)")
-        if len(self.table) != m or any(len(r) != m for r in self.table):
+        if len(table) != m or any(len(r) != m for r in table):
             raise ValidationError("multiplication table must be order x order")
-        for i, row in enumerate(self.table):
+        for i, row in enumerate(table):
             for j, v in enumerate(row):
                 if not 0 <= v < m:
                     raise ValidationError(f"table entry ({i},{j}) out of range")
-        if not 0 <= self.identity < m:
+        if not 0 <= identity < m:
             raise ValidationError("identity index out of range")
-        e = self.identity
+        e = identity
         for g in range(m):
-            if self.table[e][g] != g or self.table[g][e] != g:
+            if table[e][g] != g or table[g][e] != g:
                 raise ValidationError(f"identity law fails at element {g}")
         inverse = [None] * m
         for g in range(m):
             for h in range(m):
-                if self.table[g][h] == e and self.table[h][g] == e:
+                if table[g][h] == e and table[h][g] == e:
                     inverse[g] = h
                     break
             if inverse[g] is None:
                 raise ValidationError(f"element {g} has no inverse")
         for a in range(m):
             for b in range(m):
-                ab = self.table[a][b]
+                ab = table[a][b]
                 for c in range(m):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
+                    if table[ab][c] != table[a][table[b][c]]:
                         raise ValidationError(
                             f"associativity fails at triple ({a},{b},{c})")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse))
 
     def mul(self, a: int, b: int) -> int:
@@ -169,21 +169,18 @@ def group_from_abelian(g: FgAbGroup) -> FiniteGroup:
     return FiniteGroup(len(els), table, 0)
 
 
-@dataclass(frozen=True)
-class CentralExtension:
+class CentralExtension(Record):
     """kernel_elements[k] is the image in G of the k-th element of the
     abelian kernel group (enumeration order of FgAbGroup.elements())."""
 
-    group: FiniteGroup
-    kernel_group: FgAbGroup
-    kernel_elements: tuple[int, ...]
-    quotient: FiniteGroup
-    projection: tuple[int, ...]
+    _fields = ("group", "kernel_group", "kernel_elements", "quotient", "projection")
 
-    def __post_init__(self):
-        g, q = self.group, self.quotient
-        lab = self.kernel_group
-        ke = self.kernel_elements
+    def __init__(self, group: FiniteGroup, kernel_group: FgAbGroup,
+                 kernel_elements: tuple[int, ...], quotient: FiniteGroup,
+                 projection: tuple[int, ...]):
+        g, q = group, quotient
+        lab = kernel_group
+        ke = kernel_elements
         if lab.free_rank:
             raise ValidationError("the kernel must be a finite group")
         size = lab.order()
@@ -209,25 +206,28 @@ class CentralExtension:
                 if g.table[v][x] != g.table[x][v]:
                     raise ValidationError(
                         f"kernel is not central: elements {v} and {x} do not commute")
-        if len(self.projection) != g.order:
+        if len(projection) != g.order:
             raise ValidationError("projection must assign a quotient element to "
                                   "every group element")
-        for x, v in enumerate(self.projection):
+        for x, v in enumerate(projection):
             if not 0 <= v < q.order:
                 raise ValidationError(f"projection of element {x} out of range")
         for a in range(g.order):
             for b in range(g.order):
-                if self.projection[g.table[a][b]] != \
-                        q.table[self.projection[a]][self.projection[b]]:
+                if projection[g.table[a][b]] != q.table[projection[a]][projection[b]]:
                     raise ValidationError(
                         f"projection is not a homomorphism at pair ({a},{b})")
-        if set(self.projection) != set(range(q.order)):
+        if set(projection) != set(range(q.order)):
             raise ValidationError("projection is not surjective")
-        kernel_set = {x for x in range(g.order)
-                      if self.projection[x] == q.identity}
+        kernel_set = {x for x in range(g.order) if projection[x] == q.identity}
         if kernel_set != set(ke):
             raise ValidationError(
                 "kernel of the projection differs from the embedded kernel group")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "kernel_group", kernel_group)
+        object.__setattr__(self, "kernel_elements", kernel_elements)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "projection", projection)
 
     def section(self) -> tuple[int, ...]:
         """Canonical set-section of the projection: the lowest G-index in
@@ -256,8 +256,7 @@ def validate_extension(g: FiniteGroup, kernel_group: FgAbGroup,
                             q, tuple(projection))
 
 
-@dataclass(frozen=True)
-class TransitionCocycle:
+class TransitionCocycle(Record):
     """Quotient-valued edge labels with the triangle law g_ij g_jk = g_ik.
 
     ``values[e]`` is the label of the e-th edge in the site's lexicographic
@@ -265,23 +264,25 @@ class TransitionCocycle:
     inverse and is never stored).
     """
 
-    site: SimplicialComplex
-    quotient: FiniteGroup
-    values: tuple[int, ...]
+    _fields = ("site", "quotient", "values")
 
-    def __post_init__(self):
-        edges = self.site.cells(1)
-        if len(self.values) != len(edges):
+    def __init__(self, site: SimplicialComplex, quotient: FiniteGroup,
+                 values: tuple[int, ...]):
+        edges = site.cells(1)
+        if len(values) != len(edges):
             raise ValidationError(
-                f"need one label per edge: got {len(self.values)}, "
+                f"need one label per edge: got {len(values)}, "
                 f"site has {len(edges)}")
-        for e, v in enumerate(self.values):
-            if not 0 <= v < self.quotient.order:
+        for e, v in enumerate(values):
+            if not 0 <= v < quotient.order:
                 raise ValidationError(f"label on edge {edges[e]} out of range")
         # The faces of triangle (i, j, k) are (j, k), (i, k), (i, j).
-        for tri, (jk, ik, ij) in zip(self.site.cells(2), self.site.faces(2)):
-            if self.quotient.table[self.values[ij]][self.values[jk]] != self.values[ik]:
+        for tri, (jk, ik, ij) in zip(site.cells(2), site.faces(2)):
+            if quotient.table[values[ij]][values[jk]] != values[ik]:
                 raise ValidationError(f"cocycle law fails on triangle {tri}")
+        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "values", values)
 
     def value_on(self, i: int, j: int) -> int:
         if i < j:
@@ -304,7 +305,7 @@ def transition_from_values(site: SimplicialComplex, quotient: FiniteGroup,
 
 
 def lifting_obstruction(t: TransitionCocycle, ext: CentralExtension,
-                        section: Optional[Sequence[int]] = None
+                        section: Sequence[int] | None = None
                         ) -> tuple[Cochain, CohomologyClass]:
     """Kernel-valued triangle defect of the lifted transition data.
 
@@ -343,7 +344,7 @@ def lifting_obstruction(t: TransitionCocycle, ext: CentralExtension,
 
 def brute_force_lift(t: TransitionCocycle, ext: CentralExtension,
                      budget: int = LIFT_SEARCH_BUDGET
-                     ) -> Optional[dict[tuple[int, int], int]]:
+                     ) -> dict[tuple[int, int], int] | None:
     """Exhaustive search for a G-valued transition cocycle lifting t.
 
     Tries every per-edge kernel twist of the canonical lift, in the

@@ -40,11 +40,10 @@ sums its pieces' cached groups with ``cyclic_sum``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from cechtower import _intlin
+from cechtower._record import Record
 from cechtower.abelian import (
     FgAbGroup,
     cyclic_sum,
@@ -63,8 +62,7 @@ from cechtower.errors import BudgetExceededError, ValidationError, VerificationE
 from cechtower.exactseq import LesReport, long_exact_sequence, validate_ses
 
 
-@dataclass(frozen=True, eq=False)
-class FilteredComplex:
+class FilteredComplex(Record):
     """A site and a direct sum of coefficient groups with the summand-index
     filtration.  It keeps the summands and their embeddings into the sum.
     The embeddings and a basis of each coefficient lattice W_1 ⊃ ... ⊃
@@ -75,14 +73,17 @@ class FilteredComplex:
     cochain group of the sum is built.
     """
 
-    site: SimplicialComplex
-    summands: tuple[FgAbGroup, ...]
+    _fields = ("site", "summands")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if not self.summands:
+    def __init__(self, site: SimplicialComplex, summands: tuple[FgAbGroup, ...]):
+        if not summands:
             raise ValidationError("need at least one summand")
-        object.__setattr__(self, "summands", tuple(self.summands))
-        object.__setattr__(self, "embeddings", _filtration(self.summands)[0])
+        summands = tuple(summands)
+        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "embeddings", _filtration(summands)[0])
 
     @property
     def depth(self) -> int:
@@ -109,19 +110,22 @@ def _w_basis(w_bases: tuple, p: int) -> list[list[int]]:
     return w_bases[min(max(p, 1), len(w_bases)) - 1]
 
 
-@dataclass(frozen=True)
-class SpectralTerms:
+class SpectralTerms(Record):
     """Presentations of Z, B, E at one grid point (r=None is the limit page)."""
 
-    r: Optional[int]
-    p: int
-    q: int
-    z_group: FgAbGroup
-    b_group: FgAbGroup
-    e_group: FgAbGroup
+    _fields = ("r", "p", "q", "z_group", "b_group", "e_group")
+
+    def __init__(self, r: int | None, p: int, q: int, z_group: FgAbGroup,
+                 b_group: FgAbGroup, e_group: FgAbGroup):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "z_group", z_group)
+        object.__setattr__(self, "b_group", b_group)
+        object.__setattr__(self, "e_group", e_group)
 
 
-def filtered_terms(f: FilteredComplex, r: Optional[int], p: int, q: int) -> SpectralTerms:
+def filtered_terms(f: FilteredComplex, r: int | None, p: int, q: int) -> SpectralTerms:
     """Z, B, E in degree p+q as the sums of the elementary pieces' terms."""
     if r is not None and r < 1:
         raise ValidationError("page index must be >= 1")
@@ -189,22 +193,26 @@ def _preimage(w_bases: tuple, a: int, i: int, j: int) -> list[list[int]]:
     return [_intlin.lin_comb(w_i, c, g) for c in coeffs]
 
 
-@dataclass(frozen=True)
-class DegenerationEntry:
-    r: Optional[int]
-    p: int
-    q: int
-    expected: FgAbGroup
-    got: FgAbGroup
+class DegenerationEntry(Record):
+    _fields = ("r", "p", "q", "expected", "got")
+
+    def __init__(self, r: int | None, p: int, q: int, expected: FgAbGroup, got: FgAbGroup):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "got", got)
 
     @property
     def ok(self) -> bool:
         return self.expected == self.got
 
 
-@dataclass(frozen=True)
-class DegenerationReport:
-    entries: tuple[DegenerationEntry, ...]
+class DegenerationReport(Record):
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[DegenerationEntry, ...]):
+        object.__setattr__(self, "entries", entries)
 
     @property
     def ok(self) -> bool:
@@ -220,7 +228,7 @@ def spectral_grid(f: FilteredComplex, r_max: int) -> list[SpectralTerms]:
         raise BudgetExceededError(
             f"spectral grid up to page {r_max} has {size} points, budget is "
             f"{GENERATOR_BUDGET}")
-    pages: list[Optional[int]] = [*range(1, r_max + 1), None]
+    pages: list[int | None] = [*range(1, r_max + 1), None]
     return [filtered_terms(f, r, p, n - p) for r in pages for p in range(1, f.depth + 1)
             for n in range(f.site.dim + 2)]
 
@@ -235,8 +243,7 @@ def check_degeneration(f: FilteredComplex, grid: list[SpectralTerms]) -> Degener
         for t in grid))
 
 
-@dataclass(frozen=True)
-class DirectSumLesReport:
+class DirectSumLesReport(Record):
     """Two-summand special case of the filtration's exact sequence.
 
     The hypothesis is read as: all summands vanish except the first (index
@@ -244,10 +251,14 @@ class DirectSumLesReport:
     index origin, so the chosen reading is recorded in the header.
     """
 
-    header: str
-    les: LesReport
-    connecting_all_zero: bool
-    decomposition_ok: bool
+    _fields = ("header", "les", "connecting_all_zero", "decomposition_ok")
+
+    def __init__(self, header: str, les: LesReport, connecting_all_zero: bool,
+                 decomposition_ok: bool):
+        object.__setattr__(self, "header", header)
+        object.__setattr__(self, "les", les)
+        object.__setattr__(self, "connecting_all_zero", connecting_all_zero)
+        object.__setattr__(self, "decomposition_ok", decomposition_ok)
 
     @property
     def ok(self) -> bool:

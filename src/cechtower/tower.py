@@ -11,9 +11,7 @@ assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
+from cechtower._record import Record
 from cechtower.abelian import FgAbGroup
 from cechtower.cochain import (
     Cochain,
@@ -26,8 +24,7 @@ from cechtower.cochain import (
 from cechtower.errors import ValidationError
 from cechtower.exactseq import ShortExactSequence, connecting
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(Record):
     """Base 2-cocycle plus the chain of coefficient sequences.
 
     Chain compatibility: the quotient term of sequence k must equal the
@@ -35,25 +32,27 @@ class TowerSpec:
     coefficient group of the base cocycle).
     """
 
-    complex: SimplicialComplex
-    c2: Cochain
-    sequences: tuple[ShortExactSequence, ...]
+    _fields = ("complex", "c2", "sequences")
 
-    def __post_init__(self):
-        if self.c2.complex.base != self.complex:
+    def __init__(self, complex: SimplicialComplex, c2: Cochain,
+                 sequences: tuple[ShortExactSequence, ...]):
+        if c2.complex.base != complex:
             raise ValidationError(
                 "base cocycle must live in the Cech complex of the given site")
-        if self.c2.degree != 2:
+        if c2.degree != 2:
             raise ValidationError("base cocycle must have degree 2")
-        if not coboundary(self.c2).is_zero:
+        if not coboundary(c2).is_zero:
             raise ValidationError("base cochain is not a cocycle")
-        expected = self.c2.complex.coefficients
-        for k, ses in enumerate(self.sequences):
+        expected = c2.complex.coefficients
+        for k, ses in enumerate(sequences):
             if ses.c != expected:
                 raise ValidationError(
                     f"sequence {k}: quotient term {ses.c} does not continue the "
                     f"band chain (expected {expected})")
             expected = ses.a
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "sequences", sequences)
 
     @property
     def bands(self) -> tuple[FgAbGroup, ...]:
@@ -61,13 +60,16 @@ class TowerSpec:
         return (self.c2.complex.coefficients,) + tuple(s.a for s in self.sequences)
 
 
-@dataclass(frozen=True)
-class TowerClasses:
+class TowerClasses(Record):
     """Stage k (degree k) of ``stages`` is the class [c_k] in H^k(X, band)."""
 
-    complex: SimplicialComplex
-    bands: tuple[FgAbGroup, ...]
-    stages: tuple[CohomologyClass, ...]
+    _fields = ("complex", "bands", "stages")
+
+    def __init__(self, complex: SimplicialComplex, bands: tuple[FgAbGroup, ...],
+                 stages: tuple[CohomologyClass, ...]):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "bands", bands)
+        object.__setattr__(self, "stages", stages)
 
     @property
     def representatives(self) -> tuple[Cochain, ...]:
@@ -90,17 +92,21 @@ def tower_classes(spec: TowerSpec) -> TowerClasses:
     return TowerClasses(x, spec.bands, tuple(stages))
 
 
-@dataclass(frozen=True)
-class TowerCheck:
-    name: str
-    ok: bool
-    detail: str = ""
+class TowerCheck(Record):
+    _fields = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class TowerReport:
-    classes: TowerClasses
-    checks: tuple[TowerCheck, ...]
+class TowerReport(Record):
+    _fields = ("classes", "checks")
+
+    def __init__(self, classes: TowerClasses, checks: tuple[TowerCheck, ...]):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -116,7 +122,7 @@ def verify_tower(result: TowerClasses) -> TowerReport:
         checks.append(TowerCheck(
             f"stage {cls.degree} representative is a cocycle", d.is_zero,
             f"degree {cls.degree}, coefficient group {cls.group}"))
-    first_zero: Optional[int] = None
+    first_zero: int | None = None
     propagation_ok = True
     for cls in result.stages:
         if first_zero is None:
@@ -131,10 +137,12 @@ def verify_tower(result: TowerClasses) -> TowerReport:
     return TowerReport(result, tuple(checks))
 
 
-@dataclass(frozen=True)
-class TowerComparison:
-    equal: bool
-    first_differing_stage: Optional[int] = None
+class TowerComparison(Record):
+    _fields = ("equal", "first_differing_stage")
+
+    def __init__(self, equal: bool, first_differing_stage: int | None = None):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "first_differing_stage", first_differing_stage)
 
 
 def compare_towers(t1: TowerClasses, t2: TowerClasses) -> TowerComparison:

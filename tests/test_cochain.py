@@ -332,6 +332,21 @@ class TestBarComplex:
         with pytest.raises(BudgetExceededError):
             bar_complex(h, trivial_action(h, Z2), 12)
 
+    def test_negative_degree_refused_before_the_nerve(self):
+        # max_degree -2 asks for a nerve of top degree -1, which has no
+        # degree 0 for cohomology to read.
+        h = cyclic_table(2)
+        with pytest.raises(ValidationError, match="degree bound -1 is negative"):
+            bar_complex(h, trivial_action(h, Z2), -2)
+
+    def test_trivial_group_refused_past_the_degree_budget(self):
+        # The trivial group has one word in every degree, so the word
+        # budget never refuses its nerve; the degree budget does, before
+        # any word is listed.
+        h = cyclic_table(1)
+        with pytest.raises(BudgetExceededError, match="degrees 0..4097"):
+            bar_complex(h, trivial_action(h, Z2), cochain.DEGREE_BUDGET)
+
     @pytest.mark.parametrize("degree, action", [
         # The nerve would have 131,072 words in its top degree 17, past the
         # word budget, and is refused before it lists a word.

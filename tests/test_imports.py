@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in it, and every private
-module-level helper is referenced somewhere in the package.
+"""Every name a package module imports is used in it, every private
+module-level helper is referenced somewhere in the package, and importing
+the CLI loads no code-generating or typing module.
 
 No linter runs on the tree, so this keeps deletions honest: a helper that
 loses its last caller must also leave the import lists, and a private
@@ -12,6 +13,9 @@ names are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +102,28 @@ def test_module_uses_every_import(path):
 def test_every_private_helper_is_referenced():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
     assert unreferenced_helpers(sources) == []
+
+
+def test_cli_import_loads_no_code_generation_or_typing():
+    # Under -S no site .pth file imports anything first, so the modules
+    # loaded are the package's own imports.  dataclasses generated code for
+    # every record class, and it, inspect and typing each cost start-up
+    # time in every CLI process.
+    code = ("import sys, cechtower.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_generates_no_code(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = {node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not calls & {"exec", "eval", "compile"}
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "dataclasses" not in modules
