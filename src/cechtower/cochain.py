@@ -14,8 +14,8 @@ the value on cell number s.  This keeps C^p in invariant-factor form with
 no reshuffling, because repeating each invariant factor k times preserves
 the divisor chain.
 
-The base's face table (``faces``) is the only coboundary data:
-(df)(tau) = sum_j (-1)^j f(face j of tau), applied to the block of each
+The base's face table is the only coboundary data: (df)(tau) = sum of
+v f(s) over the signed face row (s, v) of tau, applied to the block of each
 coefficient generator by ``cech_coboundary``.  No complex stores a
 coboundary matrix; ``differential(p)`` builds a dense view from the table
 when a caller needs one.
@@ -74,15 +74,15 @@ class _FaceTable(Record):
         """Cell -> position among the degree-p cells (empty outside 0..dim)."""
         return self._index[p] if 0 <= p <= self.dim else {}
 
-    def faces(self, p: int) -> tuple[tuple[int, ...], ...]:
-        """Per degree-p cell, the positions among the (p-1)-cells of its
-        faces; face j has sign (-1)^j, and a 0-cell has no faces."""
+    def faces(self, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per degree-p cell, its signed face row: (position among the
+        (p-1)-cells, nonzero incidence) pairs at distinct positions."""
         return self._faces[p] if 0 <= p <= self.dim else ()
 
 
 class SimplicialComplex(_FaceTable):
     """Simplices grouped by dimension, each a strictly increasing tuple;
-    face j of a simplex leaves out vertex j.
+    entry j of a face row is (the face without vertex j, (-1)^j).
 
     Hashed once, on construction: every memo lookup on a site hashes it."""
 
@@ -116,7 +116,7 @@ class SimplicialComplex(_FaceTable):
                     if face not in index[p - 1]:
                         raise ValidationError(
                             f"complex is not downward closed: face {face} of {s} missing")
-                    row.append(index[p - 1][face])
+                    row.append((index[p - 1][face], -1 if j & 1 else 1))
                 rows.append(tuple(row))
             faces.append(tuple(rows))
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -139,44 +139,51 @@ class SimplicialComplex(_FaceTable):
         """Maximal simplices, ordered by dimension then lexicographically."""
         out = []
         for p, level in enumerate(self.simplices):
-            covered = {i for row in self.faces(p + 1) for i in row}
+            covered = {f for row in self.faces(p + 1) for f, _ in row}
             out.extend(s for i, s in enumerate(level) if i not in covered)
         return tuple(out)
 
 
 class GroupNerve(_FaceTable):
-    """The nerve of a finite group H up to degree ``top``: the base of its
-    inhomogeneous bar complex (Brown, Cohomology of Groups, I.5).
+    """The normalized nerve of a finite group H up to degree ``top``, the
+    base of its bar complex (Brown, Cohomology of Groups, I.5).
 
-    The p-cells are the words w in H^p, in lexicographic order.  Face 0 of
-    w drops w[0], face j (0 < j < p) multiplies w[j-1]·w[j], and face p
-    drops w[p-1].  A negative ``top``, degrees 0..top past
-    ``DEGREE_BUDGET``, and more than ``GENERATOR_BUDGET`` words in the top
-    degree are refused before any word is listed.  Hashed once, on
-    construction."""
+    The p-cells are the (|H|-1)^p words w in H^p with no identity letter,
+    in lexicographic order.  Face 0 of w drops w[0], face j (0 < j < p)
+    multiplies w[j-1]·w[j] (none if that is the identity) and face p drops
+    w[p-1], with incidence (-1)^j; coinciding faces are summed.  A
+    negative ``top``, degrees 0..top past ``DEGREE_BUDGET``, and more than
+    ``GENERATOR_BUDGET`` words in the top degree are refused before any
+    word is listed.  Hashed once, on construction."""
 
     _fields = ("group", "top")
 
     # group is a liftgerbe.FiniteGroup (duck-typed to avoid an import cycle)
     def __init__(self, group: object, top: int):
         check_degree_bound(top)
-        m, table = group.order, group.table
-        if m ** top > GENERATOR_BUDGET:
+        table, e = group.table, group.identity
+        letters = [h for h in range(group.order) if h != e]
+        if len(letters) ** top > GENERATOR_BUDGET:
             raise BudgetExceededError(
-                f"the nerve of a group of order {m} has {m ** top} cells in "
-                f"degree {top}, budget is {GENERATOR_BUDGET}")
-        cells = tuple(tuple(itertools.product(range(m), repeat=p))
+                f"the nerve of a group of order {group.order} has "
+                f"{len(letters) ** top} words in degree {top}, budget is {GENERATOR_BUDGET}")
+        cells = tuple(tuple(itertools.product(letters, repeat=p))
                       for p in range(top + 1))
         index = tuple({w: i for i, w in enumerate(level)} for level in cells)
         faces = [((),)]
         for p in range(1, len(cells)):
-            below = index[p - 1]
-            faces.append(tuple(
-                (below[w[1:]],)
-                + tuple(below[w[:j - 1] + (table[w[j - 1]][w[j]],) + w[j + 1:]]
-                        for j in range(1, p))
-                + (below[w[:-1]],)
-                for w in cells[p]))
+            below, rows = index[p - 1], []
+            for w in cells[p]:
+                row = {below[w[1:]]: 1}
+                for j in range(1, p):
+                    h = table[w[j - 1]][w[j]]
+                    if h != e:
+                        f = below[w[:j - 1] + (h,) + w[j + 1:]]
+                        row[f] = row.get(f, 0) + (-1 if j & 1 else 1)
+                f = below[w[:-1]]
+                row[f] = row.get(f, 0) + (-1 if p & 1 else 1)
+                rows.append(tuple((f, v) for f, v in row.items() if v))
+            faces.append(tuple(rows))
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "_cells", cells)
@@ -302,7 +309,7 @@ class CochainComplex(Record):
         """d_p as a dense matrix, built from the face table on each call and
         never stored, and refused before any row is built when it would pass
         ``COBOUNDARY_ENTRY_BUDGET``.  Under an action, face 0 of each word w
-        adds rho(w[0]) - I to the identity block the face table gives there.
+        adds rho(w[0]) - I at the word w[1:], on top of the face table.
         Code that only applies an untwisted d_p uses ``coboundary``."""
         src, tgt = self.group(p), self.group(p + 1)
         check_dense_budget(f"coboundary {p}", tgt.ngens, src.ngens)
@@ -310,11 +317,12 @@ class CochainComplex(Record):
         rows = [row for g in range(ng)
                 for row in _coboundary_rows(self.base, p, src.ngens, g * k)]
         if self.action is not None and p >= 0:
-            for t, (w, faces) in enumerate(zip(self.base.cells(p + 1), self.base.faces(p + 1))):
-                rho = self.action[w[0]]
+            below = self.base.cell_indices(p)
+            for t, w in enumerate(self.base.cells(p + 1)):
+                rho, f = self.action[w[0]], below[w[1:]]
                 for i in range(ng):
                     for j in range(ng):
-                        rows[i * k1 + t][j * k + faces[0]] += rho[i][j] - (i == j)
+                        rows[i * k1 + t][j * k + f] += rho[i][j] - (i == j)
         return Homomorphism(src, tgt, rows)
 
     def ncells(self, p: int) -> int:
@@ -426,13 +434,12 @@ def _check_coboundary_budget(critical: Sequence[int]) -> None:
 
 def _coboundary_rows(x: SimplicialComplex, p: int, width: int, offset: int = 0) -> list:
     """The integral d_p as dense rows of ``width`` ints, one per (p+1)-cell,
-    with the p-cell f at column offset + f.  Face j has sign (-1)^j; faces
-    at one position add up, since faces of a group nerve's word may coincide."""
+    with the p-cell f at column offset + f."""
     rows = []
     for faces in x.faces(p + 1):
         row = [0] * width
-        for j, f in enumerate(faces):
-            row[offset + f] += -1 if j % 2 else 1
+        for f, v in faces:
+            row[offset + f] = v
         rows.append(row)
     return rows
 
@@ -446,8 +453,7 @@ def cech_coboundary(x: SimplicialComplex, p: int, coords: Sequence[int],
     out = []
     for g in range(ngens):
         block = coords[g * k:(g + 1) * k]
-        out += [sum(block[f] for f in faces[::2]) - sum(block[f] for f in faces[1::2])
-                for faces in x.faces(p + 1)]
+        out += [sum([block[f] * v for f, v in faces]) for faces in x.faces(p + 1)]
     return out
 
 
@@ -533,8 +539,7 @@ class _Reduction:
     DCG 2009; Harker, Mischaikow, Mrozek & Nanda, FoCM 2014).
 
     A p-cell s is matched with a (p+1)-cell t when s is the only face of t
-    left and their summed incidence [t : s] is +-1 (faces of a nerve's word
-    may coincide, so incidences are summed per face first).  The cells
+    left and their incidence [t : s] in the face row of t is +-1.  The cells
     left over are critical.  The matching is acyclic, so the path sums of
     its gradient graph give the Morse coboundaries dM_p between critical
     cells and two integral cochain maps R: C^p -> M^p and E: M^p -> C^p
@@ -551,23 +556,14 @@ class _Reduction:
     def __init__(self, x: _FaceTable):
         dim = x.dim
         counts = [len(x.cells(p)) for p in range(dim + 1)]
-        # faces[p][t]: face -> nonzero summed incidence of the p-cell t;
+        # faces[p][t]: the face row of the p-cell t;
         # cofaces[p][s]: (t, [t : s]) over the (p+1)-cells t, t ascending.
-        faces = [[{} for _ in range(counts[0])]]
-        for p in range(1, dim + 1):
-            level = []
-            for row in x.faces(p):
-                inc = {}
-                for j, f in enumerate(row):
-                    inc[f] = inc.get(f, 0) + (-1 if j & 1 else 1)
-                level.append(inc if len(inc) == len(row)
-                             else {f: v for f, v in inc.items() if v})
-            faces.append(level)
+        faces = [x.faces(p) for p in range(dim + 1)]
         cofaces = [[[] for _ in range(k)] for k in counts]
         for p in range(1, dim + 1):
             below = cofaces[p - 1]
-            for t, inc in enumerate(faces[p]):
-                for f, v in inc.items():
+            for t, row in enumerate(faces[p]):
+                for f, v in row:
                     below[f].append((t, v))
 
         # Coreduction: a cell whose faces are all gone but one, s, with a
@@ -575,7 +571,7 @@ class _Reduction:
         # remaining cell of lowest degree, which has no face left, becomes
         # critical.  ``pairs`` lists (p, s, t, [t : s]) in the order of
         # removal.
-        left = [[len(inc) for inc in level] for level in faces]
+        left = [[len(row) for row in level] for level in faces]
         gone = [bytearray(k) for k in counts]
         queue = deque((p, t) for p in range(1, dim + 1)
                       for t, n in enumerate(left[p]) if n == 1)
@@ -597,7 +593,7 @@ class _Reduction:
                 p, t = queue.popleft()
                 if gone[p][t] or left[p][t] != 1:
                     continue
-                s, v = next((f, v) for f, v in faces[p][t].items() if not gone[p - 1][f])
+                s, v = next((f, v) for f, v in faces[p][t] if not gone[p - 1][f])
                 if v in (1, -1):
                     gone[p - 1][s] = gone[p][t] = 1
                     pairs.append((p - 1, s, t, v))
@@ -622,7 +618,7 @@ class _Reduction:
         # down, and for s matched up with t: -[t:s] times the sum of
         # [t:s'] E(s') over the other faces s' of t, all removed before s.
         for p, s, t, v in pairs:
-            extend[p][s] = _path_sum(faces[p + 1][t].items(), s, -v, extend[p])
+            extend[p][s] = _path_sum(faces[p + 1][t], s, -v, extend[p])
         for p, s, t, v in reversed(pairs):
             restrict[p + 1][t] = _path_sum(cofaces[p][s], t, -v, restrict[p + 1])
         morse = []
@@ -883,17 +879,20 @@ def trivial_action(group, module: FgAbGroup) -> GroupAction:
 
 
 def bar_complex(group, action: GroupAction, max_degree: int) -> CochainComplex:
-    """Unnormalized inhomogeneous bar complex of a finite group.
+    """Normalized inhomogeneous bar complex of a finite group.
 
-    C^p = Maps(H^p, M) is the cochain complex of the nerve of H
-    (``GroupNerve``), with the action twisting face 0:
+    C^p, the maps H^p -> M vanishing on words with an identity letter, is
+    the cochain complex of the normalized nerve of H (``GroupNerve``), with
+    the action twisting face 0:
     (df)(h_1,..,h_{p+1}) = h_1·f(h_2,..) + sum_i (-1)^i f(..,h_i h_{i+1},..)
-    + (-1)^{p+1} f(h_1,..,h_p).  The nerve runs one degree beyond
-    ``max_degree`` so that cohomology at ``max_degree`` is computed against
-    the true outgoing differential.  An action whose every matrix is the
-    identity is not stored, so the complex takes the face-table path of a
-    Cech complex.  The words of the top degree, and then the generators of
-    each cochain group, are checked against their budgets.
+    + (-1)^{p+1} f(h_1,..,h_p); its inclusion in the unnormalized complex is
+    a chain homotopy equivalence (Mac Lane, Homology, IV.5).  The nerve runs
+    one degree beyond ``max_degree`` so that cohomology at ``max_degree`` is
+    computed against the true outgoing differential.  An action whose every
+    matrix is the identity is not stored, so the complex takes the
+    face-table path of a Cech complex.  The words of the top degree, and
+    then the generators of each cochain group, are checked against their
+    budgets.
     """
     if action.group is not group and action.group != group:
         raise ValidationError("action does not belong to the given group")

@@ -277,7 +277,7 @@ class TransitionCocycle(Record):
             if not 0 <= v < quotient.order:
                 raise ValidationError(f"label on edge {edges[e]} out of range")
         # The faces of triangle (i, j, k) are (j, k), (i, k), (i, j).
-        for tri, (jk, ik, ij) in zip(site.cells(2), site.faces(2)):
+        for tri, ((jk, _), (ik, _), (ij, _)) in zip(site.cells(2), site.faces(2)):
             if quotient.table[values[ij]][values[jk]] != values[ik]:
                 raise ValidationError(f"cocycle law fails on triangle {tri}")
         object.__setattr__(self, "site", site)
@@ -330,7 +330,7 @@ def lifting_obstruction(t: TransitionCocycle, ext: CentralExtension,
     comp = cech_complex(site, lab)
     values = {}
     for tri, faces in zip(site.cells(2), site.faces(2)):
-        lifted_jk, lifted_ik, lifted_ij = (sec[t.values[e]] for e in faces)
+        lifted_jk, lifted_ik, lifted_ij = (sec[t.values[e]] for e, _ in faces)
         defect = g.mul(g.mul(g.inv(lifted_ik), lifted_ij), lifted_jk)
         if ext.projection[defect] != ext.quotient.identity:
             raise VerificationError(f"triangle defect on {tri} escapes the kernel")
@@ -370,7 +370,7 @@ def brute_force_lift(t: TransitionCocycle, ext: CentralExtension,
     # candidate lift of edge e under twist l, twists commute with everything
     cand = [[g.mul(base[e], ke) for ke in ext.kernel_elements]
             for e in range(n_edges)]
-    triangles = [(ij, jk, ik) for jk, ik, ij in site.faces(2)]
+    triangles = [(ij, jk, ik) for (jk, _), (ik, _), (ij, _) in site.faces(2)]
 
     for choice in itertools.product(range(ksize), repeat=n_edges):
         ok = True

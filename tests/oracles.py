@@ -4,10 +4,13 @@ Nothing here touches the package's SNF/lattice path: determinants come
 from fraction-free elimination, cohomology from exhaustive enumeration
 with the group structure reconstructed by order counting, solves from
 brute-force search.  These are the second route of every dual-route check.
-Six exceptions are earlier versions kept as references for the ones the
-package uses now: ``reference_bar_differential``, the dense bar
-differential the bar complex once stored, which the face table of the
-group's nerve and its twisted face 0 must reproduce entry for entry;
+Seven exceptions are earlier versions kept as references for the ones the
+package uses now: ``reference_bar_differential``, the dense unnormalized
+bar differential the bar complex once stored, which the face table of the
+group's nerve and its twisted face 0 must reproduce entry for entry on the
+words with no identity letter; ``UnnormalizedNerve``, the nerve with every
+word, whose bar complex the normalized one must match in groups and in
+cocycles extended by zero;
 ``ses_failure``, the earlier criterion for a short exact
 sequence; ``degreewise_failure``, the same criterion applied to the dense
 cochain-level maps I_k (x) h (``cech_induced``), which ``connecting`` once
@@ -36,8 +39,11 @@ from cechtower.abelian import (
     presentation_group,
 )
 from cechtower.cochain import (
+    CochainComplex,
+    GroupNerve,
     _coboundary_rows,
     _IntegralDegree,
+    bar_complex,
     cech_coboundary,
     cech_complex,
     check_dense_budget,
@@ -278,6 +284,62 @@ def brute_connecting(comp_a, comp_b, comp_c, iota: Homomorphism,
     return comp_a.group(p + 1).normalize(out)
 
 
+class UnnormalizedNerve(GroupNerve):
+    """The nerve of a finite group H with every word of H^p as a p-cell,
+    identity letters included, in lexicographic order: the base of the
+    unnormalized bar complex, which the normalized nerve is held to.
+    Face 0 of w drops w[0], face j (0 < j < p) multiplies w[j-1]·w[j] and
+    face p drops w[p-1], with incidence (-1)^j; coinciding faces are summed
+    into one entry of the row, and one whose incidences cancel is left out.
+    A subclass of ``GroupNerve`` so that a complex over it accepts an
+    action; it never compares equal to a normalized nerve."""
+
+    def __init__(self, group, top: int):
+        table = group.table
+        cells = tuple(tuple(itertools.product(range(group.order), repeat=p))
+                      for p in range(top + 1))
+        index = tuple({w: i for i, w in enumerate(level)} for level in cells)
+        faces = [((),)]
+        for p in range(1, top + 1):
+            rows = []
+            for w in cells[p]:
+                words = ([w[1:]] + [w[:j - 1] + (table[w[j - 1]][w[j]],) + w[j + 1:]
+                                    for j in range(1, p)] + [w[:-1]])
+                row = {}
+                for j, face in enumerate(words):
+                    f = index[p - 1][face]
+                    row[f] = row.get(f, 0) + (-1) ** j
+                rows.append(tuple((f, v) for f, v in row.items() if v))
+            faces.append(tuple(rows))
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_faces", tuple(faces))
+        object.__setattr__(self, "_hash", hash(("unnormalized", group, top)))
+
+
+def unnormalized_bar_complex(action, max_degree: int) -> CochainComplex:
+    """``bar_complex(action.group, action, max_degree)`` with the
+    unnormalized nerve as its base."""
+    c = bar_complex(action.group, action, max_degree)
+    return CochainComplex(UnnormalizedNerve(action.group, max_degree + 1), c.coefficients, c.action)
+
+
+def normalized_rows(action, p: int, rows) -> list[list[int]]:
+    """A dense d_p of the unnormalized bar complex of ``action`` (as from
+    ``reference_bar_differential``) restricted to the rows and columns of
+    the words with no identity letter, in the same order."""
+    m, e, ng = action.group.order, action.group.identity, action.module.ngens
+
+    def kept(n: int) -> list[int]:
+        words = [i for i, w in enumerate(itertools.product(range(m), repeat=n)) if e not in w]
+        return [g * m ** n + i for g in range(ng) for i in words]
+
+    cols = kept(p)
+    return [[rows[r][c] for c in cols] for r in kept(p + 1)]
+
+
 def reference_bar_differential(action, p: int) -> list[list[int]]:
     """The dense d_p of the unnormalized bar complex of ``action``, built
     word by word: rho(w[0]) on the word w[1:], (-1)^i on w with letters i
@@ -510,10 +572,8 @@ def reference_pull_back(x, p: int, w) -> list[int]:
     out = [0] * len(x.cells(p - 1))
     for wt, faces in zip(w, x.faces(p)):
         if wt:
-            for f in faces[::2]:
-                out[f] += wt
-            for f in faces[1::2]:
-                out[f] -= wt
+            for f, v in faces:
+                out[f] += v * wt
     return out
 
 

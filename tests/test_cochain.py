@@ -23,9 +23,15 @@ from cechtower.cochain import (
     zero_cochain,
 )
 from cechtower.errors import BudgetExceededError, ValidationError
-from cechtower.liftgerbe import cyclic_table, symmetric_group
+from cechtower.liftgerbe import cyclic_table, dihedral_group, direct_product, symmetric_group
 
-from .oracles import brute_cohomology, coboundary_set, reference_bar_differential
+from .oracles import (
+    brute_cohomology,
+    coboundary_set,
+    normalized_rows,
+    reference_bar_differential,
+    unnormalized_bar_complex,
+)
 from .test_cli import _cap_address_space
 from .test_uct import coefficient_groups, sites
 
@@ -35,20 +41,25 @@ Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
 Z6 = cyclic_group(6)
 
-# Prints the cohomology in degree argv[1] of the bar complex of Z/2 acting
-# trivially on Z/2 (argv[2] == "trivial") or by sign on Z/3, or "refused",
-# then the seconds taken by the call that computed or refused it.
+# Prints the cohomology in degree argv[1] of the bar complex of the action
+# named argv[2], or "refused", then the seconds taken by the call that
+# computed or refused it.
 BAR_RUN = """
 import sys, time
-from cechtower.abelian import cyclic_group
+from cechtower.abelian import cyclic_group, free_group
 from cechtower.cochain import GroupAction, bar_complex, cohomology, trivial_action
 from cechtower.errors import BudgetExceededError
-from cechtower.liftgerbe import cyclic_table
-degree, h = int(sys.argv[1]), cyclic_table(2)
-if sys.argv[2] == "trivial":
-    action = trivial_action(h, cyclic_group(2))
-else:
-    action = GroupAction(h, cyclic_group(3), (((1,),), ((2,),)))
+from cechtower.liftgerbe import cyclic_table, symmetric_group
+z2, z3 = cyclic_table(2), cyclic_table(3)
+action = {
+    "Z2-trivial-on-Z2": lambda: trivial_action(z2, cyclic_group(2)),
+    "Z3-trivial-on-Z2": lambda: trivial_action(z3, cyclic_group(2)),
+    "trivial-group-on-Z2": lambda: trivial_action(cyclic_table(1), cyclic_group(2)),
+    "S3-trivial-on-Z": lambda: trivial_action(symmetric_group(3), free_group(1)),
+    "Z2-sign-on-Z3": lambda: GroupAction(z2, cyclic_group(3), (((1,),), ((2,),))),
+    "Z3-doubling-on-Z7": lambda: GroupAction(z3, cyclic_group(7), (((1,),), ((2,),), ((4,),))),
+}[sys.argv[2]]()
+degree, h = int(sys.argv[1]), action.group
 start = time.perf_counter()
 try:
     c = bar_complex(h, action, degree)
@@ -328,9 +339,10 @@ class TestBarComplex:
             assert cohomology(c, p).group == brute_cohomology(c, p)
 
     def test_budget_guard(self):
+        # The normalized nerve of Z/3 has 2^17 words in its top degree 17.
         h = cyclic_table(3)
-        with pytest.raises(BudgetExceededError):
-            bar_complex(h, trivial_action(h, Z2), 12)
+        with pytest.raises(BudgetExceededError, match="131072 words"):
+            bar_complex(h, trivial_action(h, Z2), 16)
 
     def test_negative_degree_refused_before_the_nerve(self):
         # max_degree -2 asks for a nerve of top degree -1, which has no
@@ -348,12 +360,12 @@ class TestBarComplex:
             bar_complex(h, trivial_action(h, Z2), cochain.DEGREE_BUDGET)
 
     @pytest.mark.parametrize("degree, action", [
-        # The nerve would have 131,072 words in its top degree 17, past the
-        # word budget, and is refused before it lists a word.
-        (16, "trivial"),
+        # The nerve of Z/3 would have 131,072 words in its top degree 17,
+        # past the word budget, and is refused before it lists a word.
+        (16, "Z3-trivial-on-Z2"),
         # The twisted differential 10 is 2,048 x 1,024, but the kernel SNF
         # of it has a 3,072 x 3,072 transform.
-        (10, "sign"),
+        (10, "Z3-doubling-on-Z7"),
     ], ids=["nerve-words", "kernel-snf"])
     def test_oversized_matrices_refused_before_allocation(self, degree, action):
         # Within the memory cap, a refusal in under 5 s shows that no row
@@ -363,18 +375,29 @@ class TestBarComplex:
 
     def test_trivial_action_in_degree_nine_within_seconds(self):
         # A trivial action takes the integral nerve's SNF and universal
-        # coefficients; the lattice path on the dense 1,024 x 512
-        # differential takes about 30 s.
-        out, seconds = run_bar(9, "trivial")
+        # coefficients; the normalized nerve of Z/2 has one word in each
+        # degree, so differential 9 is 1 x 1 (1,024 x 512 unnormalized).
+        out, seconds = run_bar(9, "Z2-trivial-on-Z2")
         assert out == "Z/2" and seconds < 5.0
 
     def test_trivial_action_in_degree_fourteen_within_seconds(self):
-        # The nerve's whole integral coboundary 11 (4,096 x 2,048) would
-        # pass the entry budget, but its coreduction leaves one critical
-        # cell in each degree below the top, so every Morse coboundary the
-        # cohomology in degree 14 reads has one column.
-        out, seconds = run_bar(14, "trivial")
+        # One word in each degree: the integral coboundaries are 1 x 1
+        # (4,096 x 2,048 for differential 11 of the unnormalized nerve).
+        out, seconds = run_bar(14, "Z2-trivial-on-Z2")
         assert out == "Z/2" and seconds < 5.0
+
+    @pytest.mark.parametrize("degree, action", [
+        # One word in each degree of the nerve of Z/2.
+        (40, "Z2-sign-on-Z3"),
+        # No word past degree 0 of the nerve of the trivial group, which
+        # reaches the degree budget.
+        (cochain.DEGREE_BUDGET - 2, "trivial-group-on-Z2"),
+        # 64 words in the top degree 6 on the dense twisted path.
+        (5, "Z3-doubling-on-Z7"),
+    ], ids=["sign-40", "trivial-group-top", "doubling-5"])
+    def test_normalized_nerve_within_seconds(self, degree, action):
+        out, seconds = run_bar(degree, action)
+        assert out == "0" and seconds < 5.0
 
     def test_symmetric_group_integral(self):
         h = symmetric_group(3)
@@ -383,11 +406,46 @@ class TestBarComplex:
 
     @pytest.mark.parametrize("action, degree", BAR_ACTIONS)
     def test_face_table_matches_the_reference_differential(self, action, degree):
+        # The normalized complex on the words with no identity letter, and
+        # the unnormalized reference nerve on every word.
         c = bar_complex(action.group, action, degree)
+        ref = unnormalized_bar_complex(action, degree)
         assert (c.action is None) == (action == trivial_action(action.group, action.module))
         for p in range(degree + 1):
+            dense = reference_bar_differential(action, p)
             assert c.differential(p) == Homomorphism(
-                c.group(p), c.group(p + 1), reference_bar_differential(action, p))
+                c.group(p), c.group(p + 1), normalized_rows(action, p, dense))
+            assert ref.differential(p) == Homomorphism(ref.group(p), ref.group(p + 1), dense)
+
+    @pytest.mark.parametrize("action, degree", BAR_ACTIONS + [
+        pytest.param(trivial_action(direct_product(cyclic_table(2), cyclic_table(2)), Z), 3,
+                     id="V4-trivial-on-Z"),
+        pytest.param(trivial_action(dihedral_group(4), Z), 2, id="D4-trivial-on-Z"),
+        pytest.param(trivial_action(cyclic_table(4), Z), 3, id="Z4-trivial-on-Z"),
+    ])
+    def test_groups_match_the_unnormalized_complex(self, action, degree):
+        # Normalized cochains form a subcomplex whose inclusion is a chain
+        # homotopy equivalence: equal groups, and each representative,
+        # extended by zero to the words with an identity letter, is a
+        # cocycle of the unnormalized complex.
+        c = bar_complex(action.group, action, degree)
+        ref = unnormalized_bar_complex(action, degree)
+        for p in range(degree + 1):
+            h = cohomology(c, p)
+            assert h.group == cohomology(ref, p).group
+            for rep in h.representatives:
+                extended = cochain_from_values(
+                    ref, p, {w: rep.value_at(w).coords for w in c.base.cells(p)})
+                assert coboundary(extended).is_zero
+
+    def test_words_with_the_identity_are_not_cells(self):
+        h = cyclic_table(3)
+        c = bar_complex(h, trivial_action(h, Z2), 2)
+        assert c.base.cells(2) == ((1, 1), (1, 2), (2, 1), (2, 2))
+        with pytest.raises(ValidationError, match=r"^\(0, 1\) is not a cell of degree 2$"):
+            cochain_from_values(c, 2, {(0, 1): [1]})
+        with pytest.raises(ValidationError, match=r"^\(1, 0\) is not a cell of degree 2$"):
+            zero_cochain(c, 2).value_at((1, 0))
 
     @pytest.mark.parametrize("action, degree", BAR_ACTIONS)
     def test_coboundary_matches_the_dense_view(self, action, degree):

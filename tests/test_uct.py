@@ -50,7 +50,7 @@ from cechtower.cochain import (
 from cechtower.liftgerbe import cyclic_table, direct_product, symmetric_group
 
 from .conftest import RP2_FACETS, grid_torus_facets
-from .oracles import brute_cohomology, reference_integral_degree
+from .oracles import UnnormalizedNerve, brute_cohomology, reference_integral_degree
 
 ORDERS = (2, 3, 4, 6, 8, 9, 12)
 BRUTE_BUDGET = 1 << 12
@@ -229,12 +229,29 @@ def check_coordinates(comp, p, rng):
         assert (not any(h.coords_of(c))) == (not any(group.normalize(a)))
 
 
-# Trivial-action nerves, where faces of a word coincide and incidences of
-# 0 and 2 occur: groups of order at most 4, each with its top degree.
-NERVES = [GroupNerve(cyclic_table(1), 4), GroupNerve(cyclic_table(2), 4),
-          GroupNerve(cyclic_table(3), 4), GroupNerve(cyclic_table(4), 4),
-          GroupNerve(direct_product(cyclic_table(2), cyclic_table(2)), 4)]
+# Groups of order at most 4, with the normalized nerve and the unnormalized
+# reference nerve of each to top degree 4.  Faces of a word coincide in
+# both, and their incidences sum to 0 or 2.
+NERVE_GROUPS = [cyclic_table(1), cyclic_table(2), cyclic_table(3), cyclic_table(4),
+                direct_product(cyclic_table(2), cyclic_table(2))]
+NERVES = ([GroupNerve(h, 4) for h in NERVE_GROUPS]
+          + [UnnormalizedNerve(h, 4) for h in NERVE_GROUPS])
 SUSPENDED_TORUS5 = suspension(build_complex_from_facets(25, grid_torus_facets(5)))
+
+
+@settings(max_examples=100)
+@given(st.one_of(sites(), st.sampled_from(NERVES)))
+def test_face_rows_are_signed_and_distinct(x):
+    # Every reader takes a row's incidences as given: positions in a row
+    # are distinct and incidences nonzero, and on a site entry j is
+    # (face j, (-1)^j), which the triangle reads of liftgerbe rely on.
+    for p in range(x.dim + 1):
+        for cell, row in zip(x.cells(p), x.faces(p)):
+            assert len({f for f, _ in row}) == len(row)
+            assert all(v for _, v in row)
+            if not isinstance(x, GroupNerve):
+                assert row == tuple((x.cell_index(p - 1, cell[:j] + cell[j + 1:]), (-1) ** j)
+                                    for j in range(p + 1) if p)
 
 
 @settings(max_examples=60, deadline=None)
