@@ -24,7 +24,8 @@ when a caller needs one.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+import operator
+from collections import Counter, deque
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from math import gcd
@@ -84,7 +85,10 @@ class SimplicialComplex(_FaceTable):
     """Simplices grouped by dimension, each a strictly increasing tuple;
     entry j of a face row is (the face without vertex j, (-1)^j).
 
-    Hashed once, on construction: every memo lookup on a site hashes it."""
+    Each check runs on a whole level at once, through its columns (the
+    j-th vertices of its cells); only a level that fails is walked cell by
+    cell, to name the first bad cell.  Hashed once, on construction: every
+    memo lookup on a site hashes it."""
 
     _fields = ("vertex_count", "simplices")
 
@@ -92,33 +96,40 @@ class SimplicialComplex(_FaceTable):
                  simplices: tuple[tuple[tuple[int, ...], ...], ...]):
         if vertex_count <= 0:
             raise ValidationError("vertex_count must be positive")
+        columns = []
         for p, level in enumerate(simplices):
             if tuple(sorted(level)) != tuple(level):
                 raise ValidationError(f"dimension {p} is not lexicographically sorted")
-            for s in level:
-                if len(s) != p + 1:
-                    raise ValidationError(f"simplex {s} listed in dimension {p}")
-                if any(a >= b for a, b in zip(s, s[1:])):
-                    raise ValidationError(f"simplex {s} is not strictly increasing")
-                if s[0] < 0 or s[-1] >= vertex_count:
-                    raise ValidationError(f"simplex {s} has a vertex out of range")
-        index = tuple({s: i for i, s in enumerate(level)} for level in simplices)
-        for v in range(vertex_count):
-            if (v,) not in (index[0] if index else {}):
-                raise ValidationError(f"vertex {v} is missing from the 0-simplices")
+            cols = list(zip(*level)) if set(map(len, level)) == {p + 1} else None
+            if level and (cols is None
+                          or not all(all(map(operator.lt, a, b))
+                                     for a, b in itertools.pairwise(cols))
+                          or min(cols[0]) < 0 or max(cols[-1]) >= vertex_count):
+                for s in level:
+                    if len(s) != p + 1:
+                        raise ValidationError(f"simplex {s} listed in dimension {p}")
+                    if any(a >= b for a, b in zip(s, s[1:])):
+                        raise ValidationError(f"simplex {s} is not strictly increasing")
+                    if s[0] < 0 or s[-1] >= vertex_count:
+                        raise ValidationError(f"simplex {s} has a vertex out of range")
+            columns.append(cols)
+        index = tuple(dict(zip(level, range(len(level)))) for level in simplices)
+        vertices = index[0] if index else {}
+        if len(vertices) != vertex_count:
+            v = next(v for v in range(vertex_count) if (v,) not in vertices)
+            raise ValidationError(f"vertex {v} is missing from the 0-simplices")
         faces = [((),) * len(index[0])]
         for p in range(1, len(index)):
-            rows = []
-            for s in simplices[p]:
-                row = []
-                for j in range(p + 1):
-                    face = s[:j] + s[j + 1:]
-                    if face not in index[p - 1]:
-                        raise ValidationError(
-                            f"complex is not downward closed: face {face} of {s} missing")
-                    row.append((index[p - 1][face], -1 if j & 1 else 1))
-                rows.append(tuple(row))
-            faces.append(tuple(rows))
+            # Column j of ``found``: the position of face j of each p-cell.
+            cols, find = columns[p] or [], index[p - 1].get
+            found = [list(map(find, zip(*cols[:j], *cols[j + 1:]))) for j in range(p + 1)]
+            if any(None in col for col in found):
+                s, face = next((s, s[:j] + s[j + 1:]) for s in simplices[p]
+                               for j in range(p + 1) if s[:j] + s[j + 1:] not in index[p - 1])
+                raise ValidationError(
+                    f"complex is not downward closed: face {face} of {s} missing")
+            faces.append(tuple(zip(*(zip(col, itertools.repeat(-1 if j & 1 else 1))
+                                     for j, col in enumerate(found)))))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "_cells", simplices)
@@ -200,31 +211,38 @@ def build_complex_from_facets(vertex_count: int,
     """Downward closure of the given facets; isolated vertices are allowed.
 
     Every vertex 0..vertex_count-1 becomes a 0-simplex whether or not a
-    facet mentions it.
+    facet mentions it.  The facets are checked all at once; only when that
+    fails are they walked one by one, to name the first bad facet and, in
+    it, the first bad vertex.  The cell budget is checked before any face
+    is listed, and each level of the closure is the set of the facets'
+    vertex combinations of one size.
     """
-    facets = [tuple(f) for f in facets]
-    for fi, f in enumerate(facets):
-        if len(f) == 0:
-            raise ValidationError(f"facet {fi} is empty")
-        for v in f:
-            if not 0 <= v < vertex_count:
-                raise ValidationError(f"facet {fi}: vertex {v} out of range")
-        if len(set(f)) != len(f):
-            dup = next(v for v in f if f.count(v) > 1)
-            raise ValidationError(f"facet {fi}: repeated vertex {dup}")
-    cells = vertex_count + sum((1 << len(f)) - 1 for f in facets)
+    facets = list(map(tuple, facets))
+    sizes = list(map(len, facets))
+    vertices = list(itertools.chain.from_iterable(facets))
+    if not (all(sizes) and list(map(len, map(set, facets))) == sizes
+            and (not vertices or (min(vertices) >= 0 and max(vertices) < vertex_count))):
+        for fi, f in enumerate(facets):
+            if len(f) == 0:
+                raise ValidationError(f"facet {fi} is empty")
+            for v in f:
+                if not 0 <= v < vertex_count:
+                    raise ValidationError(f"facet {fi}: vertex {v} out of range")
+            if len(set(f)) != len(f):
+                counts = Counter(f)
+                dup = next(v for v in f if counts[v] > 1)
+                raise ValidationError(f"facet {fi}: repeated vertex {dup}")
+    cells = vertex_count + sum((1 << n) - 1 for n in sizes)
     if cells > GENERATOR_BUDGET:
         raise BudgetExceededError(
             f"complex may have up to {cells} cells, budget is {GENERATOR_BUDGET}")
-    levels: dict[int, set] = {0: {(v,) for v in range(vertex_count)}}
-    for f in facets:
-        s = tuple(sorted(f))
-        for size in range(1, len(s) + 1):
-            for face in itertools.combinations(s, size):
-                levels.setdefault(size - 1, set()).add(face)
-    top = max(levels)
-    simplices = tuple(tuple(sorted(levels.get(p, ()))) for p in range(top + 1))
-    return SimplicialComplex(vertex_count, simplices)
+    facets = list(map(tuple, map(sorted, facets)))
+    simplices = [tuple(zip(range(vertex_count)))]
+    for size in range(2, max(sizes, default=1) + 1):
+        faces = itertools.chain.from_iterable(
+            map(itertools.combinations, facets, itertools.repeat(size)))
+        simplices.append(tuple(sorted(set(faces))))
+    return SimplicialComplex(vertex_count, tuple(simplices))
 
 
 def suspension(x: SimplicialComplex) -> SimplicialComplex:
@@ -352,7 +370,7 @@ class Cochain(Record):
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain)
@@ -450,10 +468,15 @@ def cech_coboundary(x: SimplicialComplex, p: int, coords: Sequence[int],
     face table applied to the block of each coefficient generator
     (generator-major coordinates).  Entries are not reduced."""
     k = len(x.cells(p))
+    rows = x.faces(p + 1)
     out = []
     for g in range(ngens):
         block = coords[g * k:(g + 1) * k]
-        out += [sum([block[f] * v for f, v in faces]) for faces in x.faces(p + 1)]
+        for faces in rows:
+            acc = 0
+            for f, v in faces:
+                acc += block[f] * v
+            out.append(acc)
     return out
 
 
@@ -551,6 +574,11 @@ class _Reduction:
     p and p+1, ``morse(p)`` is dM_p as dense rows (critical (p+1)-cells x
     critical p-cells), and ``restrict(p)`` and ``extend(p)`` give, per
     p-cell x, column x of R_p and row x of E_p as {critical index: entry}.
+
+    The matching, the count updates it queues and each path sum run inline,
+    with no call per cell; the order of the matching, on which the Morse
+    complex and so the class coordinates depend, is that of
+    ``tests/oracles.ReferenceReduction``, which calls a helper for each.
     """
 
     def __init__(self, x: _FaceTable):
@@ -569,46 +597,52 @@ class _Reduction:
         # Coreduction: a cell whose faces are all gone but one, s, with a
         # unit incidence is matched with s.  When none is left, the first
         # remaining cell of lowest degree, which has no face left, becomes
-        # critical.  ``pairs`` lists (p, s, t, [t : s]) in the order of
-        # removal.
-        left = [[len(row) for row in level] for level in faces]
+        # critical.  Each removal lowers the face count of the cofaces of
+        # the removed cells, in the order they were removed, and queues a
+        # coface left with one face.  ``pairs`` lists (p, s, t, [t : s]) in
+        # the order of removal.
+        left = [list(map(len, level)) for level in faces]
         gone = [bytearray(k) for k in counts]
         queue = deque((p, t) for p in range(1, dim + 1)
                       for t, n in enumerate(left[p]) if n == 1)
         pairs = []
+        npairs = [0] * (dim + 1)
         critical = [[] for _ in counts]
-        restrict = [[{} for _ in range(k)] for k in counts]
-        extend = [[{} for _ in range(k)] for k in counts]
-
-        def remove(p: int, s: int) -> None:
-            if p < dim:
-                above = left[p + 1]
-                for t, _ in cofaces[p][s]:
-                    above[t] -= 1
-                    if above[t] == 1:
-                        queue.append((p + 1, t))
-
-        def drain() -> None:
-            while queue:
+        removed = []
+        scan = pos = 0  # every cell before (scan, pos) is gone
+        while True:
+            for q, c in removed:
+                if q < dim:
+                    above = left[q + 1]
+                    for u, _ in cofaces[q][c]:
+                        above[u] -= 1
+                        if above[u] == 1:
+                            queue.append((q + 1, u))
+            removed.clear()
+            if queue:
                 p, t = queue.popleft()
                 if gone[p][t] or left[p][t] != 1:
                     continue
-                s, v = next((f, v) for f, v in faces[p][t] if not gone[p - 1][f])
-                if v in (1, -1):
-                    gone[p - 1][s] = gone[p][t] = 1
+                lower = gone[p - 1]
+                for s, v in faces[p][t]:
+                    if not lower[s]:
+                        break
+                if v == 1 or v == -1:
+                    lower[s] = gone[p][t] = 1
                     pairs.append((p - 1, s, t, v))
-                    remove(p - 1, s)
-                    remove(p, t)
-
-        drain()
-        for p, k in enumerate(counts):
-            for s in range(k):
-                if not gone[p][s]:
-                    gone[p][s] = 1
-                    restrict[p][s] = extend[p][s] = {len(critical[p]): 1}
-                    critical[p].append(s)
-                    remove(p, s)
-                    drain()
+                    npairs[p - 1] += 1
+                    removed += (p - 1, s), (p, t)
+                continue
+            while scan <= dim:
+                pos = gone[scan].find(0, pos)
+                if pos >= 0:
+                    break
+                scan, pos = scan + 1, 0
+            else:
+                break
+            gone[scan][pos] = 1
+            critical[scan].append(pos)
+            removed.append((scan, pos))
         _check_coboundary_budget([len(c) for c in critical])
 
         # Path sums.  Column x of R is x for a critical x, 0 for a cell
@@ -617,10 +651,35 @@ class _Reduction:
         # after t.  Row x of E is x for a critical x, 0 for a cell matched
         # down, and for s matched up with t: -[t:s] times the sum of
         # [t:s'] E(s') over the other faces s' of t, all removed before s.
+        # Each sum is sparse, {critical index: entry} with no zero entry,
+        # and skips the neighbours with an empty sum; the cells whose sum is
+        # empty, among them all cells matched the other way, share one
+        # empty dict.
+        restrict = [[{}] * k for k in counts]
+        extend = [[{}] * k for k in counts]
+        for p, crit in enumerate(critical):
+            for i, s in enumerate(crit):
+                restrict[p][s] = extend[p][s] = {i: 1}
         for p, s, t, v in pairs:
-            extend[p][s] = _path_sum(faces[p + 1][t], s, -v, extend[p])
+            sums, acc = extend[p], {}
+            for n, w in faces[p + 1][t]:
+                b = sums[n]
+                if b and n != s:
+                    w *= -v
+                    for i, a in b.items():
+                        acc[i] = acc.get(i, 0) + w * a
+            if acc:
+                sums[s] = {i: a for i, a in acc.items() if a} if 0 in acc.values() else acc
         for p, s, t, v in reversed(pairs):
-            restrict[p + 1][t] = _path_sum(cofaces[p][s], t, -v, restrict[p + 1])
+            sums, acc = restrict[p + 1], {}
+            for n, w in cofaces[p][s]:
+                b = sums[n]
+                if b and n != t:
+                    w *= -v
+                    for i, a in b.items():
+                        acc[i] = acc.get(i, 0) + w * a
+            if acc:
+                sums[t] = {i: a for i, a in acc.items() if a} if 0 in acc.values() else acc
         morse = []
         for p, crit in enumerate(critical):
             rows = [[0] * len(crit) for _ in critical[p + 1]] if p < dim else []
@@ -630,7 +689,7 @@ class _Reduction:
                         rows[j][i] += w * a
             morse.append(rows)
         self._critical = tuple(tuple(c) for c in critical)
-        self._pairs = tuple(sum(1 for q, *_ in pairs if q == p) for p in range(dim + 1))
+        self._pairs = tuple(npairs)
         self._morse = tuple(morse)
         self._restrict = tuple(restrict)
         self._extend = tuple(extend)
@@ -651,17 +710,6 @@ class _Reduction:
 
     def extend(self, p: int) -> list:
         return self._extend[p] if 0 <= p < len(self._extend) else []
-
-
-def _path_sum(neighbours: Iterable, skip: int, scale: int, sums: list) -> dict:
-    """scale * sum of w * sums[n] over the (n, w) in ``neighbours`` with
-    n != skip, as a sparse {critical index: entry} with no zero entry."""
-    acc = {}
-    for n, w in neighbours:
-        if n != skip:
-            for i, a in sums[n].items():
-                acc[i] = acc.get(i, 0) + scale * w * a
-    return {i: a for i, a in acc.items() if a}
 
 
 @lru_cache(maxsize=256)
@@ -707,7 +755,8 @@ def _through(maps: Sequence[Mapping[int, int]], vectors: Sequence[Sequence[int]]
     by_index = [[(i, v[c]) for i, v in enumerate(vectors) if v[c]]
                 for c in range(len(vectors))]
     out = [[0] * k for _ in vectors]
-    for x, row in enumerate(maps):
+    # Only the cells with a nonzero row, picked out without a step per cell.
+    for x, row in zip(itertools.compress(itertools.count(), maps), filter(None, maps)):
         for c, a in row.items():
             for i, b in by_index[c]:
                 out[i][x] += a * b

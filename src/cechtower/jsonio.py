@@ -7,6 +7,8 @@ schemas (round-trip property).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from cechtower.abelian import FgAbGroup, Homomorphism
 from cechtower.cochain import (
     Cochain,
@@ -96,14 +98,19 @@ def homomorphism_to_doc(h: Homomorphism) -> dict:
 
 
 def parse_complex(doc: object, path: str) -> SimplicialComplex:
+    """A site from its vertex count and facets.  Every facet entry is
+    type-checked in one pass; only when that fails are the entries walked
+    one by one, to name the path of the first bad node."""
     d = _expect_dict(doc, path)
     vc = _expect_int(_get(d, "vertex_count", path), f"{path}.vertex_count")
-    facets_doc = _expect_list(_get(d, "facets", path), f"{path}.facets")
-    facets = []
-    for i, f in enumerate(facets_doc):
-        fl = _expect_list(f, f"{path}.facets[{i}]")
-        facets.append([_expect_int(v, f"{path}.facets[{i}][{j}]")
-                       for j, v in enumerate(fl)])
+    facets = _expect_list(_get(d, "facets", path), f"{path}.facets")
+    if not ({list}.issuperset(map(type, facets))
+            and {int}.issuperset(map(type, chain.from_iterable(facets)))):
+        for i, f in enumerate(facets):
+            for j, v in enumerate(_expect_list(f, f"{path}.facets[{i}]")):
+                _expect_int(v, f"{path}.facets[{i}][{j}]")
+    if vc <= 0:
+        raise SchemaError(f"{path}.vertex_count", "vertex_count must be positive")
     try:
         return build_complex_from_facets(vc, facets)
     except ValidationError as e:

@@ -4,8 +4,13 @@ Nothing here touches the package's SNF/lattice path: determinants come
 from fraction-free elimination, cohomology from exhaustive enumeration
 with the group structure reconstructed by order counting, solves from
 brute-force search.  These are the second route of every dual-route check.
-Seven exceptions are earlier versions kept as references for the ones the
-package uses now: ``reference_bar_differential``, the dense unnormalized
+Ten exceptions are earlier versions kept as references for the ones the
+package uses now: ``reference_site``, ``reference_simplices`` and
+``reference_parse_complex``, a site built, checked and parsed cell by cell
+and entry by entry, and ``ReferenceReduction``, the coreduction with a
+helper call per queue update and per path sum, which the passes over whole
+levels must reproduce in cells, face rows, error messages, matching and
+path sums; ``reference_bar_differential``, the dense unnormalized
 bar differential the bar complex once stored, which the face table of the
 group's nerve and its twisted face 0 must reproduce entry for entry on the
 words with no identity letter; ``UnnormalizedNerve``, the nerve with every
@@ -27,6 +32,7 @@ elementary pieces must match group for group.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from math import gcd
 
 from cechtower import _intlin
@@ -39,8 +45,10 @@ from cechtower.abelian import (
     presentation_group,
 )
 from cechtower.cochain import (
+    GENERATOR_BUDGET,
     CochainComplex,
     GroupNerve,
+    _check_coboundary_budget,
     _coboundary_rows,
     _IntegralDegree,
     bar_complex,
@@ -48,7 +56,7 @@ from cechtower.cochain import (
     cech_complex,
     check_dense_budget,
 )
-from cechtower.errors import VerificationError
+from cechtower.errors import BudgetExceededError, SchemaError, ValidationError, VerificationError
 from cechtower.spectral import SpectralTerms
 
 
@@ -594,6 +602,199 @@ def reference_integral_degree(x, p: int) -> _IntegralDegree:
     image_rows = [reference_pull_back(x, p, row) for row in res.Vinv[res.rank:]]
     pres = _intlin.present_cokernel(free, [list(col) for col in zip(*image_rows)])
     return _IntegralDegree(res.diag[:res.rank], res.V_cols, res.Vinv, pres)
+
+
+# Sites and their coreduction cell by cell, as the package built them before
+# each pass ran over whole levels at once: the references
+# `cechtower.cochain.build_complex_from_facets`, `SimplicialComplex` and
+# `_Reduction` must agree with, in cells, face rows, error messages, the
+# matching and its path sums.
+
+def reference_simplices(vertex_count: int, simplices) -> tuple:
+    """``SimplicialComplex``'s checks, cell by cell and in its order, and
+    its face table: (index, faces), one dict and one tuple of signed face
+    rows per degree."""
+    if vertex_count <= 0:
+        raise ValidationError("vertex_count must be positive")
+    for p, level in enumerate(simplices):
+        if tuple(sorted(level)) != tuple(level):
+            raise ValidationError(f"dimension {p} is not lexicographically sorted")
+        for s in level:
+            if len(s) != p + 1:
+                raise ValidationError(f"simplex {s} listed in dimension {p}")
+            if any(a >= b for a, b in zip(s, s[1:])):
+                raise ValidationError(f"simplex {s} is not strictly increasing")
+            if s[0] < 0 or s[-1] >= vertex_count:
+                raise ValidationError(f"simplex {s} has a vertex out of range")
+    index = tuple({s: i for i, s in enumerate(level)} for level in simplices)
+    for v in range(vertex_count):
+        if (v,) not in (index[0] if index else {}):
+            raise ValidationError(f"vertex {v} is missing from the 0-simplices")
+    faces = [((),) * len(index[0])]
+    for p in range(1, len(index)):
+        rows = []
+        for s in simplices[p]:
+            row = []
+            for j in range(p + 1):
+                face = s[:j] + s[j + 1:]
+                if face not in index[p - 1]:
+                    raise ValidationError(
+                        f"complex is not downward closed: face {face} of {s} missing")
+                row.append((index[p - 1][face], -1 if j & 1 else 1))
+            rows.append(tuple(row))
+        faces.append(tuple(rows))
+    return index, tuple(faces)
+
+
+def reference_site(vertex_count: int, facets) -> tuple:
+    """``build_complex_from_facets`` facet by facet and face by face, with
+    the same checks and messages: (simplices, index, faces)."""
+    facets = [tuple(f) for f in facets]
+    for fi, f in enumerate(facets):
+        if len(f) == 0:
+            raise ValidationError(f"facet {fi} is empty")
+        for v in f:
+            if not 0 <= v < vertex_count:
+                raise ValidationError(f"facet {fi}: vertex {v} out of range")
+        if len(set(f)) != len(f):
+            dup = next(v for v in f if f.count(v) > 1)
+            raise ValidationError(f"facet {fi}: repeated vertex {dup}")
+    cells = vertex_count + sum((1 << len(f)) - 1 for f in facets)
+    if cells > GENERATOR_BUDGET:
+        raise BudgetExceededError(
+            f"complex may have up to {cells} cells, budget is {GENERATOR_BUDGET}")
+    levels: dict[int, set] = {0: {(v,) for v in range(vertex_count)}}
+    for f in facets:
+        s = tuple(sorted(f))
+        for size in range(1, len(s) + 1):
+            for face in itertools.combinations(s, size):
+                levels.setdefault(size - 1, set()).add(face)
+    top = max(levels)
+    simplices = tuple(tuple(sorted(levels.get(p, ()))) for p in range(top + 1))
+    return (simplices, *reference_simplices(vertex_count, simplices))
+
+
+def reference_parse_complex(doc: dict, path: str) -> tuple:
+    """``jsonio.parse_complex`` on a document with both fields, checking
+    each facet entry on its own path: ``reference_site`` of the result."""
+    vc = doc["vertex_count"]
+    facets = []
+    for i, f in enumerate(doc["facets"]):
+        if not isinstance(f, list):
+            raise SchemaError(f"{path}.facets[{i}]", "expected an array")
+        for j, v in enumerate(f):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise SchemaError(f"{path}.facets[{i}][{j}]", "expected an integer")
+        facets.append(list(f))
+    if vc <= 0:
+        raise SchemaError(f"{path}.vertex_count", "vertex_count must be positive")
+    try:
+        return reference_site(vc, facets)
+    except ValidationError as e:
+        raise SchemaError(f"{path}.facets", str(e)) from None
+
+
+class ReferenceReduction:
+    """``cechtower.cochain._Reduction`` with a helper per queue update and
+    per path sum: the same matching in the same order, the same critical
+    cells, Morse coboundaries and maps R and E."""
+
+    def __init__(self, x):
+        dim = x.dim
+        counts = [len(x.cells(p)) for p in range(dim + 1)]
+        faces = [x.faces(p) for p in range(dim + 1)]
+        cofaces = [[[] for _ in range(k)] for k in counts]
+        for p in range(1, dim + 1):
+            below = cofaces[p - 1]
+            for t, row in enumerate(faces[p]):
+                for f, v in row:
+                    below[f].append((t, v))
+
+        left = [[len(row) for row in level] for level in faces]
+        gone = [bytearray(k) for k in counts]
+        queue = deque((p, t) for p in range(1, dim + 1)
+                      for t, n in enumerate(left[p]) if n == 1)
+        pairs = []
+        critical = [[] for _ in counts]
+        restrict = [[{} for _ in range(k)] for k in counts]
+        extend = [[{} for _ in range(k)] for k in counts]
+
+        def remove(p: int, s: int) -> None:
+            if p < dim:
+                above = left[p + 1]
+                for t, _ in cofaces[p][s]:
+                    above[t] -= 1
+                    if above[t] == 1:
+                        queue.append((p + 1, t))
+
+        def drain() -> None:
+            while queue:
+                p, t = queue.popleft()
+                if gone[p][t] or left[p][t] != 1:
+                    continue
+                s, v = next((f, v) for f, v in faces[p][t] if not gone[p - 1][f])
+                if v in (1, -1):
+                    gone[p - 1][s] = gone[p][t] = 1
+                    pairs.append((p - 1, s, t, v))
+                    remove(p - 1, s)
+                    remove(p, t)
+
+        drain()
+        for p, k in enumerate(counts):
+            for s in range(k):
+                if not gone[p][s]:
+                    gone[p][s] = 1
+                    restrict[p][s] = extend[p][s] = {len(critical[p]): 1}
+                    critical[p].append(s)
+                    remove(p, s)
+                    drain()
+        _check_coboundary_budget([len(c) for c in critical])
+
+        for p, s, t, v in pairs:
+            extend[p][s] = _path_sum(faces[p + 1][t], s, -v, extend[p])
+        for p, s, t, v in reversed(pairs):
+            restrict[p + 1][t] = _path_sum(cofaces[p][s], t, -v, restrict[p + 1])
+        morse = []
+        for p, crit in enumerate(critical):
+            rows = [[0] * len(crit) for _ in critical[p + 1]] if p < dim else []
+            for i, s in enumerate(crit):
+                for t, w in cofaces[p][s]:
+                    for j, a in restrict[p + 1][t].items():
+                        rows[j][i] += w * a
+            morse.append(rows)
+        self._critical = tuple(tuple(c) for c in critical)
+        self._pairs = tuple(sum(1 for q, *_ in pairs if q == p) for p in range(dim + 1))
+        self._morse = tuple(morse)
+        self._restrict = tuple(restrict)
+        self._extend = tuple(extend)
+
+    def critical(self, p: int) -> tuple[int, ...]:
+        return self._critical[p] if 0 <= p < len(self._critical) else ()
+
+    def pairs(self, p: int) -> int:
+        return self._pairs[p] if 0 <= p < len(self._pairs) else 0
+
+    def morse(self, p: int) -> list:
+        if 0 <= p < len(self._morse):
+            return self._morse[p]
+        return [[] for _ in self.critical(p + 1)]
+
+    def restrict(self, p: int) -> list:
+        return self._restrict[p] if 0 <= p < len(self._restrict) else []
+
+    def extend(self, p: int) -> list:
+        return self._extend[p] if 0 <= p < len(self._extend) else []
+
+
+def _path_sum(neighbours, skip: int, scale: int, sums: list) -> dict:
+    """scale * sum of w * sums[n] over the (n, w) in ``neighbours`` with
+    n != skip, as a sparse {critical index: entry} with no zero entry."""
+    acc = {}
+    for n, w in neighbours:
+        if n != skip:
+            for i, a in sums[n].items():
+                acc[i] = acc.get(i, 0) + scale * w * a
+    return {i: a for i, a in acc.items() if a}
 
 
 # The spectral terms from their membership definitions, solved in the total

@@ -45,6 +45,18 @@ def run_cli(args, payload, **kwargs):
     return proc
 
 
+# Runs ``cechtower.cli.main`` on argv[1:], then writes the seconds the call
+# took to stderr and exits with its code.
+TIMED_CLI = """
+import sys, time
+from cechtower import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
 def _cap_address_space():
     cap = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -76,6 +88,30 @@ class TestCohomologyCommand:
         assert proc.returncode == 2
         assert b"payload.complex.facets" in proc.stderr
         assert b"repeated vertex 0" in proc.stderr
+
+    @pytest.mark.parametrize("vertex_count", [0, -3])
+    def test_non_positive_vertex_count_exits_2_with_path(self, vertex_count):
+        payload = {"complex": {"vertex_count": vertex_count, "facets": []},
+                   "group": Z2_DOC, "degree": "all"}
+        proc = run_cli(["cohomology"], payload)
+        assert proc.returncode == 2
+        assert proc.stderr == (b"error: payload.complex.vertex_count: "
+                               b"vertex_count must be positive\n")
+
+    def test_repeated_vertex_named_within_seconds(self):
+        # One facet of 40,000 vertices whose last one repeats: counting the
+        # vertex anew at every vertex would take quadratic time, and the
+        # cell budget, which would refuse the facet, is checked after it.
+        n = 40_000
+        payload = {"complex": {"vertex_count": n, "facets": [list(range(n - 1)) + [n - 2]]},
+                   "group": Z2_DOC, "degree": "all"}
+        proc = subprocess.run(
+            [sys.executable, "-c", TIMED_CLI, "cohomology"], input=json.dumps(payload).encode(),
+            capture_output=True, timeout=60, preexec_fn=_cap_address_space)
+        assert proc.returncode == 2
+        message, seconds = proc.stderr.decode().splitlines()
+        assert message == f"error: payload.complex.facets: facet 0: repeated vertex {n - 2}"
+        assert float(seconds) < 2.0
 
     def test_mixed_coefficients_on_the_17x17_torus(self):
         # Once refused (exit 4) for a dense coboundary of 1734 x 2601 entries

@@ -34,6 +34,7 @@ from cechtower.cochain import (
     Cochain,
     CochainComplex,
     GroupNerve,
+    SimplicialComplex,
     _integral_degree,
     _lattice_presentation,
     _reduction,
@@ -47,18 +48,27 @@ from cechtower.cochain import (
     suspension,
     trivial_action,
 )
+from cechtower.errors import BudgetExceededError, ValidationError
 from cechtower.liftgerbe import cyclic_table, direct_product, symmetric_group
 
 from .conftest import RP2_FACETS, grid_torus_facets
-from .oracles import UnnormalizedNerve, brute_cohomology, reference_integral_degree
+from .oracles import (
+    ReferenceReduction,
+    UnnormalizedNerve,
+    brute_cohomology,
+    reference_integral_degree,
+    reference_simplices,
+    reference_site,
+)
 
 ORDERS = (2, 3, 4, 6, 8, 9, 12)
 BRUTE_BUDGET = 1 << 12
 
 
 @st.composite
-def sites(draw):
-    """Up to 7 vertices, 1-6 random facets of 1-4 vertices.
+def facet_lists(draw):
+    """(vertex count, facets): up to 7 vertices, 1-6 random facets of 1-4
+    vertices.
 
     Half the draws add the facets to the projective plane on vertices 0-5,
     since small random complexes almost never have torsion in integral
@@ -67,8 +77,13 @@ def sites(draw):
     base = draw(st.sampled_from([[], RP2_FACETS]))
     n = draw(st.integers(6 if base else 1, 7))
     facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
-    return build_complex_from_facets(
-        n, base + draw(st.lists(facet, min_size=1, max_size=6)))
+    return n, base + draw(st.lists(facet, min_size=1, max_size=6))
+
+
+@st.composite
+def sites(draw):
+    """The site of a draw of ``facet_lists``."""
+    return build_complex_from_facets(*draw(facet_lists()))
 
 
 @st.composite
@@ -252,6 +267,97 @@ def test_face_rows_are_signed_and_distinct(x):
             if not isinstance(x, GroupNerve):
                 assert row == tuple((x.cell_index(p - 1, cell[:j] + cell[j + 1:]), (-1) ** j)
                                     for j in range(p + 1) if p)
+
+
+@settings(max_examples=100)
+@given(st.one_of(facet_lists(),
+                 st.just((SUSPENDED_TORUS5.vertex_count, SUSPENDED_TORUS5.facets()))))
+def test_sites_match_the_cell_by_cell_reference(site):
+    # The closure, the checks and the face rows run over whole levels at
+    # once; the reference builds them cell by cell.
+    n, facets = site
+    x = build_complex_from_facets(n, facets)
+    simplices, index, faces = reference_site(n, facets)
+    assert x.simplices == simplices
+    assert tuple(x.cell_indices(p) for p in range(x.dim + 1)) == index
+    assert tuple(x.faces(p) for p in range(x.dim + 1)) == faces
+    assert hash(x) == hash((n, simplices))
+
+
+def _outcome(build, *args):
+    """What ``build(*args)`` raises, as (class name, message), or None."""
+    try:
+        build(*args)
+    except (ValidationError, BudgetExceededError) as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+@settings(max_examples=200)
+@given(st.integers(-1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(-2, max(n, 0) + 1), max_size=5), min_size=1, max_size=5))))
+def test_malformed_facets_fail_as_the_reference_does(site):
+    # Empty facets, vertices out of range and repeated vertices: the check
+    # of every facet at once must name the same first bad facet and vertex.
+    n, facets = site
+    outcome = _outcome(build_complex_from_facets, n, facets)
+    assert outcome == _outcome(reference_site, n, facets)
+    if outcome is None:
+        assert build_complex_from_facets(n, facets).simplices == reference_site(n, facets)[0]
+
+
+@settings(max_examples=200)
+@given(sites(), st.randoms(use_true_random=False))
+def test_malformed_simplices_fail_as_the_reference_does(x, rng):
+    # One level of a valid site with a cell dropped, replaced or inserted:
+    # unsorted levels, cells of the wrong length, not strictly increasing or
+    # out of range, missing vertices and missing faces are named as the
+    # cell-by-cell reference names them.
+    levels = [list(level) for level in x.simplices]
+    p = rng.randrange(len(levels))
+    level = levels[p]
+    size = p + 1 if rng.random() < 0.7 else rng.randint(1, 4)
+    cell = rng.sample(range(-1, x.vertex_count + 1), min(size, x.vertex_count + 2))
+    cell = tuple(sorted(cell) if rng.random() < 0.7 else cell)
+    i = rng.randrange(len(level) + 1)
+    edit = rng.choice(["drop", "replace", "insert", "insert_sorted"])
+    if edit == "drop" and i < len(level):
+        del level[i]
+    elif edit == "replace" and i < len(level):
+        level[i] = cell
+    elif edit == "insert_sorted":
+        level.append(cell)
+        level.sort()
+    else:
+        level.insert(i, cell)
+    simplices = tuple(map(tuple, levels))
+    outcome = _outcome(SimplicialComplex, x.vertex_count, simplices)
+    assert outcome == _outcome(reference_simplices, x.vertex_count, simplices)
+    if outcome is None:
+        y = SimplicialComplex(x.vertex_count, simplices)
+        index, faces = reference_simplices(x.vertex_count, simplices)
+        assert tuple(y.faces(p) for p in range(y.dim + 1)) == faces
+        assert tuple(y.cell_indices(p) for p in range(y.dim + 1)) == index
+
+
+# Nerves in which some path sum of E cancels to zero in an entry.
+CANCELLING_NERVES = [GroupNerve(symmetric_group(3), 4), GroupNerve(cyclic_table(5), 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sites(), st.sampled_from(NERVES + CANCELLING_NERVES + [SUSPENDED_TORUS5])))
+def test_coreduction_matches_the_reference(x):
+    # The coreduction with its queue updates and path sums inline against
+    # the one with a helper call for each: the same matching, in the same
+    # order, so the same critical cells, Morse coboundaries, R and E, with
+    # no zero entry in a path sum.
+    red, ref = cochain._Reduction(x), ReferenceReduction(x)
+    for p in range(-1, x.dim + 2):
+        assert red.critical(p) == ref.critical(p)
+        assert red.pairs(p) == ref.pairs(p)
+        assert red.morse(p) == ref.morse(p)
+        assert red.restrict(p) == ref.restrict(p)
+        assert red.extend(p) == ref.extend(p)
 
 
 @settings(max_examples=60, deadline=None)
