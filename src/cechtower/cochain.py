@@ -2,11 +2,13 @@
 complexes.
 
 A site is the nerve of a covering family: vertices are cover indices and a
-p-simplex records a nonempty (p+1)-fold intersection.  Cochains live on
-strictly increasing vertex tuples with the alternating-sign coboundary;
-coefficients are constant (one finitely generated abelian group).  The bar
-complex of a finite group is the cochain complex of the group's nerve,
-whose face 0 an action may twist.
+p-simplex records a nonempty (p+1)-fold intersection.  Its facets, the
+maximal intersections, determine it, and ``SimplicialComplex(vertex_count,
+facets)`` is the one way to build one.  Cochains live on strictly
+increasing vertex tuples with the alternating-sign coboundary; coefficients
+are constant (one finitely generated abelian group).  The bar complex of a
+finite group is the cochain complex of the group's nerve, whose face 0 an
+action may twist.
 
 Coordinate layout of a cochain group C^p = L^k (k cells in degree p):
 generator-major, i.e. coordinate g*k + s holds the g-th L-coordinate of
@@ -24,7 +26,6 @@ when a caller needs one.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
@@ -62,7 +63,11 @@ DEGREE_BUDGET = 1 << 12
 class _FaceTable(Record):
     """Cells by degree, their positions and their face table, read the same
     way on a site and on the nerve of a group.  Degrees outside 0..dim have
-    no cells."""
+    no cells.  Hashed once, on construction: every memo lookup on a site or
+    nerve hashes it."""
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -82,77 +87,76 @@ class _FaceTable(Record):
 
 
 class SimplicialComplex(_FaceTable):
-    """Simplices grouped by dimension, each a strictly increasing tuple;
-    entry j of a face row is (the face without vertex j, (-1)^j).
+    """The downward closure of ``facets`` on the vertices
+    0..vertex_count-1, each of which is a 0-simplex whether or not a facet
+    mentions it.  Cells are strictly increasing tuples, grouped by dimension
+    in ``simplices``; entry j of a face row is (the face without vertex j,
+    (-1)^j).
 
-    Each check runs on a whole level at once, through its columns (the
-    j-th vertices of its cells); only a level that fails is walked cell by
-    cell, to name the first bad cell.  Hashed once, on construction: every
-    memo lookup on a site hashes it."""
+    The facets are checked all at once; only when that fails are they
+    walked one by one, to name the first bad facet and, in it, the first bad
+    vertex.  The cell budget is checked before any face is listed.  Each
+    level of the closure is the sorted set of the facets' vertex
+    combinations of one size, so it is sorted, free of repeats and downward
+    closed as built, and every face is found with one dictionary lookup.
 
-    _fields = ("vertex_count", "simplices")
+    A site is its facets: the ``facets`` field holds the maximal simplices,
+    ordered by dimension then lexicographically, so facet lists with the
+    same closure give equal sites with equal hashes."""
 
-    def __init__(self, vertex_count: int,
-                 simplices: tuple[tuple[tuple[int, ...], ...], ...]):
+    _fields = ("vertex_count", "facets")
+
+    def __init__(self, vertex_count: int, facets: Iterable[Sequence[int]]):
+        facets = list(map(tuple, facets))
+        sizes = list(map(len, facets))
+        vertices = list(itertools.chain.from_iterable(facets))
+        if not (all(sizes) and list(map(len, map(set, facets))) == sizes
+                and (not vertices or (min(vertices) >= 0 and max(vertices) < vertex_count))):
+            for fi, f in enumerate(facets):
+                if len(f) == 0:
+                    raise ValidationError(f"facet {fi} is empty")
+                for v in f:
+                    if not 0 <= v < vertex_count:
+                        raise ValidationError(f"facet {fi}: vertex {v} out of range")
+                if len(set(f)) != len(f):
+                    counts = Counter(f)
+                    dup = next(v for v in f if counts[v] > 1)
+                    raise ValidationError(f"facet {fi}: repeated vertex {dup}")
         if vertex_count <= 0:
             raise ValidationError("vertex_count must be positive")
-        columns = []
-        for p, level in enumerate(simplices):
-            if tuple(sorted(level)) != tuple(level):
-                raise ValidationError(f"dimension {p} is not lexicographically sorted")
-            cols = list(zip(*level)) if set(map(len, level)) == {p + 1} else None
-            if level and (cols is None
-                          or not all(all(map(operator.lt, a, b))
-                                     for a, b in itertools.pairwise(cols))
-                          or min(cols[0]) < 0 or max(cols[-1]) >= vertex_count):
-                for s in level:
-                    if len(s) != p + 1:
-                        raise ValidationError(f"simplex {s} listed in dimension {p}")
-                    if any(a >= b for a, b in zip(s, s[1:])):
-                        raise ValidationError(f"simplex {s} is not strictly increasing")
-                    if s[0] < 0 or s[-1] >= vertex_count:
-                        raise ValidationError(f"simplex {s} has a vertex out of range")
-            columns.append(cols)
+        cells = vertex_count + sum((1 << n) - 1 for n in sizes)
+        if cells > GENERATOR_BUDGET:
+            raise BudgetExceededError(
+                f"complex may have up to {cells} cells, budget is {GENERATOR_BUDGET}")
+        facets = list(map(tuple, map(sorted, facets)))
+        simplices = [tuple(zip(range(vertex_count)))]
+        for size in range(2, max(sizes, default=1) + 1):
+            combos = itertools.chain.from_iterable(
+                map(itertools.combinations, facets, itertools.repeat(size)))
+            simplices.append(tuple(sorted(set(combos))))
         index = tuple(dict(zip(level, range(len(level)))) for level in simplices)
-        vertices = index[0] if index else {}
-        if len(vertices) != vertex_count:
-            v = next(v for v in range(vertex_count) if (v,) not in vertices)
-            raise ValidationError(f"vertex {v} is missing from the 0-simplices")
-        faces = [((),) * len(index[0])]
-        for p in range(1, len(index)):
-            # Column j of ``found``: the position of face j of each p-cell.
-            cols, find = columns[p] or [], index[p - 1].get
+        faces, maximal = [((),) * vertex_count], []
+        for p in range(1, len(simplices)):
+            # Column j of ``found``: the position of face j of each p-cell;
+            # the (p-1)-cells at no position are maximal.
+            cols, find = list(zip(*simplices[p])), index[p - 1].__getitem__
             found = [list(map(find, zip(*cols[:j], *cols[j + 1:]))) for j in range(p + 1)]
-            if any(None in col for col in found):
-                s, face = next((s, s[:j] + s[j + 1:]) for s in simplices[p]
-                               for j in range(p + 1) if s[:j] + s[j + 1:] not in index[p - 1])
-                raise ValidationError(
-                    f"complex is not downward closed: face {face} of {s} missing")
+            below, covered = simplices[p - 1], set().union(*found)
+            maximal += map(below.__getitem__,
+                           itertools.filterfalse(covered.__contains__, range(len(below))))
             faces.append(tuple(zip(*(zip(col, itertools.repeat(-1 if j & 1 else 1))
                                      for j, col in enumerate(found)))))
+        maximal += simplices[-1]
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "simplices", simplices)
-        object.__setattr__(self, "_cells", simplices)
+        object.__setattr__(self, "facets", tuple(maximal))
+        object.__setattr__(self, "simplices", tuple(simplices))
+        object.__setattr__(self, "_cells", self.simplices)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_faces", tuple(faces))
-        object.__setattr__(self, "_hash", hash((vertex_count, simplices)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def cell_index(self, p: int, s: tuple[int, ...]) -> int:
-        return self._index[p][s]
+        object.__setattr__(self, "_hash", hash((vertex_count, self.facets)))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(level) for p, level in enumerate(self.simplices))
-
-    def facets(self) -> tuple[tuple[int, ...], ...]:
-        """Maximal simplices, ordered by dimension then lexicographically."""
-        out = []
-        for p, level in enumerate(self.simplices):
-            covered = {f for row in self.faces(p + 1) for f, _ in row}
-            out.extend(s for i, s in enumerate(level) if i not in covered)
-        return tuple(out)
 
 
 class GroupNerve(_FaceTable):
@@ -165,7 +169,7 @@ class GroupNerve(_FaceTable):
     w[p-1], with incidence (-1)^j; coinciding faces are summed.  A
     negative ``top``, degrees 0..top past ``DEGREE_BUDGET``, and more than
     ``GENERATOR_BUDGET`` words in the top degree are refused before any
-    word is listed.  Hashed once, on construction."""
+    word is listed."""
 
     _fields = ("group", "top")
 
@@ -202,58 +206,16 @@ class GroupNerve(_FaceTable):
         object.__setattr__(self, "_faces", tuple(faces))
         object.__setattr__(self, "_hash", hash((group, top)))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-
-def build_complex_from_facets(vertex_count: int,
-                              facets: Iterable[Sequence[int]]) -> SimplicialComplex:
-    """Downward closure of the given facets; isolated vertices are allowed.
-
-    Every vertex 0..vertex_count-1 becomes a 0-simplex whether or not a
-    facet mentions it.  The facets are checked all at once; only when that
-    fails are they walked one by one, to name the first bad facet and, in
-    it, the first bad vertex.  The cell budget is checked before any face
-    is listed, and each level of the closure is the set of the facets'
-    vertex combinations of one size.
-    """
-    facets = list(map(tuple, facets))
-    sizes = list(map(len, facets))
-    vertices = list(itertools.chain.from_iterable(facets))
-    if not (all(sizes) and list(map(len, map(set, facets))) == sizes
-            and (not vertices or (min(vertices) >= 0 and max(vertices) < vertex_count))):
-        for fi, f in enumerate(facets):
-            if len(f) == 0:
-                raise ValidationError(f"facet {fi} is empty")
-            for v in f:
-                if not 0 <= v < vertex_count:
-                    raise ValidationError(f"facet {fi}: vertex {v} out of range")
-            if len(set(f)) != len(f):
-                counts = Counter(f)
-                dup = next(v for v in f if counts[v] > 1)
-                raise ValidationError(f"facet {fi}: repeated vertex {dup}")
-    cells = vertex_count + sum((1 << n) - 1 for n in sizes)
-    if cells > GENERATOR_BUDGET:
-        raise BudgetExceededError(
-            f"complex may have up to {cells} cells, budget is {GENERATOR_BUDGET}")
-    facets = list(map(tuple, map(sorted, facets)))
-    simplices = [tuple(zip(range(vertex_count)))]
-    for size in range(2, max(sizes, default=1) + 1):
-        faces = itertools.chain.from_iterable(
-            map(itertools.combinations, facets, itertools.repeat(size)))
-        simplices.append(tuple(sorted(set(faces))))
-    return SimplicialComplex(vertex_count, tuple(simplices))
-
 
 def suspension(x: SimplicialComplex) -> SimplicialComplex:
     """Join with two new apex vertices (placed after the existing ones)."""
     a = x.vertex_count
     b = x.vertex_count + 1
     new_facets = []
-    for f in x.facets():
+    for f in x.facets:
         new_facets.append(f + (a,))
         new_facets.append(f + (b,))
-    return build_complex_from_facets(x.vertex_count + 2, new_facets)
+    return SimplicialComplex(x.vertex_count + 2, new_facets)
 
 
 def check_degree_bound(top: int) -> None:

@@ -15,7 +15,6 @@ from cechtower.cochain import (
     CochainComplex,
     CohomologyClass,
     SimplicialComplex,
-    build_complex_from_facets,
     cech_complex,
     cochain_from_values,
 )
@@ -112,17 +111,19 @@ def parse_complex(doc: object, path: str) -> SimplicialComplex:
     if vc <= 0:
         raise SchemaError(f"{path}.vertex_count", "vertex_count must be positive")
     try:
-        return build_complex_from_facets(vc, facets)
+        return SimplicialComplex(vc, facets)
     except ValidationError as e:
         raise SchemaError(f"{path}.facets", str(e)) from None
 
 
 def complex_to_doc(x: SimplicialComplex) -> dict:
     return {"vertex_count": x.vertex_count,
-            "facets": [list(f) for f in x.facets()]}
+            "facets": [list(f) for f in x.facets]}
 
 
-def _parse_cell_key(key: str, path: str) -> tuple[int, ...]:
+def _parse_cell_key(key: str, seen: dict, path: str) -> tuple[int, ...]:
+    """The cell a key names, refused when a key before it in ``seen``
+    names the same cell ("0" and "+0", or "0,1" and "0, 1")."""
     try:
         cell = tuple(int(part) for part in key.split(","))
     except ValueError:
@@ -130,6 +131,8 @@ def _parse_cell_key(key: str, path: str) -> tuple[int, ...]:
             from None
     if any(a >= b for a, b in zip(cell, cell[1:])):
         raise SchemaError(path, f"cell key {key!r} is not strictly increasing")
+    if cell in seen:
+        raise SchemaError(path, f"cell key {key!r} names the cell {cell} of an earlier key")
     return cell
 
 
@@ -141,7 +144,7 @@ def parse_cochain(doc: object, complex_: CochainComplex, path: str) -> Cochain:
     values_doc = _expect_dict(_get(d, "values", path), f"{path}.values")
     values = {}
     for key, val in values_doc.items():
-        cell = _parse_cell_key(key, f"{path}.values.{key}")
+        cell = _parse_cell_key(key, values, f"{path}.values.{key}")
         vl = _expect_list(val, f"{path}.values.{key}")
         values[cell] = [_expect_int(v, f"{path}.values.{key}[{j}]")
                         for j, v in enumerate(vl)]
@@ -266,7 +269,7 @@ def parse_transition(doc: object, site: SimplicialComplex, quotient: FiniteGroup
     d = _expect_dict(doc, path)
     labels = {}
     for key, val in d.items():
-        cell = _parse_cell_key(key, f"{path}.{key}")
+        cell = _parse_cell_key(key, labels, f"{path}.{key}")
         if len(cell) != 2:
             raise SchemaError(f"{path}.{key}", "edge keys must have two vertices")
         labels[cell] = _expect_int(val, f"{path}.{key}")

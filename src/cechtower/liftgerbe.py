@@ -286,8 +286,8 @@ class TransitionCocycle(Record):
 
     def value_on(self, i: int, j: int) -> int:
         if i < j:
-            return self.values[self.site.cell_index(1, (i, j))]
-        return self.quotient.inv(self.values[self.site.cell_index(1, (j, i))])
+            return self.values[self.site.cell_indices(1)[(i, j)]]
+        return self.quotient.inv(self.values[self.site.cell_indices(1)[(j, i)]])
 
 
 def transition_from_values(site: SimplicialComplex, quotient: FiniteGroup,

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 import cechtower
 from cechtower.abelian import Homomorphism, cyclic_group, free_group
-from cechtower.cochain import build_complex_from_facets, suspension
+from cechtower.cochain import SimplicialComplex, suspension
 from cechtower.exactseq import validate_ses
 
 # CLI tests start `python -m cechtower.cli` in a subprocess; let it import
@@ -45,32 +45,32 @@ def grid_torus_facets(n: int) -> list[tuple[int, ...]]:
 
 @pytest.fixture(scope="session")
 def circle():
-    return build_complex_from_facets(3, [(0, 1), (0, 2), (1, 2)])
+    return SimplicialComplex(3, [(0, 1), (0, 2), (1, 2)])
 
 
 @pytest.fixture(scope="session")
 def full_triangle():
-    return build_complex_from_facets(3, [(0, 1, 2)])
+    return SimplicialComplex(3, [(0, 1, 2)])
 
 
 @pytest.fixture(scope="session")
 def two_points():
-    return build_complex_from_facets(2, [(0,), (1,)])
+    return SimplicialComplex(2, [(0,), (1,)])
 
 
 @pytest.fixture(scope="session")
 def square():
-    return build_complex_from_facets(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    return SimplicialComplex(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 @pytest.fixture(scope="session")
 def rp2():
-    return build_complex_from_facets(6, RP2_FACETS)
+    return SimplicialComplex(6, RP2_FACETS)
 
 
 @pytest.fixture(scope="session")
 def torus():
-    return build_complex_from_facets(7, TORUS_FACETS)
+    return SimplicialComplex(7, TORUS_FACETS)
 
 
 @pytest.fixture(scope="session")

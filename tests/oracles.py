@@ -4,18 +4,18 @@ Nothing here touches the package's SNF/lattice path: determinants come
 from fraction-free elimination, cohomology from exhaustive enumeration
 with the group structure reconstructed by order counting, solves from
 brute-force search.  These are the second route of every dual-route check.
-Ten exceptions are earlier versions kept as references for the ones the
-package uses now: ``reference_site``, ``reference_simplices`` and
-``reference_parse_complex``, a site built, checked and parsed cell by cell
-and entry by entry, and ``ReferenceReduction``, the coreduction with a
-helper call per queue update and per path sum, which the passes over whole
-levels must reproduce in cells, face rows, error messages, matching and
-path sums; ``reference_bar_differential``, the dense unnormalized
-bar differential the bar complex once stored, which the face table of the
-group's nerve and its twisted face 0 must reproduce entry for entry on the
-words with no identity letter; ``UnnormalizedNerve``, the nerve with every
-word, whose bar complex the normalized one must match in groups and in
-cocycles extended by zero;
+Twelve exceptions are earlier versions kept as references for the ones the
+package uses now: ``reference_site``, ``reference_simplices``,
+``reference_facets`` and ``reference_parse_complex``, a site built, checked
+and parsed cell by cell and entry by entry, and ``ReferenceReduction``, the
+coreduction with a helper call per queue update and per path sum, which
+the passes over whole levels must reproduce in cells, facets, face rows,
+error messages, matching and path sums; ``reference_bar_differential``,
+the dense unnormalized bar differential the bar complex once stored, which
+the face table of the group's nerve and its twisted face 0 must reproduce
+entry for entry on the words with no identity letter;
+``UnnormalizedNerve``, the nerve with every word, whose bar complex the
+normalized one must match in groups and in cocycles extended by zero;
 ``ses_failure``, the earlier criterion for a short exact
 sequence; ``degreewise_failure``, the same criterion applied to the dense
 cochain-level maps I_k (x) h (``cech_induced``), which ``connecting`` once
@@ -606,49 +606,36 @@ def reference_integral_degree(x, p: int) -> _IntegralDegree:
 
 # Sites and their coreduction cell by cell, as the package built them before
 # each pass ran over whole levels at once: the references
-# `cechtower.cochain.build_complex_from_facets`, `SimplicialComplex` and
-# `_Reduction` must agree with, in cells, face rows, error messages, the
-# matching and its path sums.
+# `cechtower.cochain.SimplicialComplex` and `_Reduction` must agree with, in
+# cells, facets, face rows, error messages, the matching and its path sums.
 
 def reference_simplices(vertex_count: int, simplices) -> tuple:
-    """``SimplicialComplex``'s checks, cell by cell and in its order, and
-    its face table: (index, faces), one dict and one tuple of signed face
-    rows per degree."""
+    """The face table of a closure, cell by cell: (index, faces), one dict
+    and one tuple of signed face rows per degree."""
     if vertex_count <= 0:
         raise ValidationError("vertex_count must be positive")
-    for p, level in enumerate(simplices):
-        if tuple(sorted(level)) != tuple(level):
-            raise ValidationError(f"dimension {p} is not lexicographically sorted")
-        for s in level:
-            if len(s) != p + 1:
-                raise ValidationError(f"simplex {s} listed in dimension {p}")
-            if any(a >= b for a, b in zip(s, s[1:])):
-                raise ValidationError(f"simplex {s} is not strictly increasing")
-            if s[0] < 0 or s[-1] >= vertex_count:
-                raise ValidationError(f"simplex {s} has a vertex out of range")
     index = tuple({s: i for i, s in enumerate(level)} for level in simplices)
-    for v in range(vertex_count):
-        if (v,) not in (index[0] if index else {}):
-            raise ValidationError(f"vertex {v} is missing from the 0-simplices")
     faces = [((),) * len(index[0])]
     for p in range(1, len(index)):
         rows = []
         for s in simplices[p]:
-            row = []
-            for j in range(p + 1):
-                face = s[:j] + s[j + 1:]
-                if face not in index[p - 1]:
-                    raise ValidationError(
-                        f"complex is not downward closed: face {face} of {s} missing")
-                row.append((index[p - 1][face], -1 if j & 1 else 1))
-            rows.append(tuple(row))
+            rows.append(tuple((index[p - 1][s[:j] + s[j + 1:]], -1 if j & 1 else 1)
+                              for j in range(p + 1)))
         faces.append(tuple(rows))
     return index, tuple(faces)
 
 
+def reference_facets(simplices) -> tuple:
+    """The maximal simplices of a closure, by dimension then
+    lexicographically: the cells that no cell one dimension up contains."""
+    above = (*simplices[1:], ())
+    return tuple(s for level, up in zip(simplices, above) for s in level
+                 if not any(set(s) < set(t) for t in up))
+
+
 def reference_site(vertex_count: int, facets) -> tuple:
-    """``build_complex_from_facets`` facet by facet and face by face, with
-    the same checks and messages: (simplices, index, faces)."""
+    """``SimplicialComplex`` facet by facet and face by face, with the same
+    checks and messages: (simplices, index, faces)."""
     facets = [tuple(f) for f in facets]
     for fi, f in enumerate(facets):
         if len(f) == 0:

@@ -15,7 +15,7 @@ import pytest
 
 from cechtower.abelian import Homomorphism, cyclic_group, free_group
 from cechtower.cochain import (
-    build_complex_from_facets,
+    SimplicialComplex,
     cech_complex,
     class_of,
     coboundary,
@@ -63,13 +63,13 @@ def criterion(number: int, description: str):
 
 def fresh(name):
     if name == "circle":
-        return build_complex_from_facets(3, [(0, 1), (0, 2), (1, 2)])
+        return SimplicialComplex(3, [(0, 1), (0, 2), (1, 2)])
     if name == "triangle":
-        return build_complex_from_facets(3, [(0, 1, 2)])
+        return SimplicialComplex(3, [(0, 1, 2)])
     if name == "rp2":
-        return build_complex_from_facets(6, RP2_FACETS)
+        return SimplicialComplex(6, RP2_FACETS)
     if name == "torus":
-        return build_complex_from_facets(7, TORUS_FACETS)
+        return SimplicialComplex(7, TORUS_FACETS)
     raise KeyError(name)
 
 
@@ -118,8 +118,8 @@ def test_criterion_2_enumeration_oracle_equivalence():
             ("triangle", Z2), ("rp2", Z2),
         ]
         extra = [
-            (build_complex_from_facets(2, [(0,), (1,)]), cyclic_group(12)),
-            (build_complex_from_facets(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), Z4),
+            (SimplicialComplex(2, [(0,), (1,)]), cyclic_group(12)),
+            (SimplicialComplex(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), Z4),
         ]
         cases = [(fresh(n), g) for n, g in pairs] + extra
         for x, coeff in cases:

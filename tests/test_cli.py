@@ -393,6 +393,53 @@ class TestMalformedPayloads:
         self.assert_refused_at(proc, b"payload.kind")
 
 
+class TestDuplicateCellKeys:
+    """Two keys naming one cell, such as "0" and "+0" or "0,2" and "0, 2",
+    are refused at the second key, in either order; one such key alone is
+    read as its cell."""
+
+    HOLLOW_TRIANGLE = {"vertex_count": 3, "facets": [[0, 1], [0, 2], [1, 2]]}
+    Z4_OVER_Z2 = {
+        "G": {"order": 4, "table": [[(a + b) % 4 for b in range(4)] for a in range(4)],
+              "identity": 0},
+        "L": Z2_DOC, "L_elements": [0, 2], "pi": [0, 1, 0, 1],
+        "Q": {"order": 2, "table": [[0, 1], [1, 0]], "identity": 0}}
+
+    def connecting(self, values):
+        return run_cli(["connecting"], {
+            "complex": self.HOLLOW_TRIANGLE, "ses": BOCKSTEIN_DOC,
+            "cochain": {"degree": 0, "values": values}})
+
+    def gerbe_lift(self, labels):
+        return run_cli(["gerbe-lift"], {
+            "complex": self.HOLLOW_TRIANGLE, "extension": self.Z4_OVER_Z2,
+            "transition": labels})
+
+    @pytest.mark.parametrize("keys,second", [
+        (["0", "1", "2", "+0"], "+0"), (["+0", "0", "1", "2"], "0")])
+    def test_cochain_cell_named_twice(self, keys, second):
+        proc = self.connecting({k: [0 if k == "+0" else 1] for k in keys})
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"error: payload.cochain.values.{second}: cell key {second!r} "
+            f"names the cell (0,) of an earlier key\n")
+
+    def test_one_non_canonical_cochain_key_is_read(self):
+        assert self.connecting({"+0": [1], "1": [1], "2": [1]}).returncode == 0
+
+    @pytest.mark.parametrize("keys,second", [
+        (["0,1", "0,2", "1,2", "0, 2"], "0, 2"), (["0, 2", "0,1", "0,2", "1,2"], "0,2")])
+    def test_transition_edge_named_twice(self, keys, second):
+        proc = self.gerbe_lift({k: 1 for k in keys})
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"error: payload.transition.{second}: cell key {second!r} "
+            f"names the cell (0, 2) of an earlier key\n")
+
+    def test_one_non_canonical_transition_key_is_read(self):
+        assert self.gerbe_lift({"0,1": 1, "0, 2": 1, "1,2": 1}).returncode == 0
+
+
 class TestSpectralCommand:
     # stdout of `spectral --verify --max-degree 4` on RP^2 with (Z/2, Z/3, Z)
     # from an implementation that computed every page's terms separately, so

@@ -11,8 +11,8 @@ from cechtower.abelian import FgAbGroup, Homomorphism, cyclic_group, free_group
 from cechtower.cochain import (
     Cochain,
     GroupAction,
+    SimplicialComplex,
     bar_complex,
-    build_complex_from_facets,
     cech_complex,
     class_of,
     coboundary,
@@ -110,24 +110,39 @@ class TestBuildComplex:
         assert rp2.euler_characteristic() == 1
 
     def test_isolated_vertices_kept(self):
-        x = build_complex_from_facets(4, [(0, 1)])
+        x = SimplicialComplex(4, [(0, 1)])
         assert len(x.cells(0)) == 4
 
     def test_empty_facet_rejected(self):
         with pytest.raises(ValidationError):
-            build_complex_from_facets(3, [()])
+            SimplicialComplex(3, [()])
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ValidationError):
-            build_complex_from_facets(3, [(0, 3)])
+            SimplicialComplex(3, [(0, 3)])
 
     def test_repeated_vertex(self):
         with pytest.raises(ValidationError, match="repeated vertex"):
-            build_complex_from_facets(3, [(0, 0, 1)])
+            SimplicialComplex(3, [(0, 0, 1)])
 
     def test_facets_recovered(self, rp2):
         from .conftest import RP2_FACETS
-        assert set(rp2.facets()) == set(RP2_FACETS)
+        assert set(rp2.facets) == set(RP2_FACETS)
+
+    def test_vertex_listed_twice_counts_once(self):
+        x = SimplicialComplex(2, [(0,), (1,), (1,)])
+        assert x.cells(0) == ((0,), (1,))
+        assert cohomology(cech_complex(x, Z), 0).group == FgAbGroup(2, ())
+
+    def test_a_site_is_its_facets(self, rp2):
+        # A repeated facet, a permuted facet and faces of facets build the
+        # same closure, so the same site, hashed alike.
+        from .conftest import RP2_FACETS
+        x = SimplicialComplex(6, [(4, 1, 0), *RP2_FACETS[1:], RP2_FACETS[3],
+                                  (0, 1), (2, 5), (3,)])
+        assert x == rp2 and hash(x) == hash(rp2)
+        assert x.facets == tuple(sorted(RP2_FACETS))
+        assert x.simplices == rp2.simplices
 
 
 class TestCechComplex:
@@ -154,7 +169,7 @@ class TestCechComplex:
         # The 14-vertex simplex over Z/2 has at most 3,432 cochain generators
         # per degree, within the cap, but its d_6 as a dense matrix would be
         # 3003 x 3432.
-        comp = cech_complex(build_complex_from_facets(14, [range(14)]), Z2)
+        comp = cech_complex(SimplicialComplex(14, [range(14)]), Z2)
 
         def no_rows(*args):
             raise AssertionError("a dense row was built")
@@ -482,7 +497,7 @@ class TestSuspension:
 
     def test_rp2_shifts_mod_two(self, rp2, srp2):
         assert srp2.vertex_count == 8
-        assert len(srp2.facets()) == 20
+        assert len(srp2.facets) == 20
         c = cech_complex(srp2, Z2)
         assert cohomology(c, 3).group == Z2
 

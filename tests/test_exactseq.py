@@ -17,7 +17,7 @@ from cechtower.abelian import (
     is_exact_at,
 )
 from cechtower.cochain import (
-    build_complex_from_facets,
+    SimplicialComplex,
     cech_complex,
     class_of,
     coboundary,
@@ -309,14 +309,14 @@ class TestLongExactSequence:
             incoming = outgoing
 
 
-CIRCLE = build_complex_from_facets(3, [(0, 1), (0, 2), (1, 2)])
+CIRCLE = SimplicialComplex(3, [(0, 1), (0, 2), (1, 2)])
 
 
 @settings(max_examples=200)
 @given(sites(), candidate_sequences())
-@example(build_complex_from_facets(6, RP2_FACETS),
+@example(SimplicialComplex(6, RP2_FACETS),
          (Homomorphism(Z2, Z4, ((2,),)), Homomorphism(Z4, Z2, ((1,),))))
-@example(build_complex_from_facets(6, RP2_FACETS),
+@example(SimplicialComplex(6, RP2_FACETS),
          (Homomorphism(Z, Z, ((4,),)), Homomorphism(Z, Z4, ((1,),))))
 @example(CIRCLE, (Homomorphism(Z2, Z4, ((0,),)), Homomorphism(Z4, Z2, ((1,),))))
 @example(CIRCLE, (Homomorphism(Z2, Z4, ((2,),)), Homomorphism(Z4, Z4, ((2,),))))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import cechtower
 from cechtower import _intlin, _kernels
 from cechtower.abelian import free_group
-from cechtower.cochain import build_complex_from_facets, cech_complex, suspension
+from cechtower.cochain import SimplicialComplex, cech_complex, suspension
 
 from .conftest import grid_torus_facets
 from .oracles import reference_smith
@@ -76,7 +76,7 @@ def site_coboundaries(draw):
     return cech_complex(x, free_group(1)).differential(draw(st.integers(0, x.dim))).matrix
 
 
-_TORUS = suspension(build_complex_from_facets(25, grid_torus_facets(5)))
+_TORUS = suspension(SimplicialComplex(25, grid_torus_facets(5)))
 TORUS_COBOUNDARIES = [cech_complex(_TORUS, free_group(1)).differential(p).matrix
                       for p in range(_TORUS.dim + 1)]
 

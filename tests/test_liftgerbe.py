@@ -230,7 +230,7 @@ class TestBruteForceLift:
             assert g.mul(lift[(i, j)], lift[(j, k)]) == lift[(i, k)]
         # and it projects back onto t
         for e, v in lift.items():
-            assert ext.projection[v] == t.values[rp2.cell_index(1, e)]
+            assert ext.projection[v] == t.values[rp2.cell_indices(1)[e]]
 
     def test_rp2_z4_full_search_finds_nothing(self, rp2):
         ext = z4_extension()

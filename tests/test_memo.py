@@ -25,10 +25,10 @@ from cechtower import abelian, exactseq, spectral
 from cechtower.abelian import FgAbGroup, cyclic_group, free_group
 from cechtower.cochain import (
     GroupAction,
+    SimplicialComplex,
     _integral_degree,
     _reduction,
     bar_complex,
-    build_complex_from_facets,
     cech_complex,
     class_of,
     cohomology,
@@ -43,7 +43,7 @@ from .conftest import RP2_FACETS
 from .test_les_properties import _cyclic_extension, sequences
 from .test_uct import coefficient_groups, sites
 
-RP2 = build_complex_from_facets(6, RP2_FACETS)
+RP2 = SimplicialComplex(6, RP2_FACETS)
 Z2 = cyclic_group(2)
 
 
@@ -68,14 +68,14 @@ def clear_memos():
 
 def rebuilt(x):
     """An equal site built separately from ``x``."""
-    return build_complex_from_facets(x.vertex_count, x.facets())
+    return SimplicialComplex(x.vertex_count, x.facets)
 
 
 def distinct_sites(count):
     """``count`` distinct graphs on five vertices, one per edge subset."""
     edges = list(itertools.combinations(range(5), 2))
     for mask in range(1, count + 1):
-        yield build_complex_from_facets(
+        yield SimplicialComplex(
             5, [e for i, e in enumerate(edges) if mask >> i & 1])
 
 
@@ -131,7 +131,7 @@ def test_spectral_memos_are_bounded():
     # Each Z/m makes new keys for both spectral memos, two pieces in degree
     # 0 of the circle: more than either holds.  They stay within their
     # size, and each term is still H^0(circle; Z/m).
-    circle = build_complex_from_facets(3, [(0, 1), (0, 2), (1, 2)])
+    circle = SimplicialComplex(3, [(0, 1), (0, 2), (1, 2)])
     clear_memos()
     for m in range(2, spectral._piece_groups.cache_info().maxsize + 3):
         f = FilteredComplex(circle, (cyclic_group(m),))
@@ -183,7 +183,7 @@ def test_cochain_held_across_eviction(x, ses):
 def test_other_coefficients_and_sites_stay_apart(coefficients):
     comp = cech_complex(RP2, coefficients)
     assert comp != cech_complex(RP2, free_group(1))
-    circle = build_complex_from_facets(3, [(0, 1), (0, 2), (1, 2)])
+    circle = SimplicialComplex(3, [(0, 1), (0, 2), (1, 2)])
     assert comp != cech_complex(circle, coefficients)
 
 

@@ -39,7 +39,6 @@ from cechtower.cochain import (
     SimplicialComplex,
     _integral_degree,
     _IntegralDegree,
-    build_complex_from_facets,
     cech_complex,
     class_of,
     coboundary,
@@ -88,7 +87,7 @@ Z2, Z4 = cyclic_group(2), cyclic_group(4)
 
 
 def rp2():
-    return build_complex_from_facets(6, RP2_FACETS)
+    return SimplicialComplex(6, RP2_FACETS)
 
 
 def bockstein():
@@ -112,7 +111,7 @@ def extension():
 
 
 def transition():
-    x = build_complex_from_facets(3, [(0, 1, 2)])
+    x = SimplicialComplex(3, [(0, 1, 2)])
     return TransitionCocycle(x, cyclic_table(2), (1, 0, 1))
 
 
@@ -257,6 +256,8 @@ def test_class_equality_ignores_the_representative():
 def test_repr_names_the_fields_in_order():
     assert repr(FgAbGroup(1, (2,))) == "FgAbGroup(free_rank=1, torsion=(2,))"
     assert repr(Options()) == "Options(max_degree=None, budget=None, verify=False)"
+    assert repr(SimplicialComplex(4, [(1, 0), (0, 1, 2)])) == (
+        "SimplicialComplex(vertex_count=4, facets=((3,), (0, 1, 2)))")
     pres = BUILDERS[_intlin.Presentation][0]()
     assert repr(pres) == "Presentation(n=2, torsion=(2,), free_rank=1, lift_cols=[[1, 0], [0, 1]])"
     h = degree_two()[0]

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from cechtower import _intlin, spectral
 from cechtower.abelian import cyclic_group, direct_sum_with_maps, free_group
 from cechtower.cochain import (
+    SimplicialComplex,
     apply_cellwise,
-    build_complex_from_facets,
     cech_coboundary,
     cech_complex,
     cohomology,
@@ -185,13 +185,13 @@ def filtered_complexes(draw):
     return FilteredComplex(x, tuple(summands))
 
 
-_RP2 = build_complex_from_facets(6, RP2_FACETS)
+_RP2 = SimplicialComplex(6, RP2_FACETS)
 
 
 @settings(max_examples=2 * EXAMPLES)
 @given(filtered_complexes())
 @example(FilteredComplex(_RP2, (Z2, Z4, Z)))
-@example(FilteredComplex(build_complex_from_facets(16, grid_torus_facets(4)), (Z2, Z3)))
+@example(FilteredComplex(SimplicialComplex(16, grid_torus_facets(4)), (Z2, Z3)))
 @example(FilteredComplex(suspension(_RP2), (Z2, Z)))
 def test_terms_equal_the_membership_reference(f):
     # The sums over the elementary pieces of C*(X; Z) give the groups the
@@ -214,7 +214,7 @@ def test_terms_equal_the_membership_reference(f):
     assert check_degeneration(f, spectral_grid(f, f.depth + 2)).ok
 
 
-_TORUS7 = build_complex_from_facets(7, TORUS_FACETS)
+_TORUS7 = SimplicialComplex(7, TORUS_FACETS)
 
 
 @settings(max_examples=EXAMPLES)
