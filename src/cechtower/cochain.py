@@ -782,10 +782,11 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
 
     Each generator-major block of C^p(X; L) is C^p(X; Z/o) for one
     coefficient order o (o = 0: Z).  The factors' cyclic summands are
-    brought into invariant-factor form by one small ``present_cokernel``.
-    The s summands are counted before any representative is built, and
-    s x n (representatives and lift columns in C^p, n = g*k_p) is refused
-    past the budget; s <= n, so that also bounds the s x s summing SNF.
+    brought into invariant-factor form by one small ``present_cokernel``,
+    memoized on their orders (``_summed_presentation``).  The s summands
+    are counted before any representative is built, and s x n
+    (representatives and lift columns in C^p, n = g*k_p) is refused past
+    the budget; s <= n, so that also bounds the s x s summing SNF.
     """
     h = _integral_degree(complex_.base, p)
     k = complex_.ncells(p)
@@ -796,7 +797,7 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
     reps = [[0] * (b * k) + list(r) + [0] * (n - (b + 1) * k)
             for b, (_, f_reps, _) in enumerate(factors) for r in f_reps()]
     coord_fns = [f_coords for _, _, f_coords in factors]
-    summed = _intlin.present_cokernel(len(orders), _intlin.relation_columns(orders))
+    summed = _summed_presentation(tuple(orders))
 
     def project(v: Sequence[int]) -> list[int]:
         coords = []
@@ -807,6 +808,16 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
     return _intlin.Presentation(
         n, summed.torsion, summed.free_rank,
         [_intlin.lin_comb(reps, col, n) for col in summed.lift_cols], project)
+
+
+@lru_cache(maxsize=256)
+def _summed_presentation(orders: tuple[int, ...]) -> _intlin.Presentation:
+    """The invariant-factor presentation of the sum of the cyclic groups
+    Z/o (o = 0: Z), memoized on the orders: sites and coefficient groups
+    that reach the same summands share one entry.  An entry holds s x s
+    entries for s summands, within the budget of the s x g*k_p lift
+    columns that ``_site_presentation`` checks first."""
+    return _intlin.present_cokernel(len(orders), _intlin.relation_columns(orders))
 
 
 class CohomologyClass(Record):

@@ -31,10 +31,24 @@ forms (E_r^{pq} equals the summand cohomology, page stability) are what
 A piece's Z, B and E groups depend on the summands, its kind, a, p and the
 clamped indices alone, never on a site, degree or page beyond those, so
 they are presented once per process in an LRU cache of 256 entries keyed
-by those values (``_piece_groups``), next to the W bases keyed by the
-summands (``_filtration``).  Every page r >= max(p, D+1-p) reads the limit
-page's entries, and sites with the same summands share entries.  A term
-sums its pieces' cached groups with ``cyclic_sum``.
+by those values (``_piece_groups``), which looks up its lattices and
+quotients in bounded memos keyed by value, never by a site:
+
+- the W_p, with the embeddings, per summands (``_filtration``, 256);
+- the preimages {x in W_i : ax in W_j} per (summands, a, i, j)
+  (``_preimage``, 256);
+- every lattice, W_p and preimages and scaled images aP + R alike, reduced
+  once per distinct generator list (``_lattice``, 1024);
+- the quotients, by their invariant factors alone: one SNF without
+  transforms of the denominator's coordinates in the numerator's basis,
+  keyed by those coordinates (``_cokernel_group``, 1024).
+
+The check that a piece's B lies in its Z runs once per distinct piece.
+A term sums its pieces' cached groups with ``cyclic_sum``.  The grid sums
+each distinct (p, t, s, s_prev, n) once: every page r >= max(p, D+1-p)
+takes the limit page's sums, and each degree's pieces are counted once per
+site (``_degree_pieces``, 256).  Sites with the same summands share every
+lattice and piece.
 """
 
 from __future__ import annotations
@@ -48,7 +62,6 @@ from cechtower.abelian import (
     FgAbGroup,
     cyclic_sum,
     direct_sum_with_maps,
-    presentation_group,
 )
 from cechtower.cochain import (
     GENERATOR_BUDGET,
@@ -65,8 +78,8 @@ from cechtower.exactseq import LesReport, long_exact_sequence, validate_ses
 class FilteredComplex(Record):
     """A site and a direct sum of coefficient groups with the summand-index
     filtration.  It keeps the summands and their embeddings into the sum.
-    The embeddings and a basis of each coefficient lattice W_1 ⊃ ... ⊃
-    W_{D+1} = R in Z^g are memoized per process on the summands alone
+    The embeddings and the coefficient lattices W_1 ⊃ ... ⊃ W_{D+1} = R
+    in Z^g are memoized per process on the summands alone
     (``_filtration``).  The terms are computed on request from the site's
     integral data and the pieces' memo, whose keys hold the summands but
     never this object, which compares by identity, or its site.  No
@@ -92,22 +105,23 @@ class FilteredComplex(Record):
 
 @lru_cache(maxsize=256)
 def _filtration(summands: tuple[FgAbGroup, ...]) -> tuple[tuple, tuple]:
-    """The embeddings of the summands into their direct sum Z^g/R, and a
-    basis of W_p for p = 1..D+1, memoized on the summands."""
+    """The embeddings of the summands into their direct sum Z^g/R, and the
+    lattices W_p for p = 1..D+1, memoized on the summands."""
     g = sum(s.ngens for s in summands)
     check_dense_budget(f"direct sum of {g} generators", g, g)
     total, embeddings, _ = direct_sum_with_maps(summands)
     rel = _intlin.relation_columns(total.orders)
-    w_bases = tuple(
-        _intlin.Lattice(total.ngens, [col for emb in embeddings[i:]
-                                      for col in emb.columns()] + rel).basis
+    w = tuple(
+        _lattice(total.ngens, tuple(tuple(col) for emb in embeddings[i:]
+                                    for col in emb.columns()) + tuple(map(tuple, rel)))
         for i in range(len(embeddings) + 1))
-    return tuple(embeddings), w_bases
+    return tuple(embeddings), w
 
 
-def _w_basis(w_bases: tuple, p: int) -> list[list[int]]:
-    """A basis of W_p (1-based; p <= 1 is Z^g, p > depth is R)."""
-    return w_bases[min(max(p, 1), len(w_bases)) - 1]
+def _w(summands: tuple[FgAbGroup, ...], p: int) -> _intlin.Lattice:
+    """W_p (1-based; p <= 1 is Z^g, p > depth is R)."""
+    w = _filtration(summands)[1]
+    return w[min(max(p, 1), len(w)) - 1]
 
 
 class SpectralTerms(Record):
@@ -134,21 +148,36 @@ def filtered_terms(f: FilteredComplex, r: int | None, p: int, q: int) -> Spectra
     n = p + q
     if n < 0:
         raise ValidationError(f"degree p+q = {n} is out of range")
-    top = f.depth + 1
-    # E_r's denominator reads page r-1: Z_{r-1}^{p+1,q-1} has the same
-    # target index t as Z_r^{pq}, and B_{r-1}^{pq} the source index s_prev.
-    t = top if r is None else min(p + r, top)
-    s, s_prev = (1, 1) if r is None else (max(p - r, 1), max(p - r + 1, 1))
-    sources = Counter(coboundary_diagonal(f.site, n))
-    targets = Counter(coboundary_diagonal(f.site, n - 1))
-    free = len(f.site.cells(n)) - sum(sources.values()) - sum(targets.values())
+    t, s, s_prev = _page_indices(f.depth, r, p)
+    free, sources, targets = _degree_pieces(f.site, n)
     pieces = ([(("free", 0, p, 0, 0), free)]
-              + [(("source", a, p, t, 0), count) for a, count in sources.items()]
-              + [(("target", a, p, s, s_prev), count) for a, count in targets.items()])
+              + [(("source", a, p, t, 0), count) for a, count in sources]
+              + [(("target", a, p, s, s_prev), count) for a, count in targets])
     groups = [(_piece_groups(f.summands, *key), count) for key, count in pieces if count]
     z, b, e = (cyclic_sum((o, count) for piece, count in groups
                           for o in piece[i].orders) for i in range(3))
     return SpectralTerms(r, p, q, z, b, e)
+
+
+def _page_indices(depth: int, r: int | None, p: int) -> tuple[int, int, int]:
+    """The clamped indices (t, s, s_prev) through which page r enters at
+    filtration index p.  E_r's denominator reads page r-1:
+    Z_{r-1}^{p+1,q-1} has the same target index t as Z_r^{pq}, and
+    B_{r-1}^{pq} the source index s_prev."""
+    if r is None:
+        return depth + 1, 1, 1
+    return min(p + r, depth + 1), max(p - r, 1), max(p - r + 1, 1)
+
+
+@lru_cache(maxsize=256)
+def _degree_pieces(x: SimplicialComplex, n: int) -> tuple[int, tuple, tuple]:
+    """The elementary pieces of degree n of C*(X; Z): the number of free
+    pieces, and the (a, count) pairs of the source pieces (diagonal of d_n)
+    and of the target pieces (diagonal of d_{n-1})."""
+    sources = Counter(coboundary_diagonal(x, n))
+    targets = Counter(coboundary_diagonal(x, n - 1))
+    free = len(x.cells(n)) - sum(sources.values()) - sum(targets.values())
+    return free, tuple(sources.items()), tuple(targets.items())
 
 
 @lru_cache(maxsize=256)
@@ -160,37 +189,65 @@ def _piece_groups(summands: tuple[FgAbGroup, ...], kind: str, a: int, p: int,
     target index t of a source piece, and (i, j) the clamped source
     indices (s, s_prev) of a target piece.  A pure function of its values,
     so every site, degree and page that reaches the same key shares one
-    entry."""
-    w_bases = _filtration(summands)[1]
-    w_p, w_next = _w_basis(w_bases, p), _w_basis(w_bases, p + 1)
+    entry; its lattices come from the lattice memos and its groups from
+    ``_quotient_group``."""
+    rel = _w(summands, len(summands) + 1)
+    w_next = _w(summands, p + 1)
     if kind == "free":
-        z_gens, b_gens, e_gens = w_p, [], w_next
+        z_lat, b_lat, e_den = _w(summands, p), rel, w_next.basis
     elif kind == "source":
-        z_gens, b_gens = _preimage(w_bases, a, p, i), []
-        e_gens = _preimage(w_bases, a, p + 1, i)
+        z_lat, b_lat = _preimage(summands, a, p, i), rel
+        e_den = _preimage(summands, a, p + 1, i).basis
     else:
-        z_gens = w_p
-        b_gens, e_gens = (_scaled(a, _preimage(w_bases, a, s, p)) for s in (i, j))
-        e_gens = e_gens + w_next
-    g, rel = len(w_bases[0]), w_bases[-1]
-    z_lat = _intlin.Lattice(g, z_gens)
-    b_lat = _intlin.Lattice(g, b_gens + rel)
+        z_lat, b_lat = _w(summands, p), _image(summands, a, i, p)
+        e_den = _image(summands, a, j, p).basis + w_next.basis
     if not z_lat.contains_lattice(b_lat):
         raise VerificationError("boundary term escaped the cycle term")
-    return tuple(presentation_group(_intlin.present_quotient(num, den))
-                 for num, den in ((z_lat, rel), (b_lat, rel), (z_lat, e_gens + rel)))
+    return (_quotient_group(z_lat, rel.basis), _quotient_group(b_lat, rel.basis),
+            _quotient_group(z_lat, e_den))
 
 
-def _scaled(a: int, vectors: list[list[int]]) -> list[list[int]]:
-    return [[a * v for v in vec] for vec in vectors]
+@lru_cache(maxsize=256)
+def _preimage(summands: tuple[FgAbGroup, ...], a: int, i: int, j: int) -> _intlin.Lattice:
+    """{x in W_i : ax in W_j}, which contains R."""
+    w_i = _w(summands, i).basis
+    g = _w(summands, 1).n
+    coeffs = _intlin.lattice_preimage_gens([[a * v for v in b] for b in w_i], g,
+                                           _w(summands, j).basis)
+    return _lattice(g, tuple(tuple(_intlin.lin_comb(w_i, c, g)) for c in coeffs))
 
 
-def _preimage(w_bases: tuple, a: int, i: int, j: int) -> list[list[int]]:
-    """Generators of {x in W_i : ax in W_j}."""
-    w_i = _w_basis(w_bases, i)
-    g = len(w_bases[0])
-    coeffs = _intlin.lattice_preimage_gens(_scaled(a, w_i), g, _w_basis(w_bases, j))
-    return [_intlin.lin_comb(w_i, c, g) for c in coeffs]
+def _image(summands: tuple[FgAbGroup, ...], a: int, s: int, p: int) -> _intlin.Lattice:
+    """a{y in W_s : ay in W_p} + R, built once through ``_lattice``."""
+    rel = _w(summands, len(summands) + 1)
+    return _lattice(rel.n, tuple(tuple(a * v for v in b)
+                                 for b in _preimage(summands, a, s, p).basis)
+                    + tuple(map(tuple, rel.basis)))
+
+
+@lru_cache(maxsize=1024)
+def _lattice(n: int, gens: tuple[tuple[int, ...], ...]) -> _intlin.Lattice:
+    """The lattice ``gens`` span in Z^n, reduced once per distinct list:
+    preimages of different keys often share their generators."""
+    return _intlin.Lattice(n, gens)
+
+
+def _quotient_group(num: _intlin.Lattice, den_gens: list[list[int]]) -> FgAbGroup:
+    """num / lattice(den_gens), which must lie inside num."""
+    coords = []
+    for v in den_gens:
+        c = num.coords_of(v)
+        if c is None:
+            raise VerificationError("denominator lattice is not contained in the numerator")
+        coords.append(tuple(c))
+    return _cokernel_group(num.rank, tuple(coords))
+
+
+@lru_cache(maxsize=1024)
+def _cokernel_group(n: int, rows: tuple[tuple[int, ...], ...]) -> FgAbGroup:
+    """Z^n modulo the span of ``rows``, from one SNF without transforms."""
+    res = _intlin.snf(rows, len(rows), n, ())
+    return FgAbGroup(n - res.rank, tuple(d for d in res.diag[:res.rank] if d > 1))
 
 
 class DegenerationEntry(Record):
@@ -229,8 +286,22 @@ def spectral_grid(f: FilteredComplex, r_max: int) -> list[SpectralTerms]:
             f"spectral grid up to page {r_max} has {size} points, budget is "
             f"{GENERATOR_BUDGET}")
     pages: list[int | None] = [*range(1, r_max + 1), None]
-    return [filtered_terms(f, r, p, n - p) for r in pages for p in range(1, f.depth + 1)
-            for n in range(f.site.dim + 2)]
+    # Points that agree in (p, t, s, s_prev, n) have equal terms, so each
+    # is summed once: the limit page shares the sums of every page past
+    # stabilization.
+    sums: dict[tuple, SpectralTerms] = {}
+    grid = []
+    for r in pages:
+        for p in range(1, f.depth + 1):
+            indices = _page_indices(f.depth, r, p)
+            for n in range(f.site.dim + 2):
+                key = (p, *indices, n)
+                if key not in sums:
+                    sums[key] = filtered_terms(f, r, p, n - p)
+                terms = sums[key]
+                grid.append(SpectralTerms(r, p, n - p, terms.z_group, terms.b_group,
+                                          terms.e_group))
+    return grid
 
 
 def check_degeneration(f: FilteredComplex, grid: list[SpectralTerms]) -> DegenerationReport:

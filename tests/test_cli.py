@@ -11,9 +11,10 @@ from cechtower.abelian import cyclic_group
 from cechtower.cli import Options, Request, execute, main
 from cechtower.cochain import cech_complex, cohomology, suspension
 
-from .conftest import RP2_FACETS, grid_torus_facets
+from .conftest import RP2_FACETS, TORUS_FACETS, grid_torus_facets
 
 RP2_DOC = {"vertex_count": 6, "facets": [list(f) for f in RP2_FACETS]}
+TORUS7_DOC = {"vertex_count": 7, "facets": [list(f) for f in TORUS_FACETS]}
 Z2_DOC = {"free_rank": 0, "torsion": [2]}
 Z3_DOC = {"free_rank": 0, "torsion": [3]}
 Z_DOC = {"free_rank": 1, "torsion": []}
@@ -460,6 +461,23 @@ class TestSpectralCommand:
         for key in past:
             limit = "inf/" + key.split("/", 1)[1]
             assert out["grid"][key] == out["grid"][limit], key
+
+    # stdout of `spectral --verify --max-degree 3` from an implementation
+    # that summed every grid point's pieces itself and presented each
+    # piece's quotients with their lift columns and projections: summing
+    # each distinct point once, from shared lattices, changes no byte
+    @pytest.mark.parametrize("complex_doc,summands,digest", [
+        (RP2_DOC, [Z2_DOC, Z_DOC],
+         "8e234281da0017ce2025ccdf269ba36418ea92d04e852a14968f44dcadae7c67"),
+        (TORUS7_DOC, [Z2_DOC, Z3_DOC],
+         "bf16a4c4feca06841c0dd7b9feba3a38bd1191f92676821d91933b486c6a895a"),
+    ], ids=["rp2", "torus7"])
+    def test_grid_stdout_is_pinned(self, complex_doc, summands, digest):
+        payload = {"complex": complex_doc, "summands": summands}
+        proc = run_cli(["spectral", "--verify", "--max-degree", "3"], payload)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+        assert json.loads(proc.stdout)["verify"]["degeneration_ok"]
 
     def test_oversized_page_bound_refused_before_allocation(self):
         # 10^9 pages would list 10^9 grid points before computing one.

@@ -8,8 +8,9 @@ warm before a cold timing.  The cohomology memos (``cech_complex``,
 compares and hashes by its (site, coefficients) pair, so a complex rebuilt
 after an eviction equals the old one, and a cochain of the old one keeps
 working: same groups, same representatives, same class coordinates.  The
-spectral pieces' groups (``spectral._piece_groups``) are keyed by the
-summands and clamped indices alone, never by a site.
+spectral pieces' groups (``spectral._piece_groups``) and the lattices they
+read are keyed by the summands, indices and generators alone, never by a
+site.
 """
 
 import functools
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import cechtower
-from cechtower import abelian, exactseq, spectral
+from cechtower import abelian, cochain, exactseq, spectral
 from cechtower.abelian import FgAbGroup, cyclic_group, free_group
 from cechtower.cochain import (
     GroupAction,
@@ -103,8 +104,10 @@ def held_cochains(x, ses):
 
 def test_every_memo_is_discovered():
     known = {cech_complex, cohomology, _integral_degree, _reduction,
-             abelian._hom_solver,
-             exactseq._section_matrix, spectral._filtration, spectral._piece_groups}
+             cochain._summed_presentation, abelian._hom_solver,
+             exactseq._section_matrix, spectral._filtration, spectral._piece_groups,
+             spectral._degree_pieces, spectral._preimage,
+             spectral._lattice, spectral._cokernel_group}
     assert known <= set(MEMOS)
 
 
@@ -128,15 +131,16 @@ def test_memos_are_bounded():
 
 
 def test_spectral_memos_are_bounded():
-    # Each Z/m makes new keys for both spectral memos, two pieces in degree
-    # 0 of the circle: more than either holds.  They stay within their
-    # size, and each term is still H^0(circle; Z/m).
+    # Each Z/m makes new keys for the filtration, two pieces in degree 0 of
+    # the circle and their two preimages: more than any of these memos
+    # holds.  They stay within their size, and each term is still
+    # H^0(circle; Z/m).
     circle = SimplicialComplex(3, [(0, 1), (0, 2), (1, 2)])
     clear_memos()
     for m in range(2, spectral._piece_groups.cache_info().maxsize + 3):
         f = FilteredComplex(circle, (cyclic_group(m),))
         assert filtered_terms(f, 1, 1, -1).e_group == cyclic_group(m)
-    for memo in (spectral._filtration, spectral._piece_groups):
+    for memo in (spectral._filtration, spectral._piece_groups, spectral._preimage):
         info = memo.cache_info()
         assert info.misses > info.maxsize >= info.currsize
 

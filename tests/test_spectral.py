@@ -1,8 +1,12 @@
+import json
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cechtower import _intlin, spectral
+from cechtower import _intlin, jsonio, spectral
 from cechtower.abelian import cyclic_group, direct_sum_with_maps, free_group
 from cechtower.cochain import (
     SimplicialComplex,
@@ -12,7 +16,8 @@ from cechtower.cochain import (
     cohomology,
     suspension,
 )
-from cechtower.errors import ValidationError
+from cechtower.cli import main
+from cechtower.errors import ValidationError, VerificationError
 from cechtower.spectral import (
     FilteredComplex,
     check_degeneration,
@@ -261,6 +266,70 @@ def test_rp2_and_torus_share_piece_entries():
         for t in grid:
             labels = closed_forms[x][t.p] + ["0"]
             assert t.e_group.label() == labels[t.p + t.q]
+
+
+@settings(max_examples=2 * EXAMPLES)
+@given(filtered_complexes())
+@example(FilteredComplex(_RP2, (Z2, Z3, Z)))
+@example(FilteredComplex(_TORUS7, (Z2, Z3)))
+def test_grid_equals_the_one_point_terms(f):
+    # The grid sums each distinct (p, t, s, s_prev, n) once and gives the
+    # other pages' points the same groups; each point equals the one-point
+    # terms of a fresh instance of a rebuilt site, with cold memos.
+    r_max = f.depth + 2
+    clear_memos()
+    grid = spectral_grid(f, r_max)
+    clear_memos()
+    x = SimplicialComplex(f.site.vertex_count, f.site.facets)
+    fresh = FilteredComplex(x, f.summands)
+    points = [(r, p, n - p) for r in [*range(1, r_max + 1), None]
+              for p in range(1, f.depth + 1) for n in range(x.dim + 2)]
+    assert [(t.r, t.p, t.q) for t in grid] == points
+    assert grid == [filtered_terms(fresh, r, p, q) for r, p, q in points]
+
+
+def test_cold_grid_repeats_no_spectral_snf_input(monkeypatch):
+    # Each distinct lattice, preimage and quotient is reduced once: a cold
+    # grid and its degeneration check send no SNF input twice on behalf of
+    # the spectral module, directly or through ``_intlin``.  The cochain
+    # layer's own SNFs (the site's integral data) are not counted.
+    inputs = []
+    snf = _intlin.snf
+
+    def recording(A, m, n, transforms):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == _intlin.__name__:
+            frame = frame.f_back
+        if frame.f_globals["__name__"] == spectral.__name__:
+            inputs.append((tuple(map(tuple, A)), m, n))
+        return snf(A, m, n, transforms)
+
+    monkeypatch.setattr(_intlin, "snf", recording)
+    clear_memos()
+    f = FilteredComplex(_RP2, (Z2, Z3, Z))
+    assert check_degeneration(f, spectral_grid(f, 3)).ok
+    assert inputs
+    assert [a for a, count in Counter(inputs).items() if count > 1] == []
+
+
+def test_boundary_outside_the_cycles_is_refused(monkeypatch, tmp_path, capsys):
+    # A target piece whose B is all of Z^g escapes its Z = W_p for p = 2: a
+    # verification failure from the grid and exit code 3 from the CLI.
+    monkeypatch.setattr(spectral, "_image", lambda summands, a, s, p: spectral._w(summands, 1))
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"complex": jsonio.complex_to_doc(_RP2),
+                                "summands": [jsonio.group_to_doc(Z2),
+                                             jsonio.group_to_doc(Z3)]}))
+    try:
+        clear_memos()
+        with pytest.raises(VerificationError, match="boundary term escaped the cycle term"):
+            spectral_grid(FilteredComplex(_RP2, (Z2, Z3)), 1)
+        clear_memos()
+        assert main(["spectral", "--input", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "internal verification failure: boundary term escaped the cycle term\n")
+    finally:
+        clear_memos()
 
 
 def induced_v_gens(f: MembershipTerms, p: int, n: int):

@@ -39,6 +39,7 @@ from cechtower.cochain import (
     _lattice_presentation,
     _reduction,
     _site_presentation,
+    _summed_presentation,
     bar_complex,
     cech_complex,
     coboundary,
@@ -177,6 +178,26 @@ def test_integral_degree_in_v_coordinates(x):
         assert all(not any(_intlin.mat_vec(d, v)) for v in h.v_cols[rank:])
         lattice = _lattice_presentation(z, p)
         assert (h.pres.torsion, h.pres.free_rank) == (lattice.torsion, lattice.free_rank)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6, 8, 9, 12)), max_size=6),
+       st.randoms(use_true_random=False))
+def test_summed_presentation_equals_a_fresh_one(orders, rng):
+    # The invariant-factor presentation of the cyclic summands is memoized
+    # on their orders: an entry, cold or warm, equals a presentation built
+    # afresh in torsion, lift columns and projection.
+    orders = tuple(orders)
+    fresh = _intlin.present_cokernel(len(orders), _intlin.relation_columns(orders))
+    _summed_presentation.cache_clear()
+    cold = _summed_presentation(orders)
+    warm = _summed_presentation(orders)
+    assert warm is cold
+    assert (cold.torsion, cold.free_rank) == (fresh.torsion, fresh.free_rank)
+    assert cold.lift_cols == fresh.lift_cols
+    for _ in range(5):
+        v = [rng.randint(-20, 20) for _ in orders]
+        assert cold.project(v) == fresh.project(v)
 
 
 def _dense(sparse_rows, width):
