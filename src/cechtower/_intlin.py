@@ -197,22 +197,20 @@ class Presentation(Record):
     torsion/free_rank describe the quotient; ``lift_cols[k]`` is an ambient
     vector mapping onto the k-th generator (torsion generators first, then
     free ones); ``project`` sends any ambient vector inside S to normalized
-    quotient coordinates.  Unlike other records it is mutable and unhashable.
+    quotient coordinates.  Unlike other records it is unhashable.
     """
 
     _fields = ("n", "torsion", "free_rank", "lift_cols", "project")
     _hidden = ("project",)
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self, n: int, torsion: tuple[int, ...], free_rank: int,
                  lift_cols: list[Vec], project: Callable[[Sequence[int]], Vec]):
-        self.n = n
-        self.torsion = torsion
-        self.free_rank = free_rank
-        self.lift_cols = lift_cols
-        self.project = project
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "lift_cols", lift_cols)
+        object.__setattr__(self, "project", project)
 
 
 def present_cokernel(n: int, vecs: Sequence[Sequence[int]]) -> Presentation:

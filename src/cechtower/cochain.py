@@ -18,9 +18,8 @@ the divisor chain.
 
 The base's face table is the only coboundary data: (df)(tau) = sum of
 v f(s) over the signed face row (s, v) of tau, applied to the block of each
-coefficient generator by ``cech_coboundary``.  No complex stores a
-coboundary matrix; ``differential(p)`` builds a dense view from the table
-when a caller needs one.
+coefficient generator by ``cech_coboundary``.  No complex stores or builds
+a coboundary matrix; ``coboundary`` is the one implementation of d.
 """
 
 from __future__ import annotations
@@ -50,10 +49,10 @@ from cechtower.errors import BudgetExceededError, ValidationError, VerificationE
 # before any of them is enumerated.
 GENERATOR_BUDGET = 1 << 16
 # Cap on the entries of one dense matrix, checked where it is built: the
-# integral coboundary (k_{p+1} x k_p) and its SNF transforms (k_p x k_p),
-# the dense view ``differential(p)`` of a coboundary, and the
+# Morse coboundaries and their SNF transforms, the reduction maps, the
 # representatives and lift columns of a degree's s cyclic summands (s x
-# g*k_p, which bounds the s x s SNF that sums them).
+# g*k_p, which bounds the s x s SNF that sums them), and the kernel SNF and
+# the coboundary generators (g*k_{p+1} x g*k_p) of a twisted bar complex.
 COBOUNDARY_ENTRY_BUDGET = 1 << 22
 
 # Cap on the degrees of one cohomology or long exact sequence request: a
@@ -240,12 +239,12 @@ class CochainComplex(Record):
     a site (the Cech complex) or the nerve of a finite group (the bar
     complex).  Degrees outside 0..dim are zero groups.
 
-    No complex stores a coboundary matrix: ``cech_coboundary`` applies the
+    No complex stores a coboundary matrix: ``coboundary`` applies the
     base's face table to the block of each coefficient generator, and d∘d =
     0 holds by the simplicial identities.  ``action`` is set only for a
     nontrivial action of the nerve's group on L, one matrix rho(h) per
     element h; face 0 of a word w then carries rho(w[0]) instead of the
-    identity, and ``differential(p)`` is where that correction is applied.
+    identity, which ``coboundary`` adds on top of the face table.
     A cochain group of more than ``GENERATOR_BUDGET`` generators (g*k_p) is
     refused before any group is built.
 
@@ -284,26 +283,6 @@ class CochainComplex(Record):
 
     def group(self, p: int) -> FgAbGroup:
         return self._groups[p] if 0 <= p < len(self._groups) else trivial_group()
-
-    def differential(self, p: int) -> Homomorphism:
-        """d_p as a dense matrix, built from the face table on each call and
-        never stored, and refused before any row is built when it would pass
-        ``COBOUNDARY_ENTRY_BUDGET``.  Under an action, face 0 of each word w
-        adds rho(w[0]) - I at the word w[1:], on top of the face table.
-        Code that only applies an untwisted d_p uses ``coboundary``."""
-        src, tgt = self.group(p), self.group(p + 1)
-        check_dense_budget(f"coboundary {p}", tgt.ngens, src.ngens)
-        ng, k, k1 = self.coefficients.ngens, self.ncells(p), self.ncells(p + 1)
-        rows = [row for g in range(ng)
-                for row in _coboundary_rows(self.base, p, src.ngens, g * k)]
-        if self.action is not None and p >= 0:
-            below = self.base.cell_indices(p)
-            for t, w in enumerate(self.base.cells(p + 1)):
-                rho, f = self.action[w[0]], below[w[1:]]
-                for i in range(ng):
-                    for j in range(ng):
-                        rows[i * k1 + t][j * k + f] += rho[i][j] - (i == j)
-        return Homomorphism(src, tgt, rows)
 
     def ncells(self, p: int) -> int:
         return len(self.base.cells(p))
@@ -412,18 +391,6 @@ def _check_coboundary_budget(critical: Sequence[int]) -> None:
         check_dense_budget(f"reduced coboundary {p}", above, m)
 
 
-def _coboundary_rows(x: SimplicialComplex, p: int, width: int, offset: int = 0) -> list:
-    """The integral d_p as dense rows of ``width`` ints, one per (p+1)-cell,
-    with the p-cell f at column offset + f."""
-    rows = []
-    for faces in x.faces(p + 1):
-        row = [0] * width
-        for f, v in faces:
-            row[offset + f] = v
-        rows.append(row)
-    return rows
-
-
 def cech_coboundary(x: SimplicialComplex, p: int, coords: Sequence[int],
                     ngens: int) -> list[int]:
     """delta_p of a vector of C^p(X; L), L with ``ngens`` generators: the
@@ -443,14 +410,20 @@ def cech_coboundary(x: SimplicialComplex, p: int, coords: Sequence[int],
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """Apply the differential; degrees past the top land in the zero group.
-    A twisted complex applies its dense ``differential``."""
-    comp = c.complex
-    if comp.action is None:
-        image = cech_coboundary(comp.base, c.degree, c.coords, comp.coefficients.ngens)
-    else:
-        image = _intlin.mat_vec(comp.differential(c.degree).matrix, c.coords)
-    return Cochain(comp, c.degree + 1, tuple(image))
+    """Apply d, the one implementation for every complex: the base's face
+    table on each coefficient block, and under an action rho(w[0]) - I at
+    the word w[1:] for each (p+1)-word w.  Degrees past the top land in the
+    zero group."""
+    comp, p, coords = c.complex, c.degree, c.coords
+    image = cech_coboundary(comp.base, p, coords, comp.coefficients.ngens)
+    if comp.action is not None and p >= 0:
+        k, k1, below = comp.ncells(p), comp.ncells(p + 1), comp.base.cell_indices(p)
+        for t, w in enumerate(comp.base.cells(p + 1)):
+            value = coords[below[w[1:]]::k]
+            if any(value):
+                for i, row in enumerate(comp.action[w[0]]):
+                    image[i * k1 + t] += sum(a * b for a, b in zip(row, value)) - value[i]
+    return Cochain(comp, p + 1, tuple(image))
 
 
 def _violated_cell(c: Cochain, image_coords: Sequence[int]):
@@ -492,8 +465,8 @@ def cohomology(complex_: CochainComplex, p: int) -> Cohomology:
     An untwisted complex (a Cech complex, or a bar complex under a trivial
     action) is computed from its base's integral data, one cyclic factor of
     the coefficients at a time (``_site_presentation``); a twisted bar
-    complex presents ker/im of its dense differentials as one lattice
-    quotient.  Memoized on (complex, p), by value.
+    complex presents ker/im of its coboundary as one lattice quotient
+    (``_lattice_presentation``).  Memoized on (complex, p), by value.
     """
     if complex_.action is None:
         pres = _site_presentation(complex_, p)
@@ -506,16 +479,27 @@ def cohomology(complex_: CochainComplex, p: int) -> Cohomology:
 
 def _lattice_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation:
     """ker d_p / (im d_{p-1} + relations) as one lattice quotient: the path
-    for twisted complexes, and the reference for the tests."""
+    for twisted complexes, and the reference for the tests.  Its generators
+    are the columns of d_p and d_{p-1}, the ``coboundary`` images of the
+    unit cochains of degrees p and p-1: the only dense build left in the
+    package.  The kernel SNF transform and both sets of columns are checked
+    against the budget before any image is taken."""
     amb, tgt = complex_.group(p), complex_.group(p + 1)
     rel = _intlin.relation_columns(tgt.orders)
     size = amb.ngens + len(rel)
     check_dense_budget(f"the kernel SNF transform of differential {p}", size, size)
-    d = complex_.differential(p)
-    ker_gens = _intlin.lattice_preimage_gens(d.columns(), d.target.ngens, rel)
-    img_gens = (complex_.differential(p - 1).columns()
-                + _intlin.relation_columns(amb.orders))
+    check_dense_budget(f"coboundary {p}", tgt.ngens, amb.ngens)
+    check_dense_budget(f"coboundary {p - 1}", amb.ngens, complex_.group(p - 1).ngens)
+    ker_gens = _intlin.lattice_preimage_gens(_unit_images(complex_, p), tgt.ngens, rel)
+    img_gens = _unit_images(complex_, p - 1) + _intlin.relation_columns(amb.orders)
     return _intlin.present_quotient(_intlin.Lattice(amb.ngens, ker_gens), img_gens)
+
+
+def _unit_images(complex_: CochainComplex, p: int) -> list[list[int]]:
+    """The columns of d_p: the coboundaries of the unit cochains of degree p."""
+    n = complex_.group(p).ngens
+    return [list(coboundary(Cochain(complex_, p, (0,) * j + (1,) + (0,) * (n - j - 1))).coords)
+            for j in range(n)]
 
 
 class _Reduction:

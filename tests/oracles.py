@@ -4,8 +4,11 @@ Nothing here touches the package's SNF/lattice path: determinants come
 from fraction-free elimination, cohomology from exhaustive enumeration
 with the group structure reconstructed by order counting, solves from
 brute-force search.  These are the second route of every dual-route check.
-Twelve exceptions are earlier versions kept as references for the ones the
-package uses now: ``reference_site``, ``reference_simplices``,
+Thirteen exceptions are earlier versions kept as references for the ones the
+package uses now: ``reference_differential``, the dense d_p the package once
+built from the face table on every call, and under an action with
+rho(w[0]) - I added at the word w[1:], which ``coboundary`` must reproduce
+on every cochain; ``reference_site``, ``reference_simplices``,
 ``reference_facets`` and ``reference_parse_complex``, a site built, checked
 and parsed cell by cell and entry by entry, and ``ReferenceReduction``, the
 coreduction with a helper call per queue update and per path sum, which
@@ -49,7 +52,6 @@ from cechtower.cochain import (
     CochainComplex,
     GroupNerve,
     _check_coboundary_budget,
-    _coboundary_rows,
     _IntegralDegree,
     bar_complex,
     cech_coboundary,
@@ -58,6 +60,38 @@ from cechtower.cochain import (
 )
 from cechtower.errors import BudgetExceededError, SchemaError, ValidationError, VerificationError
 from cechtower.spectral import SpectralTerms
+
+
+def coboundary_rows(x, p: int, width: int, offset: int = 0) -> list:
+    """The integral d_p as dense rows of ``width`` ints, one per (p+1)-cell,
+    with the p-cell f at column offset + f."""
+    rows = []
+    for faces in x.faces(p + 1):
+        row = [0] * width
+        for f, v in faces:
+            row[offset + f] = v
+        rows.append(row)
+    return rows
+
+
+def reference_differential(complex_, p: int) -> Homomorphism:
+    """d_p of a cochain complex as a dense matrix, built from the face table
+    and refused before any row is built when it would pass
+    ``COBOUNDARY_ENTRY_BUDGET``.  Under an action, face 0 of each word w
+    adds rho(w[0]) - I at the word w[1:], on top of the face table."""
+    src, tgt = complex_.group(p), complex_.group(p + 1)
+    check_dense_budget(f"coboundary {p}", tgt.ngens, src.ngens)
+    ng, k, k1 = complex_.coefficients.ngens, complex_.ncells(p), complex_.ncells(p + 1)
+    rows = [row for g in range(ng)
+            for row in coboundary_rows(complex_.base, p, src.ngens, g * k)]
+    if complex_.action is not None and p >= 0:
+        below = complex_.base.cell_indices(p)
+        for t, w in enumerate(complex_.base.cells(p + 1)):
+            rho, f = complex_.action[w[0]], below[w[1:]]
+            for i in range(ng):
+                for j in range(ng):
+                    rows[i * k1 + t][j * k + f] += rho[i][j] - (i == j)
+    return Homomorphism(src, tgt, rows)
 
 
 def bareiss_det(mat) -> int:
@@ -191,14 +225,14 @@ def brute_cohomology(complex_, p: int, budget: int = 1 << 16) -> FgAbGroup:
     if below is not None and (below.free_rank or (below.order() or 1) > budget):
         raise ValueError("degree-(p-1) cochain group too large to enumerate")
 
-    out_diff = complex_.differential(p)
+    out_diff = reference_differential(complex_, p)
     out_sparse = _sparse_rows(out_diff.matrix)
     out_orders = out_diff.target.orders
     cocycles = [v for v in _enumerate_coords(amb)
                 if all(c == 0 for c in _apply_sparse(out_sparse, out_orders, v))]
 
     if p > 0:
-        in_diff = complex_.differential(p - 1)
+        in_diff = reference_differential(complex_, p - 1)
         in_sparse = _sparse_rows(in_diff.matrix)
         bset = {_apply_sparse(in_sparse, amb.orders, w)
                 for w in _enumerate_coords(below)}
@@ -232,7 +266,7 @@ def coboundary_set(complex_, p: int, budget: int = 1 << 16):
     if below.free_rank or (below.order() or 1) > budget:
         raise ValueError("degree-(p-1) cochain group too large to enumerate")
     amb = complex_.group(p)
-    sparse = _sparse_rows(complex_.differential(p - 1).matrix)
+    sparse = _sparse_rows(reference_differential(complex_, p - 1).matrix)
     return {_apply_sparse(sparse, amb.orders, w) for w in _enumerate_coords(below)}
 
 
@@ -279,7 +313,7 @@ def brute_connecting(comp_a, comp_b, comp_c, iota: Homomorphism,
         pre = exhaustive_solve(pi, value)
         for g in range(nb):
             lift[g * k + s] = pre.coords[g]
-    image = _apply_sparse(_sparse_rows(comp_b.differential(p).matrix),
+    image = _apply_sparse(_sparse_rows(reference_differential(comp_b, p).matrix),
                           comp_b.group(p + 1).orders, lift)
     out = [0] * (na * k1)
     for s in range(k1):
@@ -596,7 +630,7 @@ def reference_integral_degree(x, p: int) -> _IntegralDegree:
         check_dense_budget(f"coboundary {d}", above, k)
         check_dense_budget(f"the SNF transforms of integral coboundary {d}", k, k)
     k = len(x.cells(p))
-    res = _intlin.snf(_coboundary_rows(x, p, k), len(x.cells(p + 1)), k,
+    res = _intlin.snf(coboundary_rows(x, p, k), len(x.cells(p + 1)), k,
                       _intlin.LATTICE)
     free = res.n - res.rank
     image_rows = [reference_pull_back(x, p, row) for row in res.Vinv[res.rank:]]

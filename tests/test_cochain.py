@@ -30,6 +30,7 @@ from .oracles import (
     coboundary_set,
     normalized_rows,
     reference_bar_differential,
+    reference_differential,
     unnormalized_bar_complex,
 )
 from .test_cli import _cap_address_space
@@ -166,17 +167,20 @@ class TestCechComplex:
         assert cech_complex(rp2, Z2) is cech_complex(rp2, Z2)
 
     def test_oversized_dense_view_refused_before_building(self, monkeypatch):
-        # The 14-vertex simplex over Z/2 has at most 3,432 cochain generators
-        # per degree, within the cap, but its d_6 as a dense matrix would be
-        # 3003 x 3432.
-        comp = cech_complex(SimplicialComplex(14, [range(14)]), Z2)
+        # The lattice path of a twisted bar complex is the only dense build
+        # left.  Z/3 acting by doubling on Z/7 has 2,048 cochain generators
+        # in degree 11 and 4,096 in degree 12, within the cap, but its d_11
+        # as a dense matrix would be 4096 x 2048 (and the kernel SNF
+        # transform 6144 x 6144): refused before one coboundary is taken.
+        h = cyclic_table(3)
+        comp = bar_complex(h, GroupAction(h, cyclic_group(7), (((1,),), ((2,),), ((4,),))), 11)
 
-        def no_rows(*args):
-            raise AssertionError("a dense row was built")
+        def no_coboundary(*args):
+            raise AssertionError("a coboundary was taken")
 
-        monkeypatch.setattr(cochain, "_coboundary_rows", no_rows)
-        with pytest.raises(BudgetExceededError, match="coboundary 6 .* 3003 x 3432"):
-            comp.differential(6)
+        monkeypatch.setattr(cochain, "coboundary", no_coboundary)
+        with pytest.raises(BudgetExceededError, match="differential 11 .* 6144 x 6144"):
+            cohomology(comp, 11)
 
 
 class TestCoboundary:
@@ -407,7 +411,7 @@ class TestBarComplex:
         # No word past degree 0 of the nerve of the trivial group, which
         # reaches the degree budget.
         (cochain.DEGREE_BUDGET - 2, "trivial-group-on-Z2"),
-        # 64 words in the top degree 6 on the dense twisted path.
+        # 64 words in the top degree 6 on the twisted lattice path.
         (5, "Z3-doubling-on-Z7"),
     ], ids=["sign-40", "trivial-group-top", "doubling-5"])
     def test_normalized_nerve_within_seconds(self, degree, action):
@@ -428,9 +432,10 @@ class TestBarComplex:
         assert (c.action is None) == (action == trivial_action(action.group, action.module))
         for p in range(degree + 1):
             dense = reference_bar_differential(action, p)
-            assert c.differential(p) == Homomorphism(
+            assert reference_differential(c, p) == Homomorphism(
                 c.group(p), c.group(p + 1), normalized_rows(action, p, dense))
-            assert ref.differential(p) == Homomorphism(ref.group(p), ref.group(p + 1), dense)
+            assert reference_differential(ref, p) == Homomorphism(
+                ref.group(p), ref.group(p + 1), dense)
 
     @pytest.mark.parametrize("action, degree", BAR_ACTIONS + [
         pytest.param(trivial_action(direct_product(cyclic_table(2), cyclic_table(2)), Z), 3,
@@ -466,6 +471,22 @@ class TestBarComplex:
     def test_coboundary_matches_the_dense_view(self, action, degree):
         check_coboundary_against_dense_view(
             bar_complex(action.group, action, degree), random.Random(degree))
+
+    @pytest.mark.parametrize("action, degree", BAR_ACTIONS)
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_coboundary_matches_the_reference_bar_differential(self, action, degree, data):
+        # The one coboundary, twisted on face 0 under an action, against the
+        # unnormalized bar differential built word by word and restricted to
+        # the words with no identity letter; and d∘d = 0 on the same cochain.
+        c = bar_complex(action.group, action, degree)
+        p = data.draw(st.integers(0, degree), label="degree")
+        coords = tuple(data.draw(st.integers(0, o - 1) if o else st.integers(-9, 9))
+                       for o in c.group(p).orders)
+        dense = normalized_rows(action, p, reference_bar_differential(action, p))
+        image = coboundary(Cochain(c, p, coords))
+        assert image.coords == c.group(p + 1).normalize(_intlin.mat_vec(dense, coords))
+        assert coboundary(image).is_zero
 
     def test_action_must_be_automorphisms(self):
         h = cyclic_table(2)
@@ -515,15 +536,14 @@ class TestSuspension:
 
 
 def check_coboundary_against_dense_view(comp, rng):
-    # No complex stores a coboundary matrix: coboundary() applies the
-    # face table per coefficient generator, or the dense view under an
-    # action.  It must agree with the dense differential(p) built on
-    # demand, and d∘d = 0, which no construction checks, must hold for
-    # that dense view.
+    # No complex stores or builds a coboundary matrix: coboundary() applies
+    # the face table per coefficient generator, and rho(w[0]) - I on face 0
+    # under an action.  It must agree with the dense reference d_p, and
+    # d∘d = 0, which no construction checks, must hold for that reference.
     for p in range(comp.base.dim + 2):
-        d = comp.differential(p)
+        d = reference_differential(comp, p)
         assert (d.source, d.target) == (comp.group(p), comp.group(p + 1))
-        assert comp.differential(p + 1).compose(d).is_zero
+        assert reference_differential(comp, p + 1).compose(d).is_zero
         coords = tuple(rng.randrange(o) if o else rng.randint(-5, 5)
                        for o in comp.group(p).orders)
         dense = _intlin.mat_vec(d.matrix, coords)

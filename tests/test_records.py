@@ -188,8 +188,6 @@ BUILDERS = {
 }
 # Classes that compare and hash by identity, like ``object``.
 BY_IDENTITY = {FilteredComplex}
-# Classes whose fields may be reassigned.
-MUTABLE = {_intlin.Presentation}
 
 
 def package_records() -> set:
@@ -229,17 +227,13 @@ def test_fields_are_frozen(cls):
     record = BUILDERS[cls][0]()
     for name in cls._fields:
         value = getattr(record, name)
-        if cls in MUTABLE:
-            setattr(record, name, value)
-            continue
         with pytest.raises(AttributeError):
             setattr(record, name, value)
         with pytest.raises(AttributeError):
             delattr(record, name)
         assert getattr(record, name) is value
-    if cls not in MUTABLE:
-        with pytest.raises(AttributeError):
-            record.extra = 1
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_class_equality_ignores_the_representative():

@@ -27,7 +27,7 @@ from cechtower.spectral import (
 )
 
 from .conftest import RP2_FACETS, TORUS_FACETS, grid_torus_facets
-from .oracles import MembershipTerms, cech_induced
+from .oracles import MembershipTerms, cech_induced, reference_differential
 from .test_memo import clear_memos
 from .test_uct import sites
 
@@ -49,7 +49,7 @@ def lattices_equal(n, gens_a, gens_b) -> bool:
 def embedded_cocycle_gens(f: MembershipTerms, summand_index: int, n: int):
     """Cocycles of one summand's complex, pushed into the total complex."""
     comp = cech_complex(f.site, f.embeddings[summand_index].source)
-    d = comp.differential(n)
+    d = reference_differential(comp, n)
     kernel = _intlin.lattice_preimage_gens(d.columns(), d.target.ngens,
                                            _intlin.relation_columns(d.target.orders))
     emb = cech_induced(f.site, f.embeddings[summand_index], n)
@@ -102,7 +102,7 @@ def boundary_closed_form_holds(f: MembershipTerms, r, p: int, n: int) -> bool:
     rel = _intlin.relation_columns(amb.orders)
     definitional = f.b_lattice(r, p, n - p).basis
     if n - 1 >= 0:
-        d = f.total.differential(n - 1)
+        d = reference_differential(f.total, n - 1)
         vp = f.v_basis(p, n - 1)
         closed = [_intlin.mat_vec(d.matrix, g) for g in vp] + rel
     else:
