@@ -13,7 +13,7 @@ invariant-factor presentations by ``present_quotient``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Collection, Sequence
 
 from cechtower._kernels import identity_matrix, smith_with_transforms
 from cechtower._record import Record
@@ -71,17 +71,6 @@ class SnfResult(Record):
     V.  Transforms that were not asked for are empty lists."""
 
     _fields = ("U", "D", "V_cols", "Vinv", "m", "n", "diag", "rank")
-
-    def __init__(self, U: Mat, D: Mat, V_cols: Mat, Vinv: Mat, m: int, n: int,
-                 diag: tuple[int, ...], rank: int):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "V_cols", V_cols)
-        object.__setattr__(self, "Vinv", Vinv)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "rank", rank)
 
 
 def snf(A: Sequence[Sequence[int]], m: int, n: int,
@@ -204,14 +193,6 @@ class Presentation(Record):
     _hidden = ("project",)
     __hash__ = None
 
-    def __init__(self, n: int, torsion: tuple[int, ...], free_rank: int,
-                 lift_cols: list[Vec], project: Callable[[Sequence[int]], Vec]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "lift_cols", lift_cols)
-        object.__setattr__(self, "project", project)
-
 
 def present_cokernel(n: int, vecs: Sequence[Sequence[int]]) -> Presentation:
     """Present Z^n modulo the span of ``vecs`` with one SNF U*G*V == D of
@@ -231,16 +212,22 @@ def present_cokernel(n: int, vecs: Sequence[Sequence[int]]) -> Presentation:
                         lift_cols, project)
 
 
-def present_quotient(S: Lattice, t_gens: Sequence[Sequence[int]]) -> Presentation:
-    """Present S modulo lattice(t_gens), which must lie inside S: the
-    cokernel of t_gens in S's basis coordinates, lifted through the basis."""
+def quotient_relations(S: Lattice, t_gens: Sequence[Sequence[int]]) -> list[Vec]:
+    """The coordinates in S's basis of each of ``t_gens``, the relations of
+    S modulo lattice(t_gens); refused unless that lattice lies inside S."""
     cols = []
     for t in t_gens:
         c = S.coords_of(t)
         if c is None:
             raise VerificationError("denominator lattice is not contained in the numerator")
         cols.append(c)
-    pres = present_cokernel(S.rank, cols)
+    return cols
+
+
+def present_quotient(S: Lattice, t_gens: Sequence[Sequence[int]]) -> Presentation:
+    """Present S modulo lattice(t_gens), which must lie inside S: the
+    cokernel of t_gens in S's basis coordinates, lifted through the basis."""
+    pres = present_cokernel(S.rank, quotient_relations(S, t_gens))
 
     def project(v: Sequence[int]) -> Vec:
         c = S.coords_of(v)

@@ -47,8 +47,7 @@ class FgAbGroup(Record):
                 raise ValidationError(
                     f"torsion entries {prev}, {d} break the divisibility chain")
             prev = d
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+        Record.__init__(self, free_rank, torsion)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -195,8 +194,7 @@ class GroupElement(Record):
     _fields = ("group", "coords")
 
     def __init__(self, group: FgAbGroup, coords: tuple[int, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", group.normalize(coords))
+        Record.__init__(self, group, group.normalize(coords))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if other.group != self.group:
@@ -220,11 +218,7 @@ class GroupElement(Record):
 
 class HomReport(Record):
     _fields = ("ok", "column", "message")
-
-    def __init__(self, ok: bool, column: int | None = None, message: str = ""):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "message", message)
+    _defaults = {"column": None, "message": ""}
 
 
 def hom_validate(source: FgAbGroup, target: FgAbGroup,
@@ -271,9 +265,7 @@ class Homomorphism(Record):
         norm = tuple(
             tuple(v % o if o else v for v in row)
             for row, o in zip(matrix, target.orders))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", norm)
+        Record.__init__(self, source, target, norm)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -341,16 +333,6 @@ class HomInvariants(Record):
     _fields = ("kernel", "kernel_inclusion", "image", "image_inclusion", "cokernel",
                "cokernel_projection")
 
-    def __init__(self, kernel: FgAbGroup, kernel_inclusion: Homomorphism,
-                 image: FgAbGroup, image_inclusion: Homomorphism,
-                 cokernel: FgAbGroup, cokernel_projection: Homomorphism):
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "kernel_inclusion", kernel_inclusion)
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "image_inclusion", image_inclusion)
-        object.__setattr__(self, "cokernel", cokernel)
-        object.__setattr__(self, "cokernel_projection", cokernel_projection)
-
 
 def hom_invariants(h: Homomorphism) -> HomInvariants:
     """Kernel, image, cokernel with their inclusion/projection maps."""
@@ -398,11 +380,7 @@ def solve_in_group(h: Homomorphism, y: GroupElement) -> GroupElement | None:
 
 class ExactnessResult(Record):
     _fields = ("ok", "witness", "side")
-
-    def __init__(self, ok: bool, witness: GroupElement | None = None, side: str = ""):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "side", side)
+    _defaults = {"witness": None, "side": ""}
 
     def __bool__(self) -> bool:
         return self.ok
@@ -432,6 +410,16 @@ def is_exact_at(f: Homomorphism, g: Homomorphism) -> ExactnessResult:
     return ExactnessResult(True)
 
 
+@lru_cache(maxsize=256)
+def _summed_presentation(orders: tuple[int, ...]) -> _intlin.Presentation:
+    """The invariant-factor presentation of the sum of the cyclic groups
+    Z/o (o = 0: Z), memoized on the orders: direct sums, sites and
+    coefficient groups that reach the same summands share one entry.  An
+    entry holds s x s entries for s summands; the cohomology of a site
+    checks the budget of its s x g*k_p lift columns first."""
+    return present_cokernel(len(orders), relation_columns(orders))
+
+
 def direct_sum_with_maps(summands: Sequence[FgAbGroup]):
     """Canonical invariant-factor form of a direct sum, with the block maps.
 
@@ -444,9 +432,8 @@ def direct_sum_with_maps(summands: Sequence[FgAbGroup]):
     for g in summands:
         offsets.append(total)
         total += g.ngens
-    orders = [o for g in summands for o in g.orders]
     full = _intlin.identity_matrix(total)
-    pres = present_cokernel(total, relation_columns(orders))
+    pres = _summed_presentation(tuple(o for g in summands for o in g.orders))
     L = presentation_group(pres)
 
     embeddings = []

@@ -41,21 +41,12 @@ _RELIFT_COUNT = 20
 
 class Options(Record):
     _fields = ("max_degree", "budget", "verify")
-
-    def __init__(self, max_degree: int | None = None, budget: int | None = None,
-                 verify: bool = False):
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "verify", verify)
+    _defaults = {"max_degree": None, "budget": None, "verify": False}
 
 
 class Request(Record):
     _fields = ("command", "payload", "options")
-
-    def __init__(self, command: str, payload: object, options: Options = Options()):
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "options", options)
+    _defaults = {"options": Options()}
 
 
 def _payload_dict(payload: object) -> dict:
@@ -119,10 +110,7 @@ def _parse_connecting_payload(payload: object):
 
 def _cmd_connecting(payload: object, options: Options) -> dict:
     x, ses, c = _parse_connecting_payload(payload)
-    try:
-        out = connecting(x, ses, c)
-    except ValidationError as e:
-        raise SchemaError("payload.cochain", str(e)) from None
+    out = jsonio._checked("payload.cochain", connecting, x, ses, c)
     cl = class_of(cech_complex(x, ses.a), out)
     result = {"degree": out.degree, "cochain": jsonio.cochain_to_doc(out),
               "class": jsonio.class_to_doc(cl)}

@@ -36,6 +36,7 @@ from cechtower.abelian import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
+    _summed_presentation,
     hom_validate,
     is_exact_at,
     presentation_group,
@@ -145,14 +146,13 @@ class SimplicialComplex(_FaceTable):
                            itertools.filterfalse(covered.__contains__, range(len(below))))
             faces.append(tuple(zip(*(zip(col, itertools.repeat(-1 if j & 1 else 1))
                                      for j, col in enumerate(found)))))
-        maximal += simplices[-1]
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "facets", tuple(maximal))
+        maximal = (*maximal, *simplices[-1])
         object.__setattr__(self, "simplices", tuple(simplices))
         object.__setattr__(self, "_cells", self.simplices)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_faces", tuple(faces))
-        object.__setattr__(self, "_hash", hash((vertex_count, self.facets)))
+        object.__setattr__(self, "_hash", hash((vertex_count, maximal)))
+        Record.__init__(self, vertex_count, maximal)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(level) for p, level in enumerate(self.simplices))
@@ -198,12 +198,11 @@ class GroupNerve(_FaceTable):
                 row[f] = row.get(f, 0) + (-1 if p & 1 else 1)
                 rows.append(tuple((f, v) for f, v in row.items() if v))
             faces.append(tuple(rows))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "top", top)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_faces", tuple(faces))
         object.__setattr__(self, "_hash", hash((group, top)))
+        Record.__init__(self, group, top)
 
 
 def suspension(x: SimplicialComplex) -> SimplicialComplex:
@@ -266,11 +265,9 @@ class CochainComplex(Record):
                 raise BudgetExceededError(
                     f"cochain group {p} would have {n} generators, budget is "
                     f"{GENERATOR_BUDGET}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "action", action)
         object.__setattr__(self, "_groups", tuple(power_group(coefficients, k) for k in sizes))
         object.__setattr__(self, "_hash", hash((base, coefficients, action)))
+        Record.__init__(self, base, coefficients, action)
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -301,9 +298,7 @@ class Cochain(Record):
     _fields = ("complex", "degree", "coords")
 
     def __init__(self, complex: CochainComplex, degree: int, coords: tuple[int, ...]):
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coords", complex.group(degree).normalize(coords))
+        Record.__init__(self, complex, degree, complex.group(degree).normalize(coords))
 
     @property
     def group(self) -> FgAbGroup:
@@ -441,13 +436,6 @@ class Cohomology(Record):
 
     _fields = ("degree", "group", "representatives", "_presentation")
     _hidden = ("_presentation",)
-
-    def __init__(self, degree: int, group: FgAbGroup, representatives: tuple[Cochain, ...],
-                 _presentation: _intlin.Presentation):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "representatives", representatives)
-        object.__setattr__(self, "_presentation", _presentation)
 
     def coords_of(self, c: Cochain) -> tuple[int, ...]:
         image = coboundary(c)
@@ -675,13 +663,6 @@ class _IntegralDegree(Record):
 
     _fields = ("diag", "v_cols", "vinv_rows", "pres")
 
-    def __init__(self, diag: tuple[int, ...], v_cols: list, vinv_rows: list,
-                 pres: _intlin.Presentation):
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "v_cols", v_cols)
-        object.__setattr__(self, "vinv_rows", vinv_rows)
-        object.__setattr__(self, "pres", pres)
-
 
 def coboundary_diagonal(x: _FaceTable, p: int) -> tuple[int, ...]:
     """The nonzero SNF diagonal of the integral d_p: a 1 per pair matched
@@ -767,7 +748,7 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
     Each generator-major block of C^p(X; L) is C^p(X; Z/o) for one
     coefficient order o (o = 0: Z).  The factors' cyclic summands are
     brought into invariant-factor form by one small ``present_cokernel``,
-    memoized on their orders (``_summed_presentation``).  The s summands
+    memoized on their orders (``abelian._summed_presentation``).  The s summands
     are counted before any representative is built, and s x n
     (representatives and lift columns in C^p, n = g*k_p) is refused past
     the budget; s <= n, so that also bounds the s x s summing SNF.
@@ -794,28 +775,11 @@ def _site_presentation(complex_: CochainComplex, p: int) -> _intlin.Presentation
         [_intlin.lin_comb(reps, col, n) for col in summed.lift_cols], project)
 
 
-@lru_cache(maxsize=256)
-def _summed_presentation(orders: tuple[int, ...]) -> _intlin.Presentation:
-    """The invariant-factor presentation of the sum of the cyclic groups
-    Z/o (o = 0: Z), memoized on the orders: sites and coefficient groups
-    that reach the same summands share one entry.  An entry holds s x s
-    entries for s summands, within the budget of the s x g*k_p lift
-    columns that ``_site_presentation`` checks first."""
-    return _intlin.present_cokernel(len(orders), _intlin.relation_columns(orders))
-
-
 class CohomologyClass(Record):
     """Class equality is coordinate equality under the fixed projection:
     the representative is neither compared nor hashed."""
 
     _fields = ("degree", "group", "coords", "representative")
-
-    def __init__(self, degree: int, group: FgAbGroup, coords: tuple[int, ...],
-                 representative: Cochain):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "representative", representative)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -874,9 +838,7 @@ class GroupAction(Record):
                 if homs[a].compose(homs[b]).matrix != homs[table[a][b]].matrix:
                     raise ValidationError(
                         f"action is not a homomorphism at the pair ({a}, {b})")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "action", tuple(h.matrix for h in homs))
+        Record.__init__(self, group, module, tuple(h.matrix for h in homs))
 
 
 def trivial_action(group, module: FgAbGroup) -> GroupAction:

@@ -60,11 +60,7 @@ class ShortExactSequence(Record):
             if not verdict.ok:
                 raise ValidationError(
                     f"{refusal} ({verdict.side}): witness {verdict.witness.coords}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "iota", iota)
-        object.__setattr__(self, "pi", pi)
+        Record.__init__(self, a, b, c, iota, pi)
 
 
 def validate_ses(a: FgAbGroup, b: FgAbGroup, c: FgAbGroup,
@@ -145,18 +141,10 @@ def connecting(x: SimplicialComplex, ses: ShortExactSequence, c: Cochain,
 class LesNode(Record):
     _fields = ("label", "group")
 
-    def __init__(self, label: str, group: FgAbGroup):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "group", group)
-
 
 class LesExactness(Record):
     _fields = ("label", "ok", "witness")
-
-    def __init__(self, label: str, ok: bool, witness: tuple[int, ...] | None = None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"witness": None}
 
 
 class LesReport(Record):
@@ -168,12 +156,6 @@ class LesReport(Record):
     """
 
     _fields = ("nodes", "maps", "exact_at")
-
-    def __init__(self, nodes: tuple[LesNode, ...], maps: tuple[Homomorphism, ...],
-                 exact_at: tuple[LesExactness, ...]):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "exact_at", exact_at)
 
     @property
     def ok(self) -> bool:

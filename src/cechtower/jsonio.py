@@ -55,15 +55,21 @@ def _get(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _checked(path: str, build, *args):
+    """``build(*args)``; a ValidationError it raises becomes a SchemaError
+    at ``path``."""
+    try:
+        return build(*args)
+    except ValidationError as e:
+        raise SchemaError(path, str(e)) from None
+
+
 def parse_group(doc: object, path: str) -> FgAbGroup:
     d = _expect_dict(doc, path)
     free_rank = _expect_int(_get(d, "free_rank", path), f"{path}.free_rank")
     torsion = _expect_list(_get(d, "torsion", path), f"{path}.torsion")
     vals = [_expect_int(v, f"{path}.torsion[{i}]") for i, v in enumerate(torsion)]
-    try:
-        return FgAbGroup(free_rank, tuple(vals))
-    except ValidationError as e:
-        raise SchemaError(path, str(e)) from None
+    return _checked(path, FgAbGroup, free_rank, tuple(vals))
 
 
 def group_to_doc(g: FgAbGroup) -> dict:
@@ -85,10 +91,7 @@ def parse_homomorphism(doc: object, path: str) -> Homomorphism:
     source = parse_group(_get(d, "source", path), f"{path}.source")
     target = parse_group(_get(d, "target", path), f"{path}.target")
     matrix = parse_matrix(_get(d, "matrix", path), f"{path}.matrix")
-    try:
-        return Homomorphism(source, target, matrix)
-    except ValidationError as e:
-        raise SchemaError(f"{path}.matrix", str(e)) from None
+    return _checked(f"{path}.matrix", Homomorphism, source, target, matrix)
 
 
 def homomorphism_to_doc(h: Homomorphism) -> dict:
@@ -110,10 +113,7 @@ def parse_complex(doc: object, path: str) -> SimplicialComplex:
                 _expect_int(v, f"{path}.facets[{i}][{j}]")
     if vc <= 0:
         raise SchemaError(f"{path}.vertex_count", "vertex_count must be positive")
-    try:
-        return SimplicialComplex(vc, facets)
-    except ValidationError as e:
-        raise SchemaError(f"{path}.facets", str(e)) from None
+    return _checked(f"{path}.facets", SimplicialComplex, vc, facets)
 
 
 def complex_to_doc(x: SimplicialComplex) -> dict:
@@ -148,10 +148,7 @@ def parse_cochain(doc: object, complex_: CochainComplex, path: str) -> Cochain:
         vl = _expect_list(val, f"{path}.values.{key}")
         values[cell] = [_expect_int(v, f"{path}.values.{key}[{j}]")
                         for j, v in enumerate(vl)]
-    try:
-        return cochain_from_values(complex_, degree, values)
-    except ValidationError as e:
-        raise SchemaError(f"{path}.values", str(e)) from None
+    return _checked(f"{path}.values", cochain_from_values, complex_, degree, values)
 
 
 def cochain_to_doc(c: Cochain) -> dict:
@@ -176,18 +173,9 @@ def parse_ses(doc: object, path: str) -> ShortExactSequence:
     c = parse_group(_get(d, "C", path), f"{path}.C")
     iota_m = parse_matrix(_get(d, "iota", path), f"{path}.iota")
     pi_m = parse_matrix(_get(d, "pi", path), f"{path}.pi")
-    try:
-        iota = Homomorphism(a, b, iota_m)
-    except ValidationError as e:
-        raise SchemaError(f"{path}.iota", str(e)) from None
-    try:
-        pi = Homomorphism(b, c, pi_m)
-    except ValidationError as e:
-        raise SchemaError(f"{path}.pi", str(e)) from None
-    try:
-        return validate_ses(a, b, c, iota, pi)
-    except ValidationError as e:
-        raise SchemaError(path, str(e)) from None
+    iota = _checked(f"{path}.iota", Homomorphism, a, b, iota_m)
+    pi = _checked(f"{path}.pi", Homomorphism, b, c, pi_m)
+    return _checked(path, validate_ses, a, b, c, iota, pi)
 
 
 def ses_to_doc(s: ShortExactSequence) -> dict:
@@ -216,10 +204,7 @@ def parse_tower_spec(doc: object, path: str) -> TowerSpec:
                           "a tower without sequences needs an explicit band")
     comp = cech_complex(x, band)
     c2 = parse_cochain(_get(d, "c2", path), comp, f"{path}.c2")
-    try:
-        return TowerSpec(x, c2, sequences)
-    except ValidationError as e:
-        raise SchemaError(path, str(e)) from None
+    return _checked(path, TowerSpec, x, c2, sequences)
 
 
 def parse_filtered(doc: object, path: str) -> FilteredComplex:
@@ -238,10 +223,7 @@ def parse_finite_group(doc: object, path: str) -> FiniteGroup:
     order = _expect_int(_get(d, "order", path), f"{path}.order")
     table = parse_matrix(_get(d, "table", path), f"{path}.table")
     identity = _expect_int(_get(d, "identity", path), f"{path}.identity")
-    try:
-        return FiniteGroup(order, table, identity)
-    except ValidationError as e:
-        raise SchemaError(path, str(e)) from None
+    return _checked(path, FiniteGroup, order, table, identity)
 
 
 def finite_group_to_doc(g: FiniteGroup) -> dict:
@@ -258,10 +240,7 @@ def parse_extension(doc: object, path: str) -> CentralExtension:
     pi_doc = _expect_list(_get(d, "pi", path), f"{path}.pi")
     pi = [_expect_int(v, f"{path}.pi[{i}]") for i, v in enumerate(pi_doc)]
     q = parse_finite_group(_get(d, "Q", path), f"{path}.Q")
-    try:
-        return validate_extension(g, lab, le, pi, q)
-    except ValidationError as e:
-        raise SchemaError(path, str(e)) from None
+    return _checked(path, validate_extension, g, lab, le, pi, q)
 
 
 def parse_transition(doc: object, site: SimplicialComplex, quotient: FiniteGroup,
@@ -273,10 +252,7 @@ def parse_transition(doc: object, site: SimplicialComplex, quotient: FiniteGroup
         if len(cell) != 2:
             raise SchemaError(f"{path}.{key}", "edge keys must have two vertices")
         labels[cell] = _expect_int(val, f"{path}.{key}")
-    try:
-        return transition_from_values(site, quotient, labels)
-    except ValidationError as e:
-        raise SchemaError(path, str(e)) from None
+    return _checked(path, transition_from_values, site, quotient, labels)
 
 
 def extension_to_doc(ext: CentralExtension) -> dict:

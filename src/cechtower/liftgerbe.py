@@ -77,10 +77,8 @@ class FiniteGroup(Record):
                     if table[ab][c] != table[a][table[b][c]]:
                         raise ValidationError(
                             f"associativity fails at triple ({a},{b},{c})")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse))
+        Record.__init__(self, order, table, identity)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -223,11 +221,7 @@ class CentralExtension(Record):
         if kernel_set != set(ke):
             raise ValidationError(
                 "kernel of the projection differs from the embedded kernel group")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "kernel_group", kernel_group)
-        object.__setattr__(self, "kernel_elements", kernel_elements)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "projection", projection)
+        Record.__init__(self, group, kernel_group, kernel_elements, quotient, projection)
 
     def section(self) -> tuple[int, ...]:
         """Canonical set-section of the projection: the lowest G-index in
@@ -280,9 +274,7 @@ class TransitionCocycle(Record):
         for tri, ((jk, _), (ik, _), (ij, _)) in zip(site.cells(2), site.faces(2)):
             if quotient.table[values[ij]][values[jk]] != values[ik]:
                 raise ValidationError(f"cocycle law fails on triangle {tri}")
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "values", values)
+        Record.__init__(self, site, quotient, values)
 
     def value_on(self, i: int, j: int) -> int:
         if i < j:
@@ -322,6 +314,8 @@ def lifting_obstruction(t: TransitionCocycle, ext: CentralExtension,
     if len(sec) != ext.quotient.order:
         raise ValidationError("section must assign a lift to every quotient element")
     for qi, x in enumerate(sec):
+        if not 0 <= x < g.order:
+            raise ValidationError(f"section entry {qi} out of range")
         if ext.projection[x] != qi:
             raise ValidationError(f"section does not lift quotient element {qi}")
 

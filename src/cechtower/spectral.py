@@ -72,7 +72,7 @@ from cechtower.cochain import (
     cohomology,
 )
 from cechtower.errors import BudgetExceededError, ValidationError, VerificationError
-from cechtower.exactseq import LesReport, long_exact_sequence, validate_ses
+from cechtower.exactseq import long_exact_sequence, validate_ses
 
 
 class FilteredComplex(Record):
@@ -94,9 +94,8 @@ class FilteredComplex(Record):
         if not summands:
             raise ValidationError("need at least one summand")
         summands = tuple(summands)
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "embeddings", _filtration(summands)[0])
+        Record.__init__(self, site, summands)
 
     @property
     def depth(self) -> int:
@@ -128,15 +127,6 @@ class SpectralTerms(Record):
     """Presentations of Z, B, E at one grid point (r=None is the limit page)."""
 
     _fields = ("r", "p", "q", "z_group", "b_group", "e_group")
-
-    def __init__(self, r: int | None, p: int, q: int, z_group: FgAbGroup,
-                 b_group: FgAbGroup, e_group: FgAbGroup):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "z_group", z_group)
-        object.__setattr__(self, "b_group", b_group)
-        object.__setattr__(self, "e_group", e_group)
 
 
 def filtered_terms(f: FilteredComplex, r: int | None, p: int, q: int) -> SpectralTerms:
@@ -234,13 +224,8 @@ def _lattice(n: int, gens: tuple[tuple[int, ...], ...]) -> _intlin.Lattice:
 
 def _quotient_group(num: _intlin.Lattice, den_gens: list[list[int]]) -> FgAbGroup:
     """num / lattice(den_gens), which must lie inside num."""
-    coords = []
-    for v in den_gens:
-        c = num.coords_of(v)
-        if c is None:
-            raise VerificationError("denominator lattice is not contained in the numerator")
-        coords.append(tuple(c))
-    return _cokernel_group(num.rank, tuple(coords))
+    rows = _intlin.quotient_relations(num, den_gens)
+    return _cokernel_group(num.rank, tuple(map(tuple, rows)))
 
 
 @lru_cache(maxsize=1024)
@@ -253,13 +238,6 @@ def _cokernel_group(n: int, rows: tuple[tuple[int, ...], ...]) -> FgAbGroup:
 class DegenerationEntry(Record):
     _fields = ("r", "p", "q", "expected", "got")
 
-    def __init__(self, r: int | None, p: int, q: int, expected: FgAbGroup, got: FgAbGroup):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "got", got)
-
     @property
     def ok(self) -> bool:
         return self.expected == self.got
@@ -267,9 +245,6 @@ class DegenerationEntry(Record):
 
 class DegenerationReport(Record):
     _fields = ("entries",)
-
-    def __init__(self, entries: tuple[DegenerationEntry, ...]):
-        object.__setattr__(self, "entries", entries)
 
     @property
     def ok(self) -> bool:
@@ -324,13 +299,6 @@ class DirectSumLesReport(Record):
 
     _fields = ("header", "les", "connecting_all_zero", "decomposition_ok")
 
-    def __init__(self, header: str, les: LesReport, connecting_all_zero: bool,
-                 decomposition_ok: bool):
-        object.__setattr__(self, "header", header)
-        object.__setattr__(self, "les", les)
-        object.__setattr__(self, "connecting_all_zero", connecting_all_zero)
-        object.__setattr__(self, "decomposition_ok", decomposition_ok)
-
     @property
     def ok(self) -> bool:
         return self.les.ok and self.connecting_all_zero and self.decomposition_ok
@@ -358,7 +326,7 @@ def les_direct_sum(x: SimplicialComplex, l_first: FgAbGroup, l_last: FgAbGroup,
         h_total = cohomology(cech_complex(x, total), i).group
         h_first = cohomology(cech_complex(x, l_first), i).group
         h_last = cohomology(cech_complex(x, l_last), i).group
-        merged, _, _ = direct_sum_with_maps([h_first, h_last])
+        merged = cyclic_sum((o, 1) for o in h_first.orders + h_last.orders)
         if merged != h_total:
             decomposition_ok = False
 

@@ -50,9 +50,7 @@ class TowerSpec(Record):
                     f"sequence {k}: quotient term {ses.c} does not continue the "
                     f"band chain (expected {expected})")
             expected = ses.a
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "sequences", sequences)
+        Record.__init__(self, complex, c2, sequences)
 
     @property
     def bands(self) -> tuple[FgAbGroup, ...]:
@@ -64,12 +62,6 @@ class TowerClasses(Record):
     """Stage k (degree k) of ``stages`` is the class [c_k] in H^k(X, band)."""
 
     _fields = ("complex", "bands", "stages")
-
-    def __init__(self, complex: SimplicialComplex, bands: tuple[FgAbGroup, ...],
-                 stages: tuple[CohomologyClass, ...]):
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "bands", bands)
-        object.__setattr__(self, "stages", stages)
 
     @property
     def representatives(self) -> tuple[Cochain, ...]:
@@ -94,19 +86,11 @@ def tower_classes(spec: TowerSpec) -> TowerClasses:
 
 class TowerCheck(Record):
     _fields = ("name", "ok", "detail")
-
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"detail": ""}
 
 
 class TowerReport(Record):
     _fields = ("classes", "checks")
-
-    def __init__(self, classes: TowerClasses, checks: tuple[TowerCheck, ...]):
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -139,10 +123,7 @@ def verify_tower(result: TowerClasses) -> TowerReport:
 
 class TowerComparison(Record):
     _fields = ("equal", "first_differing_stage")
-
-    def __init__(self, equal: bool, first_differing_stage: int | None = None):
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "first_differing_stage", first_differing_stage)
+    _defaults = {"first_differing_stage": None}
 
 
 def compare_towers(t1: TowerClasses, t2: TowerClasses) -> TowerComparison:

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in it, every private
-module-level helper is referenced somewhere in the package, and importing
-the CLI loads no code-generating or typing module.
+module-level helper is referenced somewhere in the package, importing
+the CLI loads no code-generating or typing module, and no record class
+stores its own fields outside ``Record.__init__``.
 
 No linter runs on the tree, so this keeps deletions honest: a helper that
 loses its last caller must also leave the import lists, and a private
@@ -127,3 +128,45 @@ def test_module_generates_no_code(path):
                for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "dataclasses" not in modules
+
+
+def field_stores(source: str) -> list[str]:
+    """``object.__setattr__(self, "<name>", ...)`` calls for a name in the
+    enclosing class's own ``_fields``, as "Class.name": ``Record.__init__``
+    stores every field."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        fields = next((stmt.value for stmt in cls.body if isinstance(stmt, ast.Assign)
+                       and any(isinstance(t, ast.Name) and t.id == "_fields"
+                               for t in stmt.targets)), None)
+        if not isinstance(fields, ast.Tuple):
+            continue
+        names = {elt.value for elt in fields.elts if isinstance(elt, ast.Constant)}
+        for call in ast.walk(cls):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "__setattr__"
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "object"
+                    and len(call.args) > 1 and isinstance(call.args[1], ast.Constant)
+                    and call.args[1].value in names):
+                out.append(f"{cls.name}.{call.args[1].value}")
+    return out
+
+
+def test_the_check_sees_a_field_store():
+    source = ("class A(Record):\n    _fields = ('x', 'y')\n\n"
+              "    def __init__(self, x, y):\n"
+              "        object.__setattr__(self, 'x', x)\n"
+              "        object.__setattr__(self, '_derived', y)\n"
+              "        Record.__init__(self, x, y)\n\n"
+              "class B(Record):\n    _fields = ('x',)\n\n"
+              "    def __init__(self, x):\n        object.__setattr__(self, 'x', x)\n")
+    assert field_stores(source) == ["A.x", "B.x"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_record.py"],
+                         ids=lambda p: p.name)
+def test_records_store_fields_through_the_shared_constructor(path):
+    assert field_stores(path.read_text(encoding="utf-8")) == []

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from cechtower import jsonio
 from cechtower.abelian import Homomorphism
+from cechtower.cli import Request, execute
+from cechtower.cochain import SimplicialComplex, cech_complex
 from cechtower.errors import SchemaError
+from cechtower.liftgerbe import cyclic_table
 
 from .oracles import reference_parse_complex
 from .test_les_properties import sequences
-from .test_liftgerbe import d4_extension, split_extension, z4_extension
+from .test_liftgerbe import Z2, d4_extension, split_extension, z4_extension
 from .test_uct import coefficient_groups
 
 
@@ -96,3 +99,61 @@ def test_random_facet_documents_parse_as_entry_by_entry(vertex_count, facets):
         reference_parse_complex, doc)
     assert (fast if isinstance(fast, str) else fast.simplices) == (
         ref if isinstance(ref, str) else ref[0])
+
+
+Z2_DOC = {"free_rank": 0, "torsion": [2]}
+Z4_DOC = {"free_rank": 0, "torsion": [4]}
+TRIANGLE = SimplicialComplex(3, [(0, 1, 2)])
+ILL_DEFINED = ("ill-defined homomorphism: column 0: source order 2 does not annihilate "
+               "the image (target coordinate 0)")
+
+
+def ses_doc(**changes):
+    """0 -> Z/2 -> Z/4 -> Z/2 -> 0, with ``changes`` to its entries."""
+    return {"A": Z2_DOC, "B": Z4_DOC, "C": Z2_DOC, "iota": [[2]], "pi": [[1]], **changes}
+
+
+def short_projection_doc():
+    doc = jsonio.extension_to_doc(z4_extension())
+    return {**doc, "pi": doc["pi"][:-1]}
+
+
+# Per site where a constructor's ValidationError becomes a SchemaError, a
+# document it refuses and the whole message: the path, then the reason.
+REFUSALS = {
+    "group": (lambda: jsonio.parse_group({"free_rank": 0, "torsion": [2, 3]}, "g"),
+              "g: torsion entries 2, 3 break the divisibility chain"),
+    "homomorphism": (lambda: jsonio.parse_homomorphism(
+        {"source": Z2_DOC, "target": Z4_DOC, "matrix": [[1]]}, "h"),
+        f"h.matrix: {ILL_DEFINED}"),
+    "cochain": (lambda: jsonio.parse_cochain({"degree": 1, "values": {"0,3": [1]}},
+                                             cech_complex(TRIANGLE, Z2), "c"),
+                "c.values: (0, 3) is not a cell of degree 1"),
+    "ses-iota": (lambda: jsonio.parse_ses(ses_doc(iota=[[1]]), "s"), f"s.iota: {ILL_DEFINED}"),
+    "ses-pi": (lambda: jsonio.parse_ses(ses_doc(B=Z2_DOC, C=Z4_DOC, iota=[[1]]), "s"),
+               f"s.pi: {ILL_DEFINED}"),
+    "ses": (lambda: jsonio.parse_ses(ses_doc(pi=[[0]]), "s"),
+            "s: pi is not surjective (kernel_not_in_image): witness (1,)"),
+    "tower": (lambda: jsonio.parse_tower_spec(
+        {"complex": {"vertex_count": 4, "facets": [[0, 1, 2, 3]]}, "sequences": [],
+         "band": Z2_DOC, "c2": {"degree": 2, "values": {"0,1,2": [1]}}}, "t"),
+        "t: base cochain is not a cocycle"),
+    "finite-group": (lambda: jsonio.parse_finite_group(
+        {"order": 2, "table": [[0, 1], [1, 1]], "identity": 0}, "q"),
+        "q: element 1 has no inverse"),
+    "extension": (lambda: jsonio.parse_extension(short_projection_doc(), "e"),
+                  "e: projection must assign a quotient element to every group element"),
+    "transition": (lambda: jsonio.parse_transition({"0,1": 0}, TRIANGLE, cyclic_table(2), "t"),
+                   "t: missing label for edge (0, 2)"),
+    "connecting": (lambda: execute(Request("connecting", {
+        "complex": jsonio.complex_to_doc(TRIANGLE), "ses": ses_doc(),
+        "cochain": {"degree": 0, "values": {"0": [1]}}})),
+        "payload.cochain: connecting morphism needs a cocycle input"),
+}
+
+
+@pytest.mark.parametrize("parse,message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_constructor_refusals_are_named_at_their_path(parse, message):
+    with pytest.raises(SchemaError) as refused:
+        parse()
+    assert str(refused.value) == message

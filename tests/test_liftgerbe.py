@@ -217,6 +217,14 @@ class TestLiftingObstruction:
             _, cls = lifting_obstruction(t, ext, section=section)
             assert cls.coords == base
 
+    @pytest.mark.parametrize("section", [(-4, -1), (0, 7)])
+    def test_section_outside_the_group_is_refused(self, rp2, section):
+        # Negative entries once read as elements counted from the end of
+        # G, and entries past its order escaped as an IndexError.
+        t, _ = h1_transition(rp2)
+        with pytest.raises(ValidationError, match="section entry .* out of range"):
+            lifting_obstruction(t, z4_extension(), section=section)
+
 
 class TestBruteForceLift:
     def test_split_extension_always_lifts(self, rp2):

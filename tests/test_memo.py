@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import cechtower
-from cechtower import abelian, cochain, exactseq, spectral
+from cechtower import abelian, exactseq, spectral
 from cechtower.abelian import FgAbGroup, cyclic_group, free_group
 from cechtower.cochain import (
     GroupAction,
@@ -104,7 +104,7 @@ def held_cochains(x, ses):
 
 def test_every_memo_is_discovered():
     known = {cech_complex, cohomology, _integral_degree, _reduction,
-             cochain._summed_presentation, abelian._hom_solver,
+             abelian._summed_presentation, abelian._hom_solver,
              exactseq._section_matrix, spectral._filtration, spectral._piece_groups,
              spectral._degree_pieces, spectral._preimage,
              spectral._lattice, spectral._cokernel_group}

@@ -24,6 +24,7 @@ from cechtower import _intlin, cochain, jsonio
 from cechtower.abelian import (
     FgAbGroup,
     Homomorphism,
+    _summed_presentation,
     cyclic_group,
     free_group,
     is_exact_at,
@@ -39,7 +40,6 @@ from cechtower.cochain import (
     _lattice_presentation,
     _reduction,
     _site_presentation,
-    _summed_presentation,
     bar_complex,
     cech_complex,
     coboundary,
