@@ -194,11 +194,9 @@ def _cmd_gerbe_lift(payload: object, options: Options) -> dict:
     if options.verify:
         lift = brute_force_lift(t, ext, budget=budget)
         rng = random.Random(_RELIFT_SEED)
-        fibers = [[g for g in range(ext.group.order) if ext.projection[g] == q]
-                  for q in range(ext.quotient.order)]
         stable = True
         for _ in range(_RELIFT_COUNT):
-            section = tuple(rng.choice(f) for f in fibers)
+            section = tuple(rng.choice(f) for f in ext.fibers)
             _, alt_cl = lifting_obstruction(t, ext, section=section)
             stable = stable and alt_cl.coords == cl.coords
         result["verify"] = {

@@ -37,7 +37,6 @@ from cechtower.abelian import (
     GroupElement,
     Homomorphism,
     _summed_presentation,
-    hom_validate,
     is_exact_at,
     presentation_group,
     trivial_group,
@@ -240,12 +239,12 @@ class CochainComplex(Record):
 
     No complex stores a coboundary matrix: ``coboundary`` applies the
     base's face table to the block of each coefficient generator, and d∘d =
-    0 holds by the simplicial identities.  ``action`` is set only for a
-    nontrivial action of the nerve's group on L, one matrix rho(h) per
-    element h; face 0 of a word w then carries rho(w[0]) instead of the
-    identity, which ``coboundary`` adds on top of the face table.
-    A cochain group of more than ``GENERATOR_BUDGET`` generators (g*k_p) is
-    refused before any group is built.
+    0 holds by the simplicial identities.  ``action`` is None or a
+    ``GroupAction`` of the nerve's group on L, anything else is refused;
+    face 0 of a word w then carries rho(w[0]) = ``action.action[w[0]]``
+    instead of the identity, which ``coboundary`` adds on top of the face
+    table.  A cochain group of more than ``GENERATOR_BUDGET`` generators
+    (g*k_p) is refused before any group is built.
 
     A complex is a value: it compares and hashes by (base, coefficients,
     action), which determine everything else it holds, so complexes built
@@ -254,10 +253,13 @@ class CochainComplex(Record):
 
     _fields = ("base", "coefficients", "action")
 
-    def __init__(self, base: _FaceTable, coefficients: FgAbGroup, action: tuple | None = None):
+    def __init__(self, base: _FaceTable, coefficients: FgAbGroup,
+                 action: GroupAction | None = None):
         if action is not None and not (
-                isinstance(base, GroupNerve) and len(action) == base.group.order):
-            raise ValidationError("an action needs one matrix per element of the nerve's group")
+                isinstance(action, GroupAction) and isinstance(base, GroupNerve)
+                and action.group == base.group and action.module == coefficients):
+            raise ValidationError(
+                "an action must be a GroupAction of the nerve's group on the coefficients")
         sizes = [len(base.cells(p)) for p in range(base.dim + 1)]
         for p, k in enumerate(sizes):
             n = coefficients.ngens * k
@@ -413,10 +415,11 @@ def coboundary(c: Cochain) -> Cochain:
     image = cech_coboundary(comp.base, p, coords, comp.coefficients.ngens)
     if comp.action is not None and p >= 0:
         k, k1, below = comp.ncells(p), comp.ncells(p + 1), comp.base.cell_indices(p)
+        rho = comp.action.action
         for t, w in enumerate(comp.base.cells(p + 1)):
             value = coords[below[w[1:]]::k]
             if any(value):
-                for i, row in enumerate(comp.action[w[0]]):
+                for i, row in enumerate(rho[w[0]]):
                     image[i * k1 + t] += sum(a * b for a, b in zip(row, value)) - value[i]
     return Cochain(comp, p + 1, tuple(image))
 
@@ -808,6 +811,8 @@ class GroupAction(Record):
 
     ``action[i]`` is the automorphism matrix attached to element i of the
     acting group; the assignment must respect every Cayley-table product.
+    Each matrix is checked once, as the ``Homomorphism`` it builds; a
+    twisted ``CochainComplex`` holds the action it was checked as.
     """
 
     _fields = ("group", "module", "action")
@@ -820,10 +825,10 @@ class GroupAction(Record):
             raise ValidationError("need exactly one matrix per group element")
         homs = []
         for i, mat in enumerate(action):
-            report = hom_validate(module, module, mat)
-            if not report.ok:
-                raise ValidationError(f"action of element {i}: {report.message}")
-            homs.append(Homomorphism(module, module, mat))
+            try:
+                homs.append(Homomorphism(module, module, mat))
+            except ValidationError as err:
+                raise ValidationError(f"action of element {i}: {err}") from None
         zero_in = zero_hom(trivial_group(), module)
         zero_out = zero_hom(module, trivial_group())
         for i, h in enumerate(homs):
@@ -846,8 +851,8 @@ def trivial_action(group, module: FgAbGroup) -> GroupAction:
     return GroupAction(group, module, (ident,) * group.order)
 
 
-def bar_complex(group, action: GroupAction, max_degree: int) -> CochainComplex:
-    """Normalized inhomogeneous bar complex of a finite group.
+def bar_complex(action: GroupAction, max_degree: int) -> CochainComplex:
+    """Normalized inhomogeneous bar complex of ``action.group`` on ``action.module``.
 
     C^p, the maps H^p -> M vanishing on words with an identity letter, is
     the cochain complex of the normalized nerve of H (``GroupNerve``), with
@@ -858,15 +863,13 @@ def bar_complex(group, action: GroupAction, max_degree: int) -> CochainComplex:
     one degree beyond ``max_degree`` so that cohomology at ``max_degree`` is
     computed against the true outgoing differential.  An action whose every
     matrix is the identity is not stored, so the complex takes the
-    face-table path of a Cech complex.  The words of the top degree, and
-    then the generators of each cochain group, are checked against their
-    budgets.
+    face-table path of a Cech complex; any other is its ``action``.  The
+    words of the top degree, and then the generators of each cochain group,
+    are checked against their budgets.
     """
-    if action.group is not group and action.group != group:
-        raise ValidationError("action does not belong to the given group")
     ident = tuple(map(tuple, _intlin.identity_matrix(action.module.ngens)))
-    twist = None if all(rho == ident for rho in action.action) else action.action
-    return CochainComplex(GroupNerve(group, max_degree + 1), action.module, twist)
+    twist = None if all(rho == ident for rho in action.action) else action
+    return CochainComplex(GroupNerve(action.group, max_degree + 1), action.module, twist)
 
 
 def apply_cellwise(matrix: Sequence[Sequence[int]], coords: Sequence[int],

@@ -82,7 +82,7 @@ def _section_matrix(ses: ShortExactSequence) -> tuple[tuple[int, ...], ...]:
         if sol is None:
             raise VerificationError("pi lost surjectivity after validation")
         cols.append(sol.coords)
-    return tuple(tuple(col[i] for col in cols) for i in range(ses.b.ngens))
+    return tuple(map(tuple, columns_to_matrix(cols, ses.b.ngens)))
 
 
 def connecting(x: SimplicialComplex, ses: ShortExactSequence, c: Cochain,

@@ -148,14 +148,6 @@ def abelian_element_index(g: FgAbGroup, el: GroupElement) -> int:
     return idx
 
 
-def abelian_element_from_index(g: FgAbGroup, idx: int) -> GroupElement:
-    coords = []
-    for d in reversed(g.torsion):
-        coords.append(idx % d)
-        idx //= d
-    return GroupElement(g, tuple(reversed(coords)))
-
-
 def group_from_abelian(g: FgAbGroup) -> FiniteGroup:
     """Cayley-table form of a finite abelian group, element order matching
     ``FgAbGroup.elements()``."""
@@ -169,7 +161,10 @@ def group_from_abelian(g: FgAbGroup) -> FiniteGroup:
 
 class CentralExtension(Record):
     """kernel_elements[k] is the image in G of the k-th element of the
-    abelian kernel group (enumeration order of FgAbGroup.elements())."""
+    abelian kernel group (enumeration order of FgAbGroup.elements()).  The
+    checks tabulate ``fibers[q]``, the G-indices over q in ascending order,
+    and ``kernel_coords``, the kernel-group coordinates of each G-index in
+    the kernel."""
 
     _fields = ("group", "kernel_group", "kernel_elements", "quotient", "projection")
 
@@ -207,40 +202,31 @@ class CentralExtension(Record):
         if len(projection) != g.order:
             raise ValidationError("projection must assign a quotient element to "
                                   "every group element")
+        fibers = [[] for _ in range(q.order)]
         for x, v in enumerate(projection):
             if not 0 <= v < q.order:
                 raise ValidationError(f"projection of element {x} out of range")
+            fibers[v].append(x)
         for a in range(g.order):
             for b in range(g.order):
                 if projection[g.table[a][b]] != q.table[projection[a]][projection[b]]:
                     raise ValidationError(
                         f"projection is not a homomorphism at pair ({a},{b})")
-        if set(projection) != set(range(q.order)):
+        if not all(fibers):
             raise ValidationError("projection is not surjective")
-        kernel_set = {x for x in range(g.order) if projection[x] == q.identity}
-        if kernel_set != set(ke):
+        if fibers[q.identity] != sorted(ke):
             raise ValidationError(
                 "kernel of the projection differs from the embedded kernel group")
+        section = tuple(g.identity if v == q.identity else f[0] for v, f in enumerate(fibers))
+        object.__setattr__(self, "fibers", tuple(map(tuple, fibers)))
+        object.__setattr__(self, "kernel_coords", {v: el.coords for v, el in zip(ke, els)})
+        object.__setattr__(self, "_section", section)
         Record.__init__(self, group, kernel_group, kernel_elements, quotient, projection)
 
     def section(self) -> tuple[int, ...]:
         """Canonical set-section of the projection: the lowest G-index in
         each fiber, except that the identity lifts to the identity."""
-        sec = [None] * self.quotient.order
-        for x in range(self.group.order):
-            qx = self.projection[x]
-            if sec[qx] is None:
-                sec[qx] = x
-        sec[self.quotient.identity] = self.group.identity
-        return tuple(sec)
-
-    def kernel_index_of(self, g_index: int) -> int:
-        """Position in kernel_elements of a G-element lying in the kernel."""
-        try:
-            return self.kernel_elements.index(g_index)
-        except ValueError:
-            raise VerificationError(
-                f"group element {g_index} is outside the central kernel") from None
+        return self._section
 
 
 def validate_extension(g: FiniteGroup, kernel_group: FgAbGroup,
@@ -270,8 +256,7 @@ class TransitionCocycle(Record):
         for e, v in enumerate(values):
             if not 0 <= v < quotient.order:
                 raise ValidationError(f"label on edge {edges[e]} out of range")
-        # The faces of triangle (i, j, k) are (j, k), (i, k), (i, j).
-        for tri, ((jk, _), (ik, _), (ij, _)) in zip(site.cells(2), site.faces(2)):
+        for tri, (jk, ik, ij) in zip(site.cells(2), _triangle_edges(site)):
             if quotient.table[values[ij]][values[jk]] != values[ik]:
                 raise ValidationError(f"cocycle law fails on triangle {tri}")
         Record.__init__(self, site, quotient, values)
@@ -280,6 +265,11 @@ class TransitionCocycle(Record):
         if i < j:
             return self.values[self.site.cell_indices(1)[(i, j)]]
         return self.quotient.inv(self.values[self.site.cell_indices(1)[(j, i)]])
+
+
+def _triangle_edges(site: SimplicialComplex) -> list[tuple[int, int, int]]:
+    """The edges (jk, ik, ij) of each triangle (i, j, k), from its face row."""
+    return [(jk, ik, ij) for (jk, _), (ik, _), (ij, _) in site.faces(2)]
 
 
 def transition_from_values(site: SimplicialComplex, quotient: FiniteGroup,
@@ -320,16 +310,14 @@ def lifting_obstruction(t: TransitionCocycle, ext: CentralExtension,
             raise ValidationError(f"section does not lift quotient element {qi}")
 
     site = t.site
-    lab = ext.kernel_group
-    comp = cech_complex(site, lab)
+    comp = cech_complex(site, ext.kernel_group)
     values = {}
-    for tri, faces in zip(site.cells(2), site.faces(2)):
-        lifted_jk, lifted_ik, lifted_ij = (sec[t.values[e]] for e, _ in faces)
+    for tri, edges in zip(site.cells(2), _triangle_edges(site)):
+        lifted_jk, lifted_ik, lifted_ij = (sec[t.values[e]] for e in edges)
         defect = g.mul(g.mul(g.inv(lifted_ik), lifted_ij), lifted_jk)
-        if ext.projection[defect] != ext.quotient.identity:
+        values[tri] = ext.kernel_coords.get(defect)
+        if values[tri] is None:
             raise VerificationError(f"triangle defect on {tri} escapes the kernel")
-        el = abelian_element_from_index(lab, ext.kernel_index_of(defect))
-        values[tri] = el.coords
     cochain = cochain_from_values(comp, 2, values)
     if not coboundary(cochain).is_zero:
         raise VerificationError("lifting defect is not a 2-cocycle")
@@ -364,11 +352,11 @@ def brute_force_lift(t: TransitionCocycle, ext: CentralExtension,
     # candidate lift of edge e under twist l, twists commute with everything
     cand = [[g.mul(base[e], ke) for ke in ext.kernel_elements]
             for e in range(n_edges)]
-    triangles = [(ij, jk, ik) for (jk, _), (ik, _), (ij, _) in site.faces(2)]
+    triangles = _triangle_edges(site)
 
     for choice in itertools.product(range(ksize), repeat=n_edges):
         ok = True
-        for eij, ejk, eik in triangles:
+        for ejk, eik, eij in triangles:
             if g.table[cand[eij][choice[eij]]][cand[ejk][choice[ejk]]] != \
                     cand[eik][choice[eik]]:
                 ok = False

@@ -87,7 +87,7 @@ def reference_differential(complex_, p: int) -> Homomorphism:
     if complex_.action is not None and p >= 0:
         below = complex_.base.cell_indices(p)
         for t, w in enumerate(complex_.base.cells(p + 1)):
-            rho, f = complex_.action[w[0]], below[w[1:]]
+            rho, f = complex_.action.action[w[0]], below[w[1:]]
             for i in range(ng):
                 for j in range(ng):
                     rows[i * k1 + t][j * k + f] += rho[i][j] - (i == j)
@@ -362,9 +362,8 @@ class UnnormalizedNerve(GroupNerve):
 
 
 def unnormalized_bar_complex(action, max_degree: int) -> CochainComplex:
-    """``bar_complex(action.group, action, max_degree)`` with the
-    unnormalized nerve as its base."""
-    c = bar_complex(action.group, action, max_degree)
+    """``bar_complex(action, max_degree)`` with the unnormalized nerve as its base."""
+    c = bar_complex(action, max_degree)
     return CochainComplex(UnnormalizedNerve(action.group, max_degree + 1), c.coefficients, c.action)
 
 

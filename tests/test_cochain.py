@@ -10,7 +10,9 @@ from cechtower import _intlin, cochain
 from cechtower.abelian import FgAbGroup, Homomorphism, cyclic_group, free_group
 from cechtower.cochain import (
     Cochain,
+    CochainComplex,
     GroupAction,
+    GroupNerve,
     SimplicialComplex,
     bar_complex,
     cech_complex,
@@ -60,10 +62,10 @@ action = {
     "Z2-sign-on-Z3": lambda: GroupAction(z2, cyclic_group(3), (((1,),), ((2,),))),
     "Z3-doubling-on-Z7": lambda: GroupAction(z3, cyclic_group(7), (((1,),), ((2,),), ((4,),))),
 }[sys.argv[2]]()
-degree, h = int(sys.argv[1]), action.group
+degree = int(sys.argv[1])
 start = time.perf_counter()
 try:
-    c = bar_complex(h, action, degree)
+    c = bar_complex(action, degree)
     start = time.perf_counter()
     out = cohomology(c, degree).group.label()
 except BudgetExceededError:
@@ -173,7 +175,7 @@ class TestCechComplex:
         # as a dense matrix would be 4096 x 2048 (and the kernel SNF
         # transform 6144 x 6144): refused before one coboundary is taken.
         h = cyclic_table(3)
-        comp = bar_complex(h, GroupAction(h, cyclic_group(7), (((1,),), ((2,),), ((4,),))), 11)
+        comp = bar_complex(GroupAction(h, cyclic_group(7), (((1,),), ((2,),), ((4,),))), 11)
 
         def no_coboundary(*args):
             raise AssertionError("a coboundary was taken")
@@ -225,7 +227,7 @@ class TestCoboundary:
         with pytest.raises(ValidationError,
                            match=r"^\(0, 3\) is not a cell of degree 1$"):
             zero_cochain(c, 1).value_at((0, 3))
-        bar = bar_complex(cyclic_table(2), trivial_action(cyclic_table(2), Z2), 1)
+        bar = bar_complex(trivial_action(cyclic_table(2), Z2), 1)
         assert zero_cochain(bar, 1).value_at((1,)).coords == (0,)
         with pytest.raises(ValidationError,
                            match=r"^\(2,\) is not a cell of degree 1$"):
@@ -328,31 +330,31 @@ class TestClassOf:
 class TestBarComplex:
     def test_z2_mod_two_line(self):
         h = cyclic_table(2)
-        c = bar_complex(h, trivial_action(h, Z2), 4)
+        c = bar_complex(trivial_action(h, Z2), 4)
         assert [cohomology(c, p).group for p in range(5)] == [Z2] * 5
 
     def test_z2_integral(self):
         h = cyclic_table(2)
-        c = bar_complex(h, trivial_action(h, Z), 2)
+        c = bar_complex(trivial_action(h, Z), 2)
         assert [cohomology(c, p).group.label() for p in range(3)] == \
             ["Z", "0", "Z/2"]
 
     def test_trivial_group(self):
         h = cyclic_table(1)
-        c = bar_complex(h, trivial_action(h, Z6), 3)
+        c = bar_complex(trivial_action(h, Z6), 3)
         assert cohomology(c, 0).group == Z6
         assert all(cohomology(c, p).group.is_trivial for p in (1, 2, 3))
 
     def test_agrees_with_enumeration(self):
         h = cyclic_table(2)
-        c = bar_complex(h, trivial_action(h, Z2), 3)
+        c = bar_complex(trivial_action(h, Z2), 3)
         for p in range(4):
             assert cohomology(c, p).group == brute_cohomology(c, p)
 
     def test_sign_action_kills_cohomology(self):
         h = cyclic_table(2)
         act = GroupAction(h, Z3, (((1,),), ((2,),)))
-        c = bar_complex(h, act, 3)
+        c = bar_complex(act, 3)
         assert all(cohomology(c, p).group.is_trivial for p in range(4))
         for p in range(4):
             assert cohomology(c, p).group == brute_cohomology(c, p)
@@ -361,14 +363,14 @@ class TestBarComplex:
         # The normalized nerve of Z/3 has 2^17 words in its top degree 17.
         h = cyclic_table(3)
         with pytest.raises(BudgetExceededError, match="131072 words"):
-            bar_complex(h, trivial_action(h, Z2), 16)
+            bar_complex(trivial_action(h, Z2), 16)
 
     def test_negative_degree_refused_before_the_nerve(self):
         # max_degree -2 asks for a nerve of top degree -1, which has no
         # degree 0 for cohomology to read.
         h = cyclic_table(2)
         with pytest.raises(ValidationError, match="degree bound -1 is negative"):
-            bar_complex(h, trivial_action(h, Z2), -2)
+            bar_complex(trivial_action(h, Z2), -2)
 
     def test_trivial_group_refused_past_the_degree_budget(self):
         # The trivial group has one word in every degree, so the word
@@ -376,7 +378,7 @@ class TestBarComplex:
         # any word is listed.
         h = cyclic_table(1)
         with pytest.raises(BudgetExceededError, match="degrees 0..4097"):
-            bar_complex(h, trivial_action(h, Z2), cochain.DEGREE_BUDGET)
+            bar_complex(trivial_action(h, Z2), cochain.DEGREE_BUDGET)
 
     @pytest.mark.parametrize("degree, action", [
         # The nerve of Z/3 would have 131,072 words in its top degree 17,
@@ -420,14 +422,14 @@ class TestBarComplex:
 
     def test_symmetric_group_integral(self):
         h = symmetric_group(3)
-        c = bar_complex(h, trivial_action(h, Z), 2)
+        c = bar_complex(trivial_action(h, Z), 2)
         assert [cohomology(c, p).group.label() for p in range(3)] == ["Z", "0", "Z/2"]
 
     @pytest.mark.parametrize("action, degree", BAR_ACTIONS)
     def test_face_table_matches_the_reference_differential(self, action, degree):
         # The normalized complex on the words with no identity letter, and
         # the unnormalized reference nerve on every word.
-        c = bar_complex(action.group, action, degree)
+        c = bar_complex(action, degree)
         ref = unnormalized_bar_complex(action, degree)
         assert (c.action is None) == (action == trivial_action(action.group, action.module))
         for p in range(degree + 1):
@@ -448,7 +450,7 @@ class TestBarComplex:
         # homotopy equivalence: equal groups, and each representative,
         # extended by zero to the words with an identity letter, is a
         # cocycle of the unnormalized complex.
-        c = bar_complex(action.group, action, degree)
+        c = bar_complex(action, degree)
         ref = unnormalized_bar_complex(action, degree)
         for p in range(degree + 1):
             h = cohomology(c, p)
@@ -460,7 +462,7 @@ class TestBarComplex:
 
     def test_words_with_the_identity_are_not_cells(self):
         h = cyclic_table(3)
-        c = bar_complex(h, trivial_action(h, Z2), 2)
+        c = bar_complex(trivial_action(h, Z2), 2)
         assert c.base.cells(2) == ((1, 1), (1, 2), (2, 1), (2, 2))
         with pytest.raises(ValidationError, match=r"^\(0, 1\) is not a cell of degree 2$"):
             cochain_from_values(c, 2, {(0, 1): [1]})
@@ -470,7 +472,7 @@ class TestBarComplex:
     @pytest.mark.parametrize("action, degree", BAR_ACTIONS)
     def test_coboundary_matches_the_dense_view(self, action, degree):
         check_coboundary_against_dense_view(
-            bar_complex(action.group, action, degree), random.Random(degree))
+            bar_complex(action, degree), random.Random(degree))
 
     @pytest.mark.parametrize("action, degree", BAR_ACTIONS)
     @settings(max_examples=30, deadline=None)
@@ -479,7 +481,7 @@ class TestBarComplex:
         # The one coboundary, twisted on face 0 under an action, against the
         # unnormalized bar differential built word by word and restricted to
         # the words with no identity letter; and d∘d = 0 on the same cochain.
-        c = bar_complex(action.group, action, degree)
+        c = bar_complex(action, degree)
         p = data.draw(st.integers(0, degree), label="degree")
         coords = tuple(data.draw(st.integers(0, o - 1) if o else st.integers(-9, 9))
                        for o in c.group(p).orders)
@@ -500,6 +502,28 @@ class TestBarComplex:
         h = cyclic_table(2)
         with pytest.raises(ValidationError, match="not a homomorphism"):
             GroupAction(h, Z3, (((2,),), ((1,),)))  # rho(e) != id
+
+    def test_action_of_element_names_its_matrix(self):
+        with pytest.raises(ValidationError, match=r"^action of element 1: ill-defined "
+                                                  r"homomorphism: matrix has 1 rows"):
+            GroupAction(cyclic_table(2), FgAbGroup(0, (2, 4)), (((1, 0), (0, 1)), ((1, 0),)))
+
+    def test_complex_refuses_what_is_not_its_action(self):
+        # A twisted complex is built only from the GroupAction of its
+        # nerve's group on its coefficients, and refuses anything else
+        # before any cohomology is computed.
+        h, z7 = cyclic_table(3), cyclic_group(7)
+        refusal = r"^an action must be a GroupAction of the nerve's group on the coefficients$"
+        doubling = GroupAction(h, z7, (((1,),), ((2,),), ((4,),)))
+        assert CochainComplex(GroupNerve(h, 3), z7, doubling).action is doubling
+        for base, coefficients, action in [
+                (GroupNerve(h, 3), z7, (((1,),), ((3,),), ((5,),))),  # not an action
+                (GroupNerve(h, 3), z7, (((1, 0),),) * 3),  # not even the right shape
+                (GroupNerve(h, 3), z7, GroupAction(cyclic_table(2), z7, (((1,),), ((6,),)))),
+                (GroupNerve(h, 3), z7, trivial_action(h, Z2)),
+                (SimplicialComplex(3, [(0, 1, 2)]), z7, doubling)]:
+            with pytest.raises(ValidationError, match=refusal):
+                CochainComplex(base, coefficients, action)
 
 
 class TestSuspension:

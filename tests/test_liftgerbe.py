@@ -10,7 +10,6 @@ from cechtower.exactseq import connecting_class, validate_ses
 from cechtower.liftgerbe import (
     FiniteGroup,
     TransitionCocycle,
-    abelian_element_from_index,
     abelian_element_index,
     brute_force_lift,
     cyclic_table,
@@ -104,7 +103,6 @@ class TestFiniteGroup:
         assert fg.order == 8 and fg.is_abelian()
         for i, el in enumerate(g.elements()):
             assert abelian_element_index(g, el) == i
-            assert abelian_element_from_index(g, i) == el
 
 
 class TestValidateExtension:
@@ -127,10 +125,34 @@ class TestValidateExtension:
         with pytest.raises(ValidationError, match="not central"):
             validate_extension(s3, z3, three_cycles, pi, cyclic_table(2))
 
-    def test_kernel_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
+    def test_kernel_embedding_not_hom_rejected(self):
+        # element 1 of Z/4 has order 4, so it cannot carry the generator of Z/2
+        with pytest.raises(ValidationError,
+                           match=r"^kernel embedding is not a homomorphism at pair \(1,1\)$"):
             validate_extension(cyclic_table(4), Z2, [0, 1], [0, 1, 0, 1],
                                cyclic_table(2))
+
+    def test_kernel_mismatch_rejected(self):
+        # in Z/2 x Z/2 the projection onto the second factor has kernel
+        # {0, 2}, but the embedded kernel is {0, 1}
+        with pytest.raises(ValidationError, match="^kernel of the projection differs "
+                                                  "from the embedded kernel group$"):
+            validate_extension(direct_product(cyclic_table(2), cyclic_table(2)), Z2,
+                               [0, 1], [0, 1, 0, 1], cyclic_table(2))
+
+    def test_non_surjective_projection_rejected(self):
+        # doubling Z/4 -> Z/4 is a homomorphism that misses 1 and 3
+        with pytest.raises(ValidationError, match="^projection is not surjective$"):
+            validate_extension(cyclic_table(4), Z2, [0, 2], [0, 2, 0, 2], cyclic_table(4))
+
+    def test_fibers_and_kernel_coordinates_are_tabulated(self):
+        ext = d4_extension()
+        assert ext.fibers == tuple(
+            tuple(x for x in range(8) if ext.projection[x] == q)
+            for q in range(ext.quotient.order))
+        assert ext.kernel_coords == {
+            v: el.coords for v, el in zip(ext.kernel_elements, ext.kernel_group.elements())}
+        assert ext.section() == tuple(f[0] for f in ext.fibers)
 
     def test_non_hom_projection_rejected(self):
         with pytest.raises(ValidationError):

@@ -198,7 +198,7 @@ def test_equal_bar_complexes_share_one_memo_entry(twisted):
     def build():
         h = cyclic_table(2)
         sign = ((2,),) if twisted else ((1,),)
-        return bar_complex(h, GroupAction(h, cyclic_group(3), (((1,),), sign)), 3)
+        return bar_complex(GroupAction(h, cyclic_group(3), (((1,),), sign)), 3)
 
     one, two = build(), build()
     assert one is not two and one == two and hash(one) == hash(two)

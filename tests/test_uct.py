@@ -155,7 +155,7 @@ def test_trivial_action_bar_complexes(group_degree, coeff, rng):
     # path on the columns of the coboundaries and, where it can enumerate,
     # the brute-force oracle.
     group, degree = group_degree
-    comp = bar_complex(group, trivial_action(group, coeff), degree)
+    comp = bar_complex(trivial_action(group, coeff), degree)
     assert comp.action is None
     for p in range(degree + 1):
         check_degree(comp, p, rng)
