@@ -21,7 +21,6 @@ from math import gcd, lcm
 from cechtower import _intlin
 from cechtower._intlin import (
     Lattice,
-    lattice_preimage_gens,
     present_cokernel,
     present_quotient,
     relation_columns,
@@ -89,6 +88,11 @@ class FgAbGroup(Record):
         return tuple(
             c % o if o else c for c, o in zip(coords, self.orders))
 
+    def reduce_rows(self, matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+        """Row i of a matrix into this group reduced by the i-th order."""
+        return tuple(
+            tuple(v % o if o else v for v in row) for row, o in zip(matrix, self.orders))
+
     def element(self, coords: Sequence[int]) -> "GroupElement":
         return GroupElement(self, tuple(coords))
 
@@ -96,6 +100,9 @@ class FgAbGroup(Record):
         return GroupElement(self, (0,) * self.ngens)
 
     def generator(self, i: int) -> "GroupElement":
+        if not 0 <= i < self.ngens:
+            raise ValidationError(
+                f"generator index {i} out of range for {self.ngens} generators")
         coords = [0] * self.ngens
         coords[i] = 1
         return GroupElement(self, tuple(coords))
@@ -216,56 +223,35 @@ class GroupElement(Record):
         return all(c == 0 for c in self.coords)
 
 
-class HomReport(Record):
-    _fields = ("ok", "column", "message")
-    _defaults = {"column": None, "message": ""}
-
-
-def hom_validate(source: FgAbGroup, target: FgAbGroup,
-                 matrix: Sequence[Sequence[int]]) -> HomReport:
-    """Well-definedness of a candidate matrix (target gens x source gens).
-
-    Column j must satisfy d_j * col_j == 0 in the target whenever the j-th
-    source generator has finite order d_j.
-    """
-    rows = len(matrix)
-    if rows != target.ngens:
-        return HomReport(False, None,
-                         f"matrix has {rows} rows, target has {target.ngens} generators")
-    for i, row in enumerate(matrix):
-        if len(row) != source.ngens:
-            return HomReport(False, None,
-                             f"row {i} has {len(row)} entries, source has "
-                             f"{source.ngens} generators")
-    t_orders = target.orders
-    for j, d in enumerate(source.orders):
-        if d == 0:
-            continue
-        for i, o in enumerate(t_orders):
-            v = d * matrix[i][j]
-            if (v % o if o else v) != 0:
-                return HomReport(
-                    False, j,
-                    f"column {j}: source order {d} does not annihilate the "
-                    f"image (target coordinate {i})")
-    return HomReport(True)
-
-
 class Homomorphism(Record):
-    """Matrix columns are images of source generators in target coordinates."""
+    """Matrix columns are images of source generators in target coordinates.
+
+    The package's one well-definedness check: the shape must match, and
+    d_j * col_j == 0 in the target for each source order d_j.
+    """
 
     _fields = ("source", "target", "matrix")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup,
                  matrix: tuple[tuple[int, ...], ...]):
         matrix = tuple(tuple(int(v) for v in row) for row in matrix)
-        report = hom_validate(source, target, matrix)
-        if not report.ok:
-            raise ValidationError(f"ill-defined homomorphism: {report.message}")
-        norm = tuple(
-            tuple(v % o if o else v for v in row)
-            for row, o in zip(matrix, target.orders))
-        Record.__init__(self, source, target, norm)
+        if len(matrix) != target.ngens:
+            raise ValidationError(
+                f"ill-defined homomorphism: matrix has {len(matrix)} rows, "
+                f"target has {target.ngens} generators")
+        for i, row in enumerate(matrix):
+            if len(row) != source.ngens:
+                raise ValidationError(
+                    f"ill-defined homomorphism: row {i} has {len(row)} entries, "
+                    f"source has {source.ngens} generators")
+        for j, d in enumerate(source.orders):
+            for i, o in enumerate(target.orders):
+                v = d * matrix[i][j]
+                if v % o if o else v:
+                    raise ValidationError(
+                        f"ill-defined homomorphism: column {j}: source order {d} "
+                        f"does not annihilate the image (target coordinate {i})")
+        Record.__init__(self, source, target, target.reduce_rows(matrix))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -335,13 +321,13 @@ class HomInvariants(Record):
 
 
 def hom_invariants(h: Homomorphism) -> HomInvariants:
-    """Kernel, image, cokernel with their inclusion/projection maps."""
+    """Kernel (read from ``_hom_solver``), image, cokernel with their
+    inclusion/projection maps."""
     na, nb = h.source.ngens, h.target.ngens
     rel_a = relation_columns(h.source.orders)
     rel_b = relation_columns(h.target.orders)
 
-    ker_gens = lattice_preimage_gens(h.columns(), nb, rel_b)
-    ker_p = present_quotient(Lattice(na, ker_gens), rel_a)
+    ker_p = present_quotient(Lattice(na, _kernel_gens(h)), rel_a)
     kernel = presentation_group(ker_p)
     ker_inc = _inclusion_from_lifts(kernel, h.source, ker_p.lift_cols)
 
@@ -360,8 +346,16 @@ def hom_invariants(h: Homomorphism) -> HomInvariants:
 
 @lru_cache(maxsize=256)
 def _hom_solver(h: Homomorphism) -> _intlin.SnfResult:
+    """The one SNF of h: A -> B, of the rows [cols; -R_B] with U and V: its
+    solver, and through the rows of U past the rank its kernel."""
     return _intlin.preimage_snf(h.columns(), h.target.ngens,
                                 relation_columns(h.target.orders), _intlin.SOLVE)
+
+
+def _kernel_gens(h: Homomorphism) -> list[list[int]]:
+    """Generators of ker h in Z^A: U's rows past the rank, cut to A."""
+    res = _hom_solver(h)
+    return [row[:h.source.ngens] for row in res.U[res.rank:]]
 
 
 def solve_in_group(h: Homomorphism, y: GroupElement) -> GroupElement | None:
@@ -389,16 +383,15 @@ class ExactnessResult(Record):
 def is_exact_at(f: Homomorphism, g: Homomorphism) -> ExactnessResult:
     """Whether image(f) == kernel(g) inside f.target (== g.source).
 
-    On failure the witness is an element of one subgroup missing from the
-    other; ``side`` says which inclusion broke.
+    ker g comes from ``_hom_solver(g)``.  On failure the witness is an
+    element of one subgroup missing from the other; ``side`` says which
+    inclusion broke.
     """
     if f.target != g.source:
         raise ValidationError("maps are not composable: f.target != g.source")
     nb = f.target.ngens
-    rel_b = relation_columns(f.target.orders)
-    im = Lattice(nb, f.columns() + rel_b)
-    ker = Lattice(nb, lattice_preimage_gens(g.columns(), g.target.ngens,
-                                            relation_columns(g.target.orders)))
+    im = Lattice(nb, f.columns() + relation_columns(f.target.orders))
+    ker = Lattice(nb, _kernel_gens(g))
     for b in im.basis:
         if b not in ker:
             return ExactnessResult(False, GroupElement(f.target, tuple(b)),

@@ -37,10 +37,8 @@ from cechtower.abelian import (
     GroupElement,
     Homomorphism,
     _summed_presentation,
-    is_exact_at,
     presentation_group,
     trivial_group,
-    zero_hom,
 )
 from cechtower.errors import BudgetExceededError, ValidationError, VerificationError
 
@@ -810,9 +808,11 @@ class GroupAction(Record):
     """A finite group acting on a module by validated automorphisms.
 
     ``action[i]`` is the automorphism matrix attached to element i of the
-    acting group; the assignment must respect every Cayley-table product.
-    Each matrix is checked once, as the ``Homomorphism`` it builds; a
-    twisted ``CochainComplex`` holds the action it was checked as.
+    acting group.  Each matrix is checked once, as the ``Homomorphism`` it
+    builds, then the law rho(a) rho(b) == rho(ab) on the Cayley table and
+    rho(e) == I: these make rho(a^-1) the inverse of rho(a), and an action
+    by automorphisms meets them (rho(e) is then an invertible idempotent).
+    A twisted ``CochainComplex`` holds the action it was checked as.
     """
 
     _fields = ("group", "module", "action")
@@ -823,27 +823,22 @@ class GroupAction(Record):
         m = group.order
         if len(action) != m:
             raise ValidationError("need exactly one matrix per group element")
-        homs = []
+        mats, ident = [], tuple(map(tuple, _intlin.identity_matrix(module.ngens)))
         for i, mat in enumerate(action):
             try:
-                homs.append(Homomorphism(module, module, mat))
+                mats.append(Homomorphism(module, module, mat).matrix)
             except ValidationError as err:
                 raise ValidationError(f"action of element {i}: {err}") from None
-        zero_in = zero_hom(trivial_group(), module)
-        zero_out = zero_hom(module, trivial_group())
-        for i, h in enumerate(homs):
-            for verdict in (is_exact_at(zero_in, h), is_exact_at(h, zero_out)):
-                if not verdict.ok:
-                    raise ValidationError(
-                        f"action of element {i} is not an automorphism "
-                        f"({verdict.side}): witness {verdict.witness.coords}")
         table = group.table
         for a in range(m):
             for b in range(m):
-                if homs[a].compose(homs[b]).matrix != homs[table[a][b]].matrix:
+                if module.reduce_rows(_intlin.mat_mul(mats[a], mats[b])) != mats[table[a][b]]:
                     raise ValidationError(
                         f"action is not a homomorphism at the pair ({a}, {b})")
-        Record.__init__(self, group, module, tuple(h.matrix for h in homs))
+        if mats[group.identity] != ident:
+            raise ValidationError(
+                f"the identity element {group.identity} does not act as the identity")
+        Record.__init__(self, group, module, tuple(mats))
 
 
 def trivial_action(group, module: FgAbGroup) -> GroupAction:

@@ -262,9 +262,10 @@ class TransitionCocycle(Record):
         Record.__init__(self, site, quotient, values)
 
     def value_on(self, i: int, j: int) -> int:
-        if i < j:
-            return self.values[self.site.cell_indices(1)[(i, j)]]
-        return self.quotient.inv(self.values[self.site.cell_indices(1)[(j, i)]])
+        e = self.site.cell_indices(1).get((min(i, j), max(i, j)))
+        if e is None:
+            raise ValidationError(f"({i}, {j}) is not an edge of the site")
+        return self.values[e] if i < j else self.quotient.inv(self.values[e])
 
 
 def _triangle_edges(site: SimplicialComplex) -> list[tuple[int, int, int]]:

@@ -12,7 +12,6 @@ from cechtower.abelian import (
     direct_sum_with_maps,
     free_group,
     hom_invariants,
-    hom_validate,
     is_exact_at,
     presentation_group,
     smith_normal_form,
@@ -76,28 +75,65 @@ class TestSmithNormalForm:
         check_snf(matrix)
 
 
+def well_defined(source, target, matrix):
+    """Whether ``Homomorphism`` accepts the matrix; any refusal is a
+    ``ValidationError``."""
+    try:
+        Homomorphism(source, target, matrix)
+    except ValidationError:
+        return False
+    return True
+
+
 class TestHomValidate:
+    """``Homomorphism`` is the one well-definedness check."""
+
     def test_half_into_quarter_rejected(self):
         # 2*1 is not 0 mod 4
-        report = hom_validate(Z2, Z4, ((1,),))
-        assert not report.ok and report.column == 0
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^ill-defined homomorphism: column 0: "
+                                                  r"source order 2 does not annihilate "
+                                                  r"the image \(target coordinate 0\)$"):
             Homomorphism(Z2, Z4, ((1,),))
 
     def test_doubling_accepted(self):
-        assert hom_validate(Z2, Z4, ((2,),)).ok
+        assert well_defined(Z2, Z4, ((2,),))
 
     def test_free_source_always_ok(self):
         for c in (-5, 0, 1, 17):
-            assert hom_validate(Z, Z6, ((c,),)).ok
+            assert well_defined(Z, Z6, ((c,),))
 
     def test_dimension_mismatch(self):
-        assert not hom_validate(Z2, Z4, ((1,), (0,))).ok
-        assert not hom_validate(Z2, Z4, ((1, 2),)).ok
+        with pytest.raises(ValidationError, match=r"^ill-defined homomorphism: matrix has "
+                                                  r"2 rows, target has 1 generators$"):
+            Homomorphism(Z2, Z4, ((1,), (0,)))
+        with pytest.raises(ValidationError, match=r"^ill-defined homomorphism: row 0 has "
+                                                  r"2 entries, source has 1 generators$"):
+            Homomorphism(Z2, Z4, ((1, 2),))
 
     def test_torsion_to_free_must_vanish(self):
-        assert not hom_validate(Z2, Z, ((1,),)).ok
-        assert hom_validate(Z2, Z, ((0,),)).ok
+        assert not well_defined(Z2, Z, ((1,),))
+        assert well_defined(Z2, Z, ((0,),))
+
+    def test_first_failing_column_and_coordinate_are_named(self):
+        # Columns are scanned in order, and within a column the target
+        # coordinates; a free source column is never refused.
+        z2z4 = FgAbGroup(0, (2, 4))
+        with pytest.raises(ValidationError, match=r"column 1: source order 2 does not "
+                                                  r"annihilate the image \(target coordinate 1\)$"):
+            Homomorphism(FgAbGroup(1, (2, 2)), z2z4, ((0, 0, 1), (2, 1, 3)))
+
+
+class TestGenerator:
+    def test_generators_are_the_unit_vectors(self):
+        g = FgAbGroup(0, (2, 4))
+        assert [g.generator(i).coords for i in range(g.ngens)] == [(1, 0), (0, 1)]
+
+    @pytest.mark.parametrize("index", [-1, 2, 5])
+    def test_index_outside_the_generators_is_refused(self, index):
+        # -1 used to read as the last generator, 5 escaped as IndexError.
+        with pytest.raises(ValidationError, match=rf"^generator index {index} out of range "
+                                                  r"for 2 generators$"):
+            FgAbGroup(0, (2, 4)).generator(index)
 
 
 class TestHomInvariants:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import subprocess
 import sys
 
@@ -28,8 +30,10 @@ from cechtower.errors import BudgetExceededError, ValidationError
 from cechtower.liftgerbe import cyclic_table, dihedral_group, direct_product, symmetric_group
 
 from .oracles import (
+    bareiss_det,
     brute_cohomology,
     coboundary_set,
+    mat_mul,
     normalized_rows,
     reference_bar_differential,
     reference_differential,
@@ -327,6 +331,69 @@ class TestClassOf:
             class_of(c, f)
 
 
+# Each acting group with the orders of the generators whose powers, in
+# mixed radix, give its element indices.
+ACTING_GROUPS = {"Z2": ((2,), cyclic_table(2)), "Z3": ((3,), cyclic_table(3)),
+                 "Z4": ((4,), cyclic_table(4)),
+                 "Z2xZ2": ((2, 2), direct_product(cyclic_table(2), cyclic_table(2)))}
+ACTED_MODULES = {"Z": Z, "Z2": Z2, "Z3": Z3, "Z4": Z4, "Z2xZ2": FgAbGroup(0, (2, 2))}
+
+
+def _apply(module, matrix, x):
+    return module.normalize([sum(a * b for a, b in zip(row, x)) for row in matrix])
+
+
+def is_action_by_brute_force(h, module, matrices):
+    """rho(a)(rho(b)(x)) == rho(ab)(x) for all a, b and every x (every
+    generator when the module is infinite), and each rho(a) a bijection:
+    by enumeration on a finite module, by det == +-1 on a free one."""
+    finite = module.order() is not None
+    points = ([x.coords for x in module.elements()] if finite
+              else [module.generator(i).coords for i in range(module.ngens)])
+    for a, b in itertools.product(range(h.order), repeat=2):
+        for x in points:
+            if (_apply(module, matrices[a], _apply(module, matrices[b], x))
+                    != _apply(module, matrices[h.table[a][b]], x)):
+                return False
+    if finite:
+        return all(len({_apply(module, mat, x) for x in points}) == len(points)
+                   for mat in matrices)
+    return all(abs(bareiss_det(mat)) == 1 for mat in matrices)
+
+
+@st.composite
+def candidate_actions(draw, orders, module):
+    """One matrix per element of the group whose generators have
+    ``orders``: random matrices, one matrix for every element, or products
+    of powers of one matrix per generator (an action exactly when those
+    matrices satisfy the group's relations), sometimes with one entry
+    changed afterwards."""
+    n = module.ngens
+    entry = st.integers(-2, 4)
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    exponents = list(itertools.product(*map(range, orders)))
+
+    kind = draw(st.sampled_from(["random", "constant", "powers"]))
+    if kind == "random":
+        mats = [draw(matrix) for _ in exponents]
+    elif kind == "constant":
+        mats = [draw(matrix)] * len(exponents)
+    else:
+        gens = [draw(matrix) for _ in orders]
+        mats = []
+        for powers in exponents:
+            mat = _intlin.identity_matrix(n)
+            for g, k in zip(gens, powers):
+                for _ in range(k):
+                    mat = mat_mul(mat, g)
+            mats.append(mat)
+    mats = [[list(r) for r in mat] for mat in mats]
+    if draw(st.booleans()):
+        e, i, j = (draw(st.integers(0, k - 1)) for k in (len(mats), n, n))
+        mats[e][i][j] += draw(st.integers(1, 3))
+    return tuple(tuple(map(tuple, mat)) for mat in mats)
+
+
 class TestBarComplex:
     def test_z2_mod_two_line(self):
         h = cyclic_table(2)
@@ -491,17 +558,55 @@ class TestBarComplex:
         assert coboundary(image).is_zero
 
     def test_action_must_be_automorphisms(self):
+        # The law and rho(e) == I make every rho(a) invertible, so a matrix
+        # that is no automorphism breaks the law; the zero action keeps the
+        # law and is refused at the identity.
         h = cyclic_table(2)
-        refusal = r"element 1 is not an automorphism \(kernel_not_in_image\): witness"
-        with pytest.raises(ValidationError, match=refusal + r" \(2,\)"):
+        refusal = r"^action is not a homomorphism at the pair \(1, 1\)$"
+        with pytest.raises(ValidationError, match=refusal):
             GroupAction(h, Z4, (((1,),), ((2,),)))  # doubling is not invertible
-        with pytest.raises(ValidationError, match=refusal + r" \(1,\)"):
+        with pytest.raises(ValidationError, match=refusal):
             GroupAction(h, Z, (((1,),), ((2,),)))  # injective, not onto
+        with pytest.raises(ValidationError,
+                           match=r"^the identity element 0 does not act as the identity$"):
+            GroupAction(h, Z3, (((0,),), ((0,),)))
 
     def test_action_must_respect_table(self):
         h = cyclic_table(2)
         with pytest.raises(ValidationError, match="not a homomorphism"):
             GroupAction(h, Z3, (((2,),), ((1,),)))  # rho(e) != id
+
+    def test_each_matrix_is_built_once(self, monkeypatch):
+        # One Homomorphism per element checks its matrix; the law is read
+        # from plain matrix products, not from validated compositions.
+        built = []
+        init = Homomorphism.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Homomorphism, "__init__", counting)
+        h = symmetric_group(3)
+        trivial_action(h, FgAbGroup(0, (2, 4)))
+        assert len(built) == h.order
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(ACTING_GROUPS)), st.sampled_from(sorted(ACTED_MODULES)),
+           st.data())
+    def test_action_accepted_exactly_when_brute_force_agrees(self, group, module, data):
+        (orders, h), m = ACTING_GROUPS[group], ACTED_MODULES[module]
+        matrices = data.draw(candidate_actions(orders, m), label="matrices")
+        try:
+            act = GroupAction(h, m, matrices)
+        except ValidationError as err:
+            assert not is_action_by_brute_force(h, m, matrices)
+            assert re.match(r"^(action is not a homomorphism at the pair \(\d+, \d+\)"
+                            r"|the identity element 0 does not act as the identity)$",
+                            str(err))
+        else:
+            assert is_action_by_brute_force(h, m, matrices)
+            assert act.action == tuple(Homomorphism(m, m, mat).matrix for mat in matrices)
 
     def test_action_of_element_names_its_matrix(self):
         with pytest.raises(ValidationError, match=r"^action of element 1: ill-defined "

@@ -178,6 +178,15 @@ class TestTransitionCocycle:
         for (i, j) in rp2.cells(1):
             assert t.value_on(j, i) == q.inv(t.value_on(i, j))
 
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 5), (5, 0), (-1, 1)])
+    def test_value_on_a_non_edge_is_refused(self, full_triangle, pair):
+        t = transition_from_values(full_triangle, cyclic_table(3),
+                                   {(0, 1): 1, (0, 2): 2, (1, 2): 1})
+        assert (t.value_on(0, 2), t.value_on(2, 0)) == (2, 1)
+        with pytest.raises(ValidationError,
+                           match=rf"^\({pair[0]}, {pair[1]}\) is not an edge of the site$"):
+            t.value_on(*pair)
+
 
 class TestLiftingObstruction:
     def test_identity_cocycle_gives_zero(self, rp2):

@@ -22,8 +22,15 @@ import pytest
 from hypothesis import example, given, settings
 
 import cechtower
-from cechtower import abelian, exactseq, spectral
-from cechtower.abelian import FgAbGroup, cyclic_group, free_group
+from cechtower import _intlin, abelian, exactseq, spectral
+from cechtower.abelian import (
+    FgAbGroup,
+    Homomorphism,
+    cyclic_group,
+    free_group,
+    hom_invariants,
+    solve_in_group,
+)
 from cechtower.cochain import (
     GroupAction,
     SimplicialComplex,
@@ -35,7 +42,7 @@ from cechtower.cochain import (
     cohomology,
     zero_cochain,
 )
-from cechtower.exactseq import connecting
+from cechtower.exactseq import ShortExactSequence, connecting
 from cechtower.liftgerbe import cyclic_table
 from cechtower.spectral import FilteredComplex, filtered_terms
 from cechtower.tower import TowerSpec, tower_classes
@@ -206,3 +213,24 @@ def test_equal_bar_complexes_share_one_memo_entry(twisted):
     for p in range(4):
         assert cohomology(one, p) is cohomology(two, p)
     assert cohomology.cache_info().hits == 4
+
+
+def test_one_factorization_per_map(monkeypatch):
+    # A map's kernel is read from the SNF that also solves through it, so
+    # checking an exact sequence, a solve through iota and iota's kernel,
+    # image and cokernel factor iota's [cols; -R] once between them.
+    clear_memos()
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    iota, pi = Homomorphism(z2, z4, ((2,),)), Homomorphism(z4, z2, ((1,),))
+    factored = []
+    preimage_snf = _intlin.preimage_snf
+
+    def counting(map_cols, *args):
+        factored.append([list(c) for c in map_cols])
+        return preimage_snf(map_cols, *args)
+
+    monkeypatch.setattr(_intlin, "preimage_snf", counting)
+    ShortExactSequence(z2, z4, z2, iota, pi)
+    assert solve_in_group(iota, z4.element((2,))).coords == (1,)
+    assert hom_invariants(iota).kernel.is_trivial
+    assert factored.count(iota.columns()) == 1
